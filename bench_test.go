@@ -12,6 +12,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/covering"
 	"repro/internal/expt"
 	"repro/internal/gkm"
 	"repro/internal/graph/gen"
@@ -111,6 +112,22 @@ func BenchmarkAlgoPackingMIS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = packing.Solve(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
+	}
+}
+
+// BenchmarkAlgoCoveringMDS is Theorem 1.3 on the covering benchmark's
+// input: minimum dominating set on GNP(1000, 8/999), serial.
+func BenchmarkAlgoCoveringMDS(b *testing.B) {
+	g := gen.GNP(1000, 8.0/999, xrand.New(7))
+	inst, err := problems.Build(problems.MinDominatingSet, g, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := covering.Solve(inst, covering.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

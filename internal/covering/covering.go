@@ -183,7 +183,7 @@ func (s *state) fix(v int32) {
 	}
 	s.solution[v] = true
 	for _, cj := range s.inst.ConstraintsOf(int(v)) {
-		s.used[cj] += coeffOf(s.inst, int(cj), int(v))
+		s.used[cj] += s.inst.Coeff(int(cj), int(v))
 	}
 }
 
@@ -582,13 +582,4 @@ func (s *state) localCoverAgainst(region []int32, used []float64, wk *worker) ([
 		}
 	}
 	return out, m.Exact(), nil
-}
-
-func coeffOf(inst *ilp.Instance, j, v int) float64 {
-	for _, t := range inst.Constraint(j).Terms {
-		if t.Var == v {
-			return t.Coeff
-		}
-	}
-	return 0
 }

@@ -10,6 +10,10 @@
 // hyperedges on the variables with nonzero coefficients), local restriction
 // semantics (Observations 2.1 and 2.2), and the bit-decomposition reduction
 // from bounded-integer variables to 0/1 variables described in Section 1.
+//
+// The hypergraph and its primal graph are built on the first Hypergraph
+// call, not by Build: the local solvers build many small per-region
+// instances that never ask for it.
 package ilp
 
 import (
@@ -17,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/hypergraph"
 )
@@ -56,12 +61,15 @@ type Constraint struct {
 }
 
 // Instance is an immutable packing or covering ILP. Build with NewBuilder.
+// It is safe for concurrent use.
 type Instance struct {
 	kind        Kind
 	weights     []int64
 	constraints []Constraint
 	varCons     [][]int32 // constraint ids per variable
-	hyper       *hypergraph.H
+	rank2Unit   bool
+	hyperOnce   sync.Once
+	hyper       *hypergraph.H // built by the first Hypergraph call
 }
 
 // ErrBadInstance is returned for structurally invalid instances (negative
@@ -131,20 +139,22 @@ func (b *Builder) Build() (*Instance, error) {
 		weights:     b.weights,
 		constraints: b.cons,
 		varCons:     make([][]int32, n),
+		rank2Unit:   true,
 	}
-	hb := hypergraph.NewBuilder(n)
 	for ci, c := range b.cons {
 		if b.kind == Covering && len(c.Terms) == 0 && c.B > 0 {
 			return nil, fmt.Errorf("%w: covering constraint %d has no variables but rhs %v", ErrBadInstance, ci, c.B)
 		}
-		vars := make([]int, len(c.Terms))
-		for i, t := range c.Terms {
-			vars[i] = t.Var
-			inst.varCons[t.Var] = append(inst.varCons[t.Var], int32(ci))
+		if len(c.Terms) > 2 || c.B != 1 {
+			inst.rank2Unit = false
 		}
-		hb.AddEdge(vars...)
+		for _, t := range c.Terms {
+			inst.varCons[t.Var] = append(inst.varCons[t.Var], int32(ci))
+			if t.Coeff != 1 {
+				inst.rank2Unit = false
+			}
+		}
 	}
-	inst.hyper = hb.Build()
 	return inst, nil
 }
 
@@ -176,8 +186,39 @@ func (inst *Instance) Constraint(j int) Constraint { return inst.constraints[j] 
 // ConstraintsOf returns the ids of constraints containing variable v.
 func (inst *Instance) ConstraintsOf(v int) []int32 { return inst.varCons[v] }
 
-// Hypergraph returns the Definition 1.3 hypergraph of the instance.
-func (inst *Instance) Hypergraph() *hypergraph.H { return inst.hyper }
+// Coeff returns the coefficient a_{j,v} of variable v in constraint j, or 0
+// if v does not occur in it (the first term if it occurs twice).
+func (inst *Instance) Coeff(j, v int) float64 {
+	terms := inst.constraints[j].Terms
+	i, found := slices.BinarySearchFunc(terms, v, func(t Term, v int) int { return t.Var - v })
+	if !found {
+		return 0
+	}
+	return terms[i].Coeff
+}
+
+// Rank2Unit reports whether the instance is in edge form: every constraint
+// has at most 2 terms, all coefficients 1, all rhs 1. This is the MIS
+// (packing) / vertex-cover (covering) shape.
+func (inst *Instance) Rank2Unit() bool { return inst.rank2Unit }
+
+// Hypergraph returns the Definition 1.3 hypergraph of the instance, built
+// on the first call.
+func (inst *Instance) Hypergraph() *hypergraph.H {
+	inst.hyperOnce.Do(func() {
+		hb := hypergraph.NewBuilder(len(inst.weights))
+		vars := []int{}
+		for _, c := range inst.constraints {
+			vars = vars[:0]
+			for _, t := range c.Terms {
+				vars = append(vars, t.Var)
+			}
+			hb.AddEdge(vars...)
+		}
+		inst.hyper = hb.Build()
+	})
+	return inst.hyper
+}
 
 // Solution is a 0/1 assignment to the variables.
 type Solution []bool

@@ -2,7 +2,11 @@ package ilp
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/hypergraph"
 )
 
 // misInstance builds the MIS packing ILP for a triangle plus a pendant:
@@ -159,6 +163,110 @@ func TestHypergraphOfInstance(t *testing.T) {
 	}
 	if !p.HasEdge(2, 3) || p.HasEdge(0, 3) {
 		t.Fatal("primal structure wrong")
+	}
+}
+
+// TestHypergraphConcurrentFirstUse builds the lazily built hypergraph from
+// 16 goroutines at once: all must get the same *hypergraph.H, and its
+// primal graph must equal an eager build from the constraints.
+func TestHypergraphConcurrentFirstUse(t *testing.T) {
+	const n = 60
+	b := NewBuilder(Covering, make([]int64, n))
+	for j := 0; j < 3*n; j++ {
+		terms := []Term{{j % n, 1}, {(j * 7) % n, 2}, {(j*13 + 5) % n, 1}}
+		if j%4 == 0 {
+			terms = terms[:1]
+		}
+		b.AddConstraint(terms, 1)
+	}
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 16
+	got := make([]*hypergraph.H, workers)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			got[i] = inst.Hypergraph()
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	for i, h := range got {
+		if h != got[0] {
+			t.Fatalf("goroutine %d got a different hypergraph", i)
+		}
+	}
+
+	eb := hypergraph.NewBuilder(n)
+	for j := 0; j < inst.NumConstraints(); j++ {
+		var vs []int
+		for _, term := range inst.Constraint(j).Terms {
+			vs = append(vs, term.Var)
+		}
+		eb.AddEdge(vs...)
+	}
+	want := eb.Build()
+	if got[0].M() != want.M() {
+		t.Fatalf("hyperedges = %d, want %d", got[0].M(), want.M())
+	}
+	for e := 0; e < want.M(); e++ {
+		if !slices.Equal(got[0].Edge(e), want.Edge(e)) {
+			t.Fatalf("hyperedge %d = %v, want %v", e, got[0].Edge(e), want.Edge(e))
+		}
+	}
+	gp, wp := got[0].Primal(), want.Primal()
+	if gp.N() != wp.N() || gp.M() != wp.M() {
+		t.Fatalf("primal n=%d m=%d, want n=%d m=%d", gp.N(), gp.M(), wp.N(), wp.M())
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(gp.Neighbors(v), wp.Neighbors(v)) {
+			t.Fatalf("primal neighbours of %d = %v, want %v", v, gp.Neighbors(v), wp.Neighbors(v))
+		}
+	}
+}
+
+func TestCoeff(t *testing.T) {
+	b := NewBuilder(Packing, make([]int64, 6))
+	b.AddConstraint([]Term{{4, 3}, {1, 2}, {4, 5}}, 9)
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range []float64{0, 2, 0, 0, 3, 0} {
+		if got := inst.Coeff(0, v); got != want {
+			t.Fatalf("Coeff(0, %d) = %v, want %v", v, got, want)
+		}
+	}
+}
+
+func TestRank2Unit(t *testing.T) {
+	if !misInstance(t).Rank2Unit() || !vcInstance(t).Rank2Unit() {
+		t.Fatal("edge-form instances not detected")
+	}
+	for _, c := range []struct {
+		terms []Term
+		rhs   float64
+	}{
+		{[]Term{{0, 1}, {1, 1}, {2, 1}}, 1},
+		{[]Term{{0, 2}, {1, 1}}, 1},
+		{[]Term{{0, 1}, {1, 1}}, 2},
+	} {
+		b := NewBuilder(Covering, make([]int64, 3))
+		b.AddConstraint([]Term{{0, 1}}, 1)
+		b.AddConstraint(c.terms, c.rhs)
+		inst, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.Rank2Unit() {
+			t.Fatalf("%v >= %v detected as edge form", c.terms, c.rhs)
+		}
 	}
 }
 

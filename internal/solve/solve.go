@@ -11,6 +11,13 @@
 // and falls back to a greedy heuristic otherwise, reporting which path ran
 // so experiments can flag non-exact local solves (see DESIGN.md).
 //
+// The greedy covering fallback is lazy: it keeps the variables in a heap
+// keyed on their last known weight-per-coverage ratio and re-evaluates only
+// the top, which makes the same picks in the same order as rescanning every
+// variable per pick, in O((|vars| + picks·deg²)·log|vars|) time for
+// constraint degree deg. The solvers index their scratch by dense variable
+// and constraint ids; they use no hash maps on the greedy paths.
+//
 // Local-problem semantics follow Section 2 of the paper: for packing, the
 // restriction to S sets all outside variables to zero and enforces every
 // constraint (Observation 2.1); for covering, only constraints entirely
@@ -18,9 +25,11 @@
 package solve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -208,47 +217,25 @@ func dedup(cluster []int32, mark []bool) []int32 {
 
 // --- Structure detection -------------------------------------------------
 
-// isRank2Unit reports whether the instance is in edge form: every
-// constraint has at most 2 terms, all coefficients 1, all rhs 1. This is
-// the MIS (packing) / vertex-cover (covering) shape the fast paths handle.
-func isRank2Unit(inst *ilp.Instance) bool {
-	for j := 0; j < inst.NumConstraints(); j++ {
-		c := inst.Constraint(j)
-		if len(c.Terms) > 2 || c.B != 1 {
-			return false
-		}
-		for _, t := range c.Terms {
-			if t.Coeff != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// clusterGraph builds the conflict graph on the cluster variables: an edge
-// for every rank-2 constraint with both endpoints in the cluster. Returns
-// the graph plus the position index of each variable.
-func clusterGraph(inst *ilp.Instance, vars []int32, inCluster []bool) (*graph.Graph, map[int32]int) {
-	pos := make(map[int32]int, len(vars))
+// clusterGraph builds the conflict graph on the cluster variables, indexed
+// by position in vars: an edge for every rank-2 constraint with both
+// endpoints in the cluster. Each constraint is emitted from its first
+// term's variable; Build sorts and deduplicates the edges.
+func clusterGraph(inst *ilp.Instance, vars []int32, inCluster []bool) *graph.Graph {
+	pos := make([]int32, inst.NumVars())
 	for i, v := range vars {
-		pos[v] = i
+		pos[v] = int32(i)
 	}
 	b := graph.NewBuilder(len(vars))
-	seen := make(map[int32]bool)
 	for _, v := range vars {
 		for _, cj := range inst.ConstraintsOf(int(v)) {
-			if seen[cj] {
-				continue
-			}
-			seen[cj] = true
 			c := inst.Constraint(int(cj))
-			if len(c.Terms) == 2 && inCluster[c.Terms[0].Var] && inCluster[c.Terms[1].Var] {
-				b.AddEdge(pos[int32(c.Terms[0].Var)], pos[int32(c.Terms[1].Var)])
+			if len(c.Terms) == 2 && c.Terms[0].Var == int(v) && inCluster[c.Terms[1].Var] {
+				b.AddEdge(int(pos[v]), int(pos[c.Terms[1].Var]))
 			}
 		}
 	}
-	return b.Build(), pos
+	return b.Build()
 }
 
 func unitWeights(inst *ilp.Instance, vars []int32) bool {
@@ -267,10 +254,10 @@ func unitWeights(inst *ilp.Instance, vars []int32) bool {
 // girth check per local solve, which used to dominate the solver's
 // allocation profile.
 func packingStructured(inst *ilp.Instance, vars []int32, inCluster []bool) (ilp.Solution, int64, Method, bool) {
-	if !isRank2Unit(inst) {
+	if !inst.Rank2Unit() {
 		return nil, 0, 0, false
 	}
-	g, _ := clusterGraph(inst, vars, inCluster)
+	g := clusterGraph(inst, vars, inCluster)
 	w := make([]int64, len(vars))
 	for i, v := range vars {
 		w[i] = inst.Weight(int(v))
@@ -291,7 +278,7 @@ func packingStructured(inst *ilp.Instance, vars []int32, inCluster []bool) (ilp.
 // is exactly what clusterGraph builds; rank-1 constraints (x_v >= 1) force
 // their variable and are handled by pre-assignment.
 func coveringStructured(inst *ilp.Instance, vars []int32, inCluster []bool, local []int32) (ilp.Solution, int64, Method, bool) {
-	if !isRank2Unit(inst) {
+	if !inst.Rank2Unit() {
 		return nil, 0, 0, false
 	}
 	forced := make(map[int32]bool)
@@ -301,7 +288,7 @@ func coveringStructured(inst *ilp.Instance, vars []int32, inCluster []bool, loca
 			forced[int32(c.Terms[0].Var)] = true
 		}
 	}
-	g, _ := clusterGraph(inst, vars, inCluster)
+	g := clusterGraph(inst, vars, inCluster)
 	w := make([]int64, len(vars))
 	for i, v := range vars {
 		w[i] = inst.Weight(int(v))
@@ -369,13 +356,11 @@ func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan s
 	// Residual capacity per constraint touching the cluster.
 	resIdx := map[int32]int{}
 	var res []float64
-	var consID []int32
 	for _, v := range order {
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			if _, ok := resIdx[cj]; !ok {
 				resIdx[cj] = len(res)
 				res = append(res, inst.Constraint(int(cj)).B)
-				consID = append(consID, cj)
 			}
 		}
 	}
@@ -407,7 +392,7 @@ func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan s
 		fits := true
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			ri := resIdx[cj]
-			coeff := coeffOf(inst, cj, v)
+			coeff := inst.Coeff(int(cj), int(v))
 			if coeff > res[ri]+1e-9 {
 				fits = false
 				break
@@ -415,20 +400,19 @@ func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan s
 		}
 		if fits {
 			for _, cj := range inst.ConstraintsOf(int(v)) {
-				res[resIdx[cj]] -= coeffOf(inst, cj, v)
+				res[resIdx[cj]] -= inst.Coeff(int(cj), int(v))
 			}
 			cur[v] = true
 			rec(i+1, val+inst.Weight(int(v)))
 			cur[v] = false
 			for _, cj := range inst.ConstraintsOf(int(v)) {
-				res[resIdx[cj]] += coeffOf(inst, cj, v)
+				res[resIdx[cj]] += inst.Coeff(int(cj), int(v))
 			}
 		}
 		// Branch x_v = 0.
 		rec(i+1, val)
 	}
 	rec(0, 0)
-	_ = consID
 	return bestSol, bestVal, !aborted
 }
 
@@ -440,23 +424,6 @@ func stopped(done <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-func coeffOf(inst *ilp.Instance, cj int32, v int32) float64 {
-	c := inst.Constraint(int(cj))
-	lo, hi := 0, len(c.Terms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.Terms[mid].Var < int(v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.Terms) && c.Terms[lo].Var == int(v) {
-		return c.Terms[lo].Coeff
-	}
-	return 0
 }
 
 // --- Branch and bound: covering ------------------------------------------
@@ -535,7 +502,7 @@ func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int3
 				continue
 			}
 			before := deficit[k]
-			deficit[k] -= coeffOf(inst, cj, v)
+			deficit[k] -= inst.Coeff(int(cj), int(v))
 			if before > 1e-9 && deficit[k] <= 1e-9 {
 				newlyMet++
 			}
@@ -545,7 +512,7 @@ func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int3
 		cur[v] = false
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			if k, ok := localIdx[cj]; ok {
-				deficit[k] += coeffOf(inst, cj, v)
+				deficit[k] += inst.Coeff(int(cj), int(v))
 			}
 		}
 		// Branch x_v = 0.
@@ -571,24 +538,26 @@ func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int3
 // instance (zero extension, Observation 2.1).
 func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	order := append([]int32(nil), vars...)
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := inst.Weight(int(order[i])), inst.Weight(int(order[j]))
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(inst.Weight(int(b)), inst.Weight(int(a))); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
-	res := map[int32]float64{}
+	// Residual capacity per constraint id; only the touched entries are
+	// read, and each starts at its rhs.
+	res := make([]float64, inst.NumConstraints())
+	for _, v := range order {
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			res[cj] = inst.Constraint(int(cj)).B
+		}
+	}
 	sol := inst.NewSolution()
 	var val int64
 	for _, v := range order {
 		fits := true
 		for _, cj := range inst.ConstraintsOf(int(v)) {
-			r, ok := res[cj]
-			if !ok {
-				r = inst.Constraint(int(cj)).B
-			}
-			if coeffOf(inst, cj, v) > r+1e-9 {
+			if inst.Coeff(int(cj), int(v)) > res[cj]+1e-9 {
 				fits = false
 				break
 			}
@@ -597,11 +566,7 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 			continue
 		}
 		for _, cj := range inst.ConstraintsOf(int(v)) {
-			r, ok := res[cj]
-			if !ok {
-				r = inst.Constraint(int(cj)).B
-			}
-			res[cj] = r - coeffOf(inst, cj, v)
+			res[cj] -= inst.Coeff(int(cj), int(v))
 		}
 		sol[v] = true
 		val += inst.Weight(int(v))
@@ -611,60 +576,123 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 
 // GreedyCovering is the classic weighted greedy set-multicover heuristic:
 // repeatedly take the variable minimizing weight per unit of residual
-// deficit covered, until every local constraint is satisfied. Callers must
-// have verified feasibility (all-ones satisfies the local constraints).
+// deficit covered (the earliest in vars on ties), until every local
+// constraint is satisfied. Callers must have verified feasibility (all-ones
+// satisfies the local constraints).
+//
+// It runs lazily. A variable's coverage only shrinks as deficits fall, and
+// IEEE addition and division are monotone, so its ratio only grows: a
+// variable whose recomputed ratio equals its heap key is the exact minimum.
 func GreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Solution, int64) {
-	deficit := make(map[int32]float64, len(local))
+	// deficit[cj] > 0 marks an unmet local constraint; met ones are 0.
+	deficit := make([]float64, inst.NumConstraints())
+	unmet := 0
 	for _, cj := range local {
 		if b := inst.Constraint(int(cj)).B; b > 0 {
+			if deficit[cj] == 0 {
+				unmet++
+			}
 			deficit[cj] = b
 		}
 	}
 	sol := inst.NewSolution()
 	var val int64
-	taken := make(map[int32]bool, len(vars))
-	for len(deficit) > 0 {
-		bestV := int32(-1)
-		bestRatio := 0.0
-		for _, v := range vars {
-			if taken[v] {
-				continue
-			}
-			covered := 0.0
-			for _, cj := range inst.ConstraintsOf(int(v)) {
-				if d, ok := deficit[cj]; ok {
-					c := coeffOf(inst, cj, v)
-					if c > d {
-						c = d
-					}
-					covered += c
-				}
-			}
-			if covered <= 0 {
-				continue
-			}
-			ratio := float64(inst.Weight(int(v))) / covered
-			if bestV == -1 || ratio < bestRatio {
-				bestV, bestRatio = v, ratio
+	ratio := func(v int32) (float64, bool) {
+		covered := 0.0
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			if d := deficit[cj]; d > 0 {
+				covered += min(inst.Coeff(int(cj), int(v)), d)
 			}
 		}
-		if bestV == -1 {
-			break // cannot make progress; caller verified feasibility, so
-			// this only happens with zero-coefficient anomalies
+		if covered <= 0 {
+			return 0, false
 		}
-		taken[bestV] = true
-		sol[bestV] = true
-		val += inst.Weight(int(bestV))
-		for _, cj := range inst.ConstraintsOf(int(bestV)) {
-			if d, ok := deficit[cj]; ok {
-				d -= coeffOf(inst, cj, bestV)
+		return float64(inst.Weight(int(v))) / covered, true
+	}
+	h := make(ratioHeap, 0, len(vars))
+	if unmet > 0 {
+		for i, v := range vars {
+			if r, ok := ratio(v); ok {
+				h = append(h, ratioItem{r, int32(i)})
+			}
+		}
+		h.init()
+	}
+	for unmet > 0 && len(h) > 0 {
+		top := h[0]
+		v := vars[top.pos]
+		r, ok := ratio(v)
+		switch {
+		case !ok || sol[v]:
+			h.pop()
+			continue
+		case r != top.ratio:
+			h[0].ratio = r
+			h.down(0)
+			continue
+		}
+		h.pop()
+		sol[v] = true
+		val += inst.Weight(int(v))
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			if d := deficit[cj]; d > 0 {
+				d -= inst.Coeff(int(cj), int(v))
 				if d <= 1e-9 {
-					delete(deficit, cj)
-				} else {
-					deficit[cj] = d
+					d = 0
+					unmet--
 				}
+				deficit[cj] = d
 			}
 		}
 	}
 	return sol, val
+}
+
+// ratioItem is a greedy-covering candidate: its last computed ratio and its
+// position in the caller's vars.
+type ratioItem struct {
+	ratio float64
+	pos   int32
+}
+
+// ratioHeap is a binary min-heap on (ratio, pos).
+type ratioHeap []ratioItem
+
+func (h ratioHeap) less(i, j int) bool {
+	if h[i].ratio != h[j].ratio {
+		return h[i].ratio < h[j].ratio
+	}
+	return h[i].pos < h[j].pos
+}
+
+func (h ratioHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *ratioHeap) pop() {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+}
+
+func (h ratioHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		j := l
+		if r := l + 1; r < len(h) && h.less(r, l) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -2,6 +2,8 @@ package solve
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -474,18 +476,210 @@ func BenchmarkPackingBB20(b *testing.B) {
 	}
 }
 
-func BenchmarkCoveringGreedy(b *testing.B) {
-	rng := xrand.New(1)
-	g := gen.GNP(200, 0.05, rng)
+// --- Reference oracles -----------------------------------------------------
+
+// refCoeff is the coefficient of variable v in constraint cj (0 if absent),
+// by linear scan: the first matching term, as the binary search returns.
+func refCoeff(inst *ilp.Instance, cj, v int32) float64 {
+	for _, t := range inst.Constraint(int(cj)).Terms {
+		if t.Var == int(v) {
+			return t.Coeff
+		}
+	}
+	return 0
+}
+
+// refGreedyPacking is the straightforward map-based greedy packing the
+// dense GreedyPacking must agree with pick for pick.
+func refGreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
+	order := append([]int32(nil), vars...)
+	sort.Slice(order, func(i, j int) bool {
+		wi, wj := inst.Weight(int(order[i])), inst.Weight(int(order[j]))
+		if wi != wj {
+			return wi > wj
+		}
+		return order[i] < order[j]
+	})
+	res := map[int32]float64{}
+	sol := inst.NewSolution()
+	var val int64
+	for _, v := range order {
+		fits := true
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			r, ok := res[cj]
+			if !ok {
+				r = inst.Constraint(int(cj)).B
+			}
+			if refCoeff(inst, cj, v) > r+1e-9 {
+				fits = false
+				break
+			}
+		}
+		if !fits {
+			continue
+		}
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			r, ok := res[cj]
+			if !ok {
+				r = inst.Constraint(int(cj)).B
+			}
+			res[cj] = r - refCoeff(inst, cj, v)
+		}
+		sol[v] = true
+		val += inst.Weight(int(v))
+	}
+	return sol, val
+}
+
+// refGreedyCovering is the straightforward map-based greedy set multicover
+// (a full rescan of every variable per pick) that the lazy GreedyCovering
+// must agree with pick for pick.
+func refGreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Solution, int64) {
+	deficit := make(map[int32]float64, len(local))
+	for _, cj := range local {
+		if b := inst.Constraint(int(cj)).B; b > 0 {
+			deficit[cj] = b
+		}
+	}
+	sol := inst.NewSolution()
+	var val int64
+	taken := make(map[int32]bool, len(vars))
+	for len(deficit) > 0 {
+		bestV := int32(-1)
+		bestRatio := 0.0
+		for _, v := range vars {
+			if taken[v] {
+				continue
+			}
+			covered := 0.0
+			for _, cj := range inst.ConstraintsOf(int(v)) {
+				if d, ok := deficit[cj]; ok {
+					c := refCoeff(inst, cj, v)
+					if c > d {
+						c = d
+					}
+					covered += c
+				}
+			}
+			if covered <= 0 {
+				continue
+			}
+			ratio := float64(inst.Weight(int(v))) / covered
+			if bestV == -1 || ratio < bestRatio {
+				bestV, bestRatio = v, ratio
+			}
+		}
+		if bestV == -1 {
+			break
+		}
+		taken[bestV] = true
+		sol[bestV] = true
+		val += inst.Weight(int(bestV))
+		for _, cj := range inst.ConstraintsOf(int(bestV)) {
+			if d, ok := deficit[cj]; ok {
+				d -= refCoeff(inst, cj, bestV)
+				if d <= 1e-9 {
+					delete(deficit, cj)
+				} else {
+					deficit[cj] = d
+				}
+			}
+		}
+	}
+	return sol, val
+}
+
+// randomILP draws an instance with weights 0..3, coefficients 1..3 and
+// right-hand sides 0..3; a term may repeat a variable.
+func randomILP(t *testing.T, kind ilp.Kind, rng *xrand.RNG) *ilp.Instance {
+	t.Helper()
+	n := 1 + rng.Intn(24)
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = int64(rng.Intn(4))
+	}
+	b := ilp.NewBuilder(kind, w)
+	m := rng.Intn(3 * n)
+	for j := 0; j < m; j++ {
+		terms := make([]ilp.Term, 1+rng.Intn(5))
+		for k := range terms {
+			terms[k] = ilp.Term{Var: rng.Intn(n), Coeff: float64(1 + rng.Intn(3))}
+		}
+		b.AddConstraint(terms, float64(rng.Intn(4)))
+	}
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// randomCluster returns a shuffled random subset of the variables with
+// some entries repeated.
+func randomCluster(n int, rng *xrand.RNG) []int32 {
+	var out []int32
+	for v := 0; v < n; v++ {
+		if rng.Intn(4) != 0 {
+			out = append(out, int32(v))
+			if rng.Intn(6) == 0 {
+				out = append(out, int32(v))
+			}
+		}
+	}
+	for i := len(out) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+func TestGreedyMatchesReference(t *testing.T) {
+	rng := xrand.New(77)
+	for trial := 0; trial < 3000; trial++ {
+		pinst := randomILP(t, ilp.Packing, rng)
+		vars := randomCluster(pinst.NumVars(), rng)
+		gotSol, gotVal := GreedyPacking(pinst, vars)
+		wantSol, wantVal := refGreedyPacking(pinst, vars)
+		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
+			t.Fatalf("trial %d packing: got %v (%d), want %v (%d)", trial, gotSol, gotVal, wantSol, wantVal)
+		}
+
+		cinst := randomILP(t, ilp.Covering, rng)
+		vars = randomCluster(cinst.NumVars(), rng)
+		in := make([]bool, cinst.NumVars())
+		for _, v := range vars {
+			in[v] = true
+		}
+		local := cinst.LocalConstraints(in)
+		gotSol, gotVal = GreedyCovering(cinst, vars, local)
+		wantSol, wantVal = refGreedyCovering(cinst, vars, local)
+		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
+			t.Fatalf("trial %d covering: got %v (%d), want %v (%d)", trial, gotSol, gotVal, wantSol, wantVal)
+		}
+	}
+}
+
+// BenchmarkGreedyCovering times the greedy covering fallback on a whole
+// dominating-set instance of GNP(1000, 8/999), the shape the covering
+// preparation hands it. "reference" is the map-based test oracle.
+func BenchmarkGreedyCovering(b *testing.B) {
+	const n = 1000
+	g := gen.GNP(n, 8.0/(n-1), xrand.New(1))
 	inst := mdsILP(b, g)
-	vars := allVars(200)
-	in := make([]bool, 200)
+	vars := allVars(n)
+	in := make([]bool, n)
 	for _, v := range vars {
 		in[v] = true
 	}
 	local := inst.LocalConstraints(in)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = GreedyCovering(inst, vars, local)
-	}
+	b.Run("lazy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, _ = GreedyCovering(inst, vars, local)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, _ = refGreedyCovering(inst, vars, local)
+		}
+	})
 }
