@@ -115,6 +115,21 @@ func BenchmarkAlgoPackingMIS(b *testing.B) {
 	}
 }
 
+// BenchmarkAlgoPackingMISGNP is Theorem 1.2 in the shape of the packing
+// benchmark's requests: MIS on GNP(10000, 8/9999) at the paper's radius,
+// serial.
+func BenchmarkAlgoPackingMISGNP(b *testing.B) {
+	g := gen.GNP(10000, 8.0/9999, xrand.New(7))
+	inst, err := problems.Build(problems.MIS, g, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = packing.Solve(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1})
+	}
+}
+
 // BenchmarkAlgoCoveringMDS is Theorem 1.3 on the covering benchmark's
 // input: minimum dominating set on GNP(1000, 8/999), serial.
 func BenchmarkAlgoCoveringMDS(b *testing.B) {

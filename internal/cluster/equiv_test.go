@@ -299,8 +299,10 @@ func TestClusterEquivalence(t *testing.T) {
 
 // fakeBackend builds a Router over stub HTTP handlers, with one graph
 // pre-routed across all of them — the harness for hedging/failover tests
-// that need precise control of backend behavior.
-func fakeBackend(t *testing.T, handlers ...http.HandlerFunc) (*Router, []int) {
+// that need precise control of backend behavior. hedgeAfter is the
+// router's hedge delay; tests that must see the first member's answer
+// pass a negative delay, which disables hedging.
+func fakeBackend(t *testing.T, hedgeAfter time.Duration, handlers ...http.HandlerFunc) (*Router, []int) {
 	t.Helper()
 	urls := make([]string, len(handlers))
 	for i, h := range handlers {
@@ -308,7 +310,7 @@ func fakeBackend(t *testing.T, handlers ...http.HandlerFunc) (*Router, []int) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	rt, err := New(Options{Nodes: urls, Replicas: len(urls), HedgeAfter: 5 * time.Millisecond})
+	rt, err := New(Options{Nodes: urls, Replicas: len(urls), HedgeAfter: hedgeAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +337,7 @@ func postRun(t *testing.T, rt *Router) *httptest.ResponseRecorder {
 func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	rt, _ := fakeBackend(t,
+	rt, _ := fakeBackend(t, 5*time.Millisecond,
 		func(w http.ResponseWriter, r *http.Request) { <-release; fmt.Fprint(w, `{"who":"slow"}`) },
 		func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{"who":"fast"}`) },
 	)
@@ -359,7 +361,9 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 }
 
 func TestReadFailsOverOn5xx(t *testing.T) {
-	rt, _ := fakeBackend(t,
+	// No hedging: a hedged copy to the backup could answer before the
+	// first member's 500 arrives, and the 500 would never count.
+	rt, _ := fakeBackend(t, -1,
 		func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusInternalServerError) },
 		func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{"who":"backup"}`) },
 	)
@@ -373,7 +377,8 @@ func TestReadFailsOverOn5xx(t *testing.T) {
 }
 
 func TestSemantic4xxIsNotFailedOver(t *testing.T) {
-	rt, _ := fakeBackend(t,
+	// No hedging, for the same reason: a slow 422 must still be relayed.
+	rt, _ := fakeBackend(t, -1,
 		func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusUnprocessableEntity)
 			fmt.Fprint(w, `{"error":"no"}`)

@@ -182,8 +182,9 @@ func (s *state) fix(v int32) {
 		return
 	}
 	s.solution[v] = true
-	for _, cj := range s.inst.ConstraintsOf(int(v)) {
-		s.used[cj] += s.inst.Coeff(int(cj), int(v))
+	coeffs := s.inst.CoeffsOf(int(v))
+	for k, cj := range s.inst.ConstraintsOf(int(v)) {
+		s.used[cj] += coeffs[k]
 	}
 }
 

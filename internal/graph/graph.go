@@ -95,8 +95,15 @@ func (g *Graph) String() string {
 }
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate edges
-// and self-loops are silently dropped, so builders can be fed redundant edge
-// streams (e.g. from generators) without pre-deduplication.
+// (in either orientation) and self-loops are silently dropped, so builders
+// can be fed redundant edge streams (e.g. from generators or the cliques of
+// a hypergraph's primal graph) without pre-deduplication.
+//
+// Build needs no global edge sort: it counts degrees, scatters both
+// endpoints of every edge into their adjacency lists, then sorts and
+// deduplicates each list in place. The result is the canonical CSR (sorted
+// lists, no spare capacity) whatever order the edges arrived in, in
+// O(m + Σ_v deg(v)·log deg(v)) time.
 type Builder struct {
 	n     int
 	edges [][2]int32
@@ -113,61 +120,56 @@ func (b *Builder) AddEdge(u, v int) {
 	if u == v || u < 0 || v < 0 || u >= b.n || v >= b.n {
 		return
 	}
-	if u > v {
-		u, v = v, u
-	}
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
-// Build finalizes the graph. The builder can be reused afterwards, but any
-// further AddEdge calls do not affect already-built graphs.
+// Build finalizes the graph. The builder can be reused afterwards: a later
+// Build includes every edge added so far, and AddEdge calls never affect
+// already-built graphs.
 func (b *Builder) Build() *Graph {
-	// Sort and deduplicate edge list.
-	slices.SortFunc(b.edges, compareEdges)
-	dedup := b.edges[:0]
-	var prev [2]int32 = [2]int32{-1, -1}
+	n := b.n
+	// offsets[v+1] counts v's entries, duplicates included; the prefix sum
+	// turns the counts into list starts.
+	offsets := make([]int32, n+1)
 	for _, e := range b.edges {
-		if e != prev {
-			dedup = append(dedup, e)
-			prev = e
-		}
+		offsets[e[0]+1]++
+		offsets[e[1]+1]++
 	}
-	b.edges = dedup
-
-	deg := make([]int32, b.n)
-	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
-	offsets := make([]int32, b.n+1)
-	for i := 0; i < b.n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
-	}
-	adj := make([]int32, offsets[b.n])
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
+	adj := make([]int32, offsets[n])
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
 	for _, e := range b.edges {
 		adj[cursor[e[0]]] = e[1]
 		cursor[e[0]]++
 		adj[cursor[e[1]]] = e[0]
 		cursor[e[1]]++
 	}
-	// Neighbor lists are already sorted because edges were emitted in sorted
-	// order for the first endpoint, but second-endpoint insertions interleave;
-	// sort each list to guarantee the invariant HasEdge relies on.
-	g := &Graph{offsets: offsets, adj: adj, m: len(b.edges)}
-	for v := 0; v < b.n; v++ {
-		slices.Sort(adj[offsets[v]:offsets[v+1]])
+	// Sort each list and compact it left over the duplicates dropped so
+	// far; the write position never passes the read position.
+	w, start := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		end := offsets[v+1]
+		nb := adj[start:end]
+		slices.Sort(nb)
+		offsets[v] = w
+		prev := int32(-1)
+		for _, x := range nb {
+			if x != prev {
+				adj[w] = x
+				w++
+				prev = x
+			}
+		}
+		start = end
 	}
-	return g
-}
-
-// compareEdges orders edge pairs lexicographically.
-func compareEdges(a, b [2]int32) int {
-	if a[0] != b[0] {
-		return int(a[0]) - int(b[0])
+	offsets[n] = w
+	if int(w) < len(adj) {
+		adj = append(make([]int32, 0, w), adj[:w]...)
 	}
-	return int(a[1]) - int(b[1])
+	return &Graph{offsets: offsets, adj: adj, m: int(w) / 2}
 }
 
 // CSR exposes the raw compressed-sparse-row arrays: offsets has length N()+1

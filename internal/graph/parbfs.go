@@ -70,8 +70,8 @@ type ParWorkspace struct {
 	claim []int64
 	epoch int64
 
-	prefix []int64      // frontier degree prefix sums (len frontier+1)
-	cuts   []int32      // chunk boundaries into the frontier (len chunks+1)
+	prefix []int64 // frontier degree prefix sums (len frontier+1)
+	cuts   []int32 // chunk boundaries into the frontier (len chunks+1)
 	bufs   []parChunkBuf
 }
 

@@ -14,7 +14,7 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -49,16 +49,8 @@ func (b *Builder) AddEdge(vertices ...int) int {
 			e = append(e, int32(v))
 		}
 	}
-	sort.Slice(e, func(i, j int) bool { return e[i] < e[j] })
-	dedup := e[:0]
-	var prev int32 = -1
-	for _, v := range e {
-		if v != prev {
-			dedup = append(dedup, v)
-			prev = v
-		}
-	}
-	b.edges = append(b.edges, dedup)
+	slices.Sort(e)
+	b.edges = append(b.edges, slices.Compact(e))
 	return len(b.edges) - 1
 }
 

@@ -66,10 +66,15 @@ type Instance struct {
 	kind        Kind
 	weights     []int64
 	constraints []Constraint
-	varCons     [][]int32 // constraint ids per variable
-	rank2Unit   bool
-	hyperOnce   sync.Once
-	hyper       *hypergraph.H // built by the first Hypergraph call
+	// Variable v's terms, in constraint order: conIDs[conStart[v]:
+	// conStart[v+1]] holds the constraint ids and conCoeffs the matching
+	// Coeff values. A variable repeated in one constraint repeats its id.
+	conStart  []int32
+	conIDs    []int32
+	conCoeffs []float64
+	rank2Unit bool
+	hyperOnce sync.Once
+	hyper     *hypergraph.H // built by the first Hypergraph call
 }
 
 // ErrBadInstance is returned for structurally invalid instances (negative
@@ -138,7 +143,7 @@ func (b *Builder) Build() (*Instance, error) {
 		kind:        b.kind,
 		weights:     b.weights,
 		constraints: b.cons,
-		varCons:     make([][]int32, n),
+		conStart:    make([]int32, n+1),
 		rank2Unit:   true,
 	}
 	for ci, c := range b.cons {
@@ -149,10 +154,30 @@ func (b *Builder) Build() (*Instance, error) {
 			inst.rank2Unit = false
 		}
 		for _, t := range c.Terms {
-			inst.varCons[t.Var] = append(inst.varCons[t.Var], int32(ci))
+			inst.conStart[t.Var+1]++
 			if t.Coeff != 1 {
 				inst.rank2Unit = false
 			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		inst.conStart[v+1] += inst.conStart[v]
+	}
+	inst.conIDs = make([]int32, inst.conStart[n])
+	inst.conCoeffs = make([]float64, inst.conStart[n])
+	cursor := slices.Clone(inst.conStart[:n])
+	for ci, c := range b.cons {
+		var coeff float64
+		for i, t := range c.Terms {
+			// Terms are sorted by variable, so a repeated variable's run
+			// starts with the term Coeff finds.
+			if i == 0 || c.Terms[i-1].Var != t.Var {
+				coeff = t.Coeff
+			}
+			k := cursor[t.Var]
+			inst.conIDs[k] = int32(ci)
+			inst.conCoeffs[k] = coeff
+			cursor[t.Var]++
 		}
 	}
 	return inst, nil
@@ -183,8 +208,19 @@ func (inst *Instance) TotalWeight() int64 {
 // Constraint returns constraint j. The struct aliases internal storage.
 func (inst *Instance) Constraint(j int) Constraint { return inst.constraints[j] }
 
-// ConstraintsOf returns the ids of constraints containing variable v.
-func (inst *Instance) ConstraintsOf(v int) []int32 { return inst.varCons[v] }
+// ConstraintsOf returns the ids of constraints containing variable v, in
+// increasing order. The slice aliases internal storage and must not be
+// modified.
+func (inst *Instance) ConstraintsOf(v int) []int32 {
+	return inst.conIDs[inst.conStart[v]:inst.conStart[v+1]:inst.conStart[v+1]]
+}
+
+// CoeffsOf returns v's coefficients aligned with ConstraintsOf(v): entry k
+// is Coeff(ConstraintsOf(v)[k], v). The slice aliases internal storage and
+// must not be modified.
+func (inst *Instance) CoeffsOf(v int) []float64 {
+	return inst.conCoeffs[inst.conStart[v]:inst.conStart[v+1]:inst.conStart[v+1]]
+}
 
 // Coeff returns the coefficient a_{j,v} of variable v in constraint j, or 0
 // if v does not occur in it (the first term if it occurs twice).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hypergraph"
+	"repro/internal/xrand"
 )
 
 // misInstance builds the MIS packing ILP for a triangle plus a pendant:
@@ -241,6 +242,44 @@ func TestCoeff(t *testing.T) {
 	for v, want := range []float64{0, 2, 0, 0, 3, 0} {
 		if got := inst.Coeff(0, v); got != want {
 			t.Fatalf("Coeff(0, %d) = %v, want %v", v, got, want)
+		}
+	}
+}
+
+// TestCoeffsOfMatchesCoeff pins CoeffsOf to Coeff entry by entry on random
+// instances whose rows repeat variables with different coefficients, and
+// checks ConstraintsOf lists each constraint once per term, in order.
+func TestCoeffsOfMatchesCoeff(t *testing.T) {
+	rng := xrand.New(17)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		b := NewBuilder(Packing, make([]int64, n))
+		want := make([][]int32, n)
+		for j := 0; j < rng.Intn(15); j++ {
+			terms := make([]Term, rng.Intn(2*n+1))
+			for i := range terms {
+				terms[i] = Term{Var: rng.Intn(n), Coeff: float64(1 + rng.Intn(5))}
+				want[terms[i].Var] = append(want[terms[i].Var], int32(j))
+			}
+			b.AddConstraint(terms, float64(rng.Intn(10)))
+		}
+		inst, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			cons, coeffs := inst.ConstraintsOf(v), inst.CoeffsOf(v)
+			if !slices.Equal(cons, want[v]) {
+				t.Fatalf("trial %d: ConstraintsOf(%d) = %v, want %v", trial, v, cons, want[v])
+			}
+			if len(coeffs) != len(cons) {
+				t.Fatalf("trial %d: CoeffsOf(%d) has %d entries, ConstraintsOf %d", trial, v, len(coeffs), len(cons))
+			}
+			for k, cj := range cons {
+				if got, want := coeffs[k], inst.Coeff(int(cj), v); got != want {
+					t.Fatalf("trial %d: CoeffsOf(%d)[%d] = %v, Coeff(%d, %d) = %v", trial, v, k, got, cj, v, want)
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,15 @@
 //     local packing value W(P^local_C, C) and the value of its (8tR)-radius
 //     neighborhood S_C; the ratio drives its sampling rate — this simulates
 //     sampling from the unknown optimal solution (challenge (C2)).
+//     At the paper's radius S_C is nearly always C's whole connected
+//     component, so the same component would be solved once per cluster.
+//     Clusters whose S_C is exactly a component share one solve of it
+//     instead. The result is bit-identical: the packing value depends only
+//     on the vertex set (tree DP, König and branch-and-bound return the
+//     optimum, and greedy packing orders by weight, then id), and each
+//     cluster is still charged its own LOCAL rounds. Covering cannot share
+//     its estimates this way: greedy covering breaks ties by position in
+//     the cluster list, so its value depends on S_C's BFS order.
 //   - Phase 1: t = ⌈log(20/ε)⌉ iterations; clusters sample themselves with
 //     probability 2^i·W_C/W_SC and run Grow-and-Carve-Packing (Algorithm
 //     4): delete the layer triple with the smallest local-solution weight,
@@ -23,7 +32,9 @@ package packing
 import (
 	"context"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ilp"
@@ -183,6 +194,14 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}); err != nil {
 		return nil, err
 	}
+	// Clusters whose ball S_C is exactly their connected component share
+	// one solve of it (see the package doc).
+	comp, numComps := g.ComponentsAlive(nil)
+	compSize := make([]int, numComps)
+	for _, c := range comp {
+		compSize[c]++
+	}
+	compEst := make([]componentEstimate, numComps)
 	var members [][]int32
 	for _, en := range ens {
 		for _, m := range en.Clusters() {
@@ -198,7 +217,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		var ex1, ex2 bool
 		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve)
 		sc := g.BallFromSetWithWorkspace(wss[w].G, members[i], d.estRadius, nil)
-		_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
+		if c, ok := wholeComponent(sc, comp, compSize); ok {
+			pc.wSC, ex2 = compEst[c].get(inst, sc, p.Solve)
+		} else {
+			_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
+		}
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
 	}); err != nil {
@@ -354,6 +377,40 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		Deleted:       deleted,
 		NumComponents: comps,
 	}, nil
+}
+
+// wholeComponent reports whether a duplicate-free vertex set is exactly
+// one connected component, and which one.
+func wholeComponent(set, comp []int32, compSize []int) (int32, bool) {
+	c := comp[set[0]]
+	if len(set) != compSize[c] {
+		return c, false
+	}
+	for _, v := range set {
+		if comp[v] != c {
+			return c, false
+		}
+	}
+	return c, true
+}
+
+// componentEstimate is W(P^local_K, K) for one connected component K,
+// solved by the first preparation cluster whose ball is K.
+type componentEstimate struct {
+	once  sync.Once
+	w     int64
+	exact bool
+}
+
+// get returns the component's estimate, solving it from ball (the
+// component's vertices, aliasing a workspace) on the first call. The solve
+// runs in vertex-id order, so the value cannot depend on which cluster
+// reached the component first.
+func (e *componentEstimate) get(inst *ilp.Instance, ball []int32, opt solve.Options) (int64, bool) {
+	e.once.Do(func() {
+		_, e.w, e.exact = solveLocal(inst, slices.Sorted(slices.Values(ball)), opt)
+	})
+	return e.w, e.exact
 }
 
 // solveLocal wraps solve.PackingLocal.

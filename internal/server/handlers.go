@@ -111,10 +111,10 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	out := make([]AlgorithmInfo, 0, len(specs))
 	for _, sp := range specs {
 		info := AlgorithmInfo{
-			Name:     sp.Name,
-			Aliases:  sp.Aliases,
-			Summary:  sp.Summary,
-			Kind:     sp.Caps.Kind.String(),
+			Name:       sp.Name,
+			Aliases:    sp.Aliases,
+			Summary:    sp.Summary,
+			Kind:       sp.Caps.Kind.String(),
 			Seeded:     sp.Caps.Seeded,
 			Weighted:   sp.Caps.Weighted,
 			Workers:    sp.Caps.Workers,

@@ -210,11 +210,11 @@ type QueryResponse struct {
 
 // GraphInfo is the wire description of one served graph.
 type GraphInfo struct {
-	ID          string `json:"id"`
-	N           int    `json:"n"`
-	M           int    `json:"m"`
-	Fingerprint string `json:"fingerprint"`
-	Epoch       uint64 `json:"epoch"`
+	ID            string `json:"id"`
+	N             int    `json:"n"`
+	M             int    `json:"m"`
+	Fingerprint   string `json:"fingerprint"`
+	Epoch         uint64 `json:"epoch"`
 	PendingDeltas int    `json:"pending_deltas"`
 	Patched       int    `json:"patched_vertices"`
 	Adds          uint64 `json:"adds"`
@@ -267,10 +267,10 @@ type BatchLine struct {
 
 // AlgorithmInfo describes one registry entry in the catalog endpoint.
 type AlgorithmInfo struct {
-	Name     string           `json:"name"`
-	Aliases  []string         `json:"aliases,omitempty"`
-	Summary  string           `json:"summary"`
-	Kind     string           `json:"kind"`
+	Name       string           `json:"name"`
+	Aliases    []string         `json:"aliases,omitempty"`
+	Summary    string           `json:"summary"`
+	Kind       string           `json:"kind"`
 	Seeded     bool             `json:"seeded,omitempty"`
 	Weighted   bool             `json:"weighted,omitempty"`
 	Workers    bool             `json:"workers,omitempty"`

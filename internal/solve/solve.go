@@ -389,24 +389,23 @@ func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan s
 		}
 		v := order[i]
 		// Branch x_v = 1 if capacities allow.
+		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
 		fits := true
-		for _, cj := range inst.ConstraintsOf(int(v)) {
-			ri := resIdx[cj]
-			coeff := inst.Coeff(int(cj), int(v))
-			if coeff > res[ri]+1e-9 {
+		for k, cj := range cons {
+			if coeffs[k] > res[resIdx[cj]]+1e-9 {
 				fits = false
 				break
 			}
 		}
 		if fits {
-			for _, cj := range inst.ConstraintsOf(int(v)) {
-				res[resIdx[cj]] -= inst.Coeff(int(cj), int(v))
+			for k, cj := range cons {
+				res[resIdx[cj]] -= coeffs[k]
 			}
 			cur[v] = true
 			rec(i+1, val+inst.Weight(int(v)))
 			cur[v] = false
-			for _, cj := range inst.ConstraintsOf(int(v)) {
-				res[resIdx[cj]] += inst.Coeff(int(cj), int(v))
+			for k, cj := range cons {
+				res[resIdx[cj]] += coeffs[k]
 			}
 		}
 		// Branch x_v = 0.
@@ -495,14 +494,15 @@ func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int3
 		}
 		v := order[i]
 		// Branch x_v = 1.
+		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
 		newlyMet := 0
-		for _, cj := range inst.ConstraintsOf(int(v)) {
+		for t, cj := range cons {
 			k, ok := localIdx[cj]
 			if !ok {
 				continue
 			}
 			before := deficit[k]
-			deficit[k] -= inst.Coeff(int(cj), int(v))
+			deficit[k] -= coeffs[t]
 			if before > 1e-9 && deficit[k] <= 1e-9 {
 				newlyMet++
 			}
@@ -510,9 +510,9 @@ func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int3
 		cur[v] = true
 		rec(i+1, val+inst.Weight(int(v)), unmet-newlyMet)
 		cur[v] = false
-		for _, cj := range inst.ConstraintsOf(int(v)) {
+		for t, cj := range cons {
 			if k, ok := localIdx[cj]; ok {
-				deficit[k] += inst.Coeff(int(cj), int(v))
+				deficit[k] += coeffs[t]
 			}
 		}
 		// Branch x_v = 0.
@@ -555,9 +555,10 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	sol := inst.NewSolution()
 	var val int64
 	for _, v := range order {
+		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
 		fits := true
-		for _, cj := range inst.ConstraintsOf(int(v)) {
-			if inst.Coeff(int(cj), int(v)) > res[cj]+1e-9 {
+		for k, cj := range cons {
+			if coeffs[k] > res[cj]+1e-9 {
 				fits = false
 				break
 			}
@@ -565,8 +566,8 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 		if !fits {
 			continue
 		}
-		for _, cj := range inst.ConstraintsOf(int(v)) {
-			res[cj] -= inst.Coeff(int(cj), int(v))
+		for k, cj := range cons {
+			res[cj] -= coeffs[k]
 		}
 		sol[v] = true
 		val += inst.Weight(int(v))
@@ -599,9 +600,10 @@ func GreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Soluti
 	var val int64
 	ratio := func(v int32) (float64, bool) {
 		covered := 0.0
-		for _, cj := range inst.ConstraintsOf(int(v)) {
+		coeffs := inst.CoeffsOf(int(v))
+		for k, cj := range inst.ConstraintsOf(int(v)) {
 			if d := deficit[cj]; d > 0 {
-				covered += min(inst.Coeff(int(cj), int(v)), d)
+				covered += min(coeffs[k], d)
 			}
 		}
 		if covered <= 0 {
@@ -634,9 +636,10 @@ func GreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Soluti
 		h.pop()
 		sol[v] = true
 		val += inst.Weight(int(v))
-		for _, cj := range inst.ConstraintsOf(int(v)) {
+		coeffs := inst.CoeffsOf(int(v))
+		for k, cj := range inst.ConstraintsOf(int(v)) {
 			if d := deficit[cj]; d > 0 {
-				d -= inst.Coeff(int(cj), int(v))
+				d -= coeffs[k]
 				if d <= 1e-9 {
 					d = 0
 					unmet--
