@@ -107,11 +107,11 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 		// Sparse streams leave isolated vertices; dense ones repeat edges.
 		stream(rng.Intn(3 * (n + 1)))
-		sameCSR(t, "first build", b.Build(), referenceBuild(n, kept))
+		first := b.Build()
+		sameCSR(t, "first build", first, referenceBuild(n, kept))
 
 		// Reuse: a second Build sees every edge added so far and leaves
 		// the first graph untouched.
-		first := b.Build()
 		snapOff := slices.Clone(first.offsets)
 		snapAdj := slices.Clone(first.adj)
 		stream(rng.Intn(2 * (n + 1)))
