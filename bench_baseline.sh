@@ -2,17 +2,19 @@
 # bench_baseline.sh — capture the benchmark baseline for the current
 # revision so the perf trajectory is tracked PR over PR.
 #
-# Runs every experiment benchmark (BenchmarkE*), algorithm
-# micro-benchmark (BenchmarkAlgo*), and serving-layer benchmark
-# (BenchmarkEngine*, in ./internal/engine) with -benchmem and writes the
-# parsed results to BENCH_<rev>.json (one object per benchmark: name,
+# Runs the algorithm micro-benchmarks (BenchmarkAlgo*, the suite the CI
+# serial gate compares) by default, or any pattern over the root package
+# and ./internal/engine (experiments BenchmarkE*, serving-layer
+# BenchmarkEngine*), with -benchmem and writes the parsed results to
+# BENCH_<rev>.json (one object per benchmark: name,
 # iterations, ns/op, B/op, allocs/op, plus any custom ReportMetric
 # columns — the engine benchmarks report sampled hit-latency tails as
 # p99-ns/p50-ns, which land in the JSON as p99_ns/p50_ns per run).
 #
 # Usage:
-#   ./bench_baseline.sh            # count=1 (quick snapshot)
+#   ./bench_baseline.sh            # BenchmarkAlgo*, count=1 (quick snapshot)
 #   COUNT=3 ./bench_baseline.sh    # repeated runs for stabler numbers
+#   BENCH='BenchmarkE|BenchmarkAlgo' ./bench_baseline.sh  # add the experiments
 #   BENCH='BenchmarkE5.*' ./bench_baseline.sh   # restrict the pattern
 #   CPU=8 OUT=BENCH_par8.json ./bench_baseline.sh  # contention runs: pass
 #       -cpu to go test (benchmark names gain a -8 suffix) and name the
@@ -35,7 +37,7 @@ if [ -n "$(git status --porcelain -uno 2>/dev/null)" ]; then
 	REV="${REV}-dirty"
 fi
 COUNT="${COUNT:-1}"
-BENCH="${BENCH:-BenchmarkE|BenchmarkAlgo}"
+BENCH="${BENCH:-BenchmarkAlgo}"
 OUT="${OUT:-BENCH_${REV}.json}"
 CPU="${CPU:-}"
 CPUFLAG=()

@@ -10,8 +10,9 @@
 // The public API lives in internal/core; see README.md for the map and
 // bench_test.go for the experiment regeneration targets (E1–E14).
 //
-// The hot path runs on reusable, allocation-free traversal workspaces
-// (graph.Workspace, one per goroutine) and fans independent work — the
+// The hot path runs every graph search on one family of traversal kernels
+// over reusable, allocation-free workspaces (graph.ParWorkspace, one per
+// goroutine) and fans independent work — the
 // preparation sparse covers, per-region local solves, per-vertex ball
 // queries — across a bounded worker pool (internal/par) with
 // deterministic, worker-count-independent results.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 	"repro/internal/xrand"
 )
 
@@ -147,7 +146,7 @@ func TestParamsParseAndCanonical(t *testing.T) {
 	}
 }
 
-// TestTypedKeysMatchGeneric pins the engine's fast typed key builders to
+// TestTypedKeysMatchGeneric pins the engine's fast typed key builder to
 // the generic Spec.CacheKey so the two request paths always share cache
 // slots.
 func TestTypedKeysMatchGeneric(t *testing.T) {
@@ -161,25 +160,6 @@ func TestTypedKeysMatchGeneric(t *testing.T) {
 		t.Fatalf("ChangLiKey = %q, generic = %q", got, want)
 	}
 
-	ep := ldd.ENParams{Lambda: 0.5, NTilde: 200, Seed: 7}
-	s, _ = Get("sparsecover")
-	want, err = s.CacheKey(SparseCoverParams(ep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SparseCoverKey(ep); got != want {
-		t.Fatalf("SparseCoverKey = %q, generic = %q", got, want)
-	}
-
-	np := netdecomp.Params{Lambda: 0.25, Seed: 9}
-	s, _ = Get("netdecomp")
-	want, err = s.CacheKey(NetDecompParams(np))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := NetDecompKey(np); got != want {
-		t.Fatalf("NetDecompKey = %q, generic = %q", got, want)
-	}
 }
 
 // TestTypedRunnersMatchDirect pins the typed bridge runners to the direct

@@ -2,20 +2,18 @@ package algo
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 )
 
-// This file bridges the typed parameter structs of the compute packages to
-// the registry: fast cache-key builders for the engine's hot typed request
-// paths (a single Sprintf instead of a Params bag round-trip) and the
-// matching Params constructors. TestTypedKeysMatchGeneric pins each fast
-// key to Spec.CacheKey over the corresponding Params, so the two paths can
-// never drift apart and always share cache slots.
+// This file bridges the typed changli parameters to the registry for the
+// engine's typed hot path (Engine.ChangLi, behind ClusterOf): a fast
+// cache-key builder instead of a Params bag round-trip, and the matching
+// Params constructor. TestTypedKeysMatchGeneric pins the fast key to
+// Spec.CacheKey over the corresponding Params, so the two paths can never
+// drift apart and always share cache slots.
 
 // ChangLiKey is the cache key of a changli run under p (repair=false).
 // Hand-assembled with strconv appends: this runs on the engine's
@@ -60,57 +58,6 @@ func RunChangLi(ctx context.Context, g *graph.Graph, p ldd.Params) (*Result, err
 func RepairChangLi(ctx context.Context, gv graph.View, old *Result, p ldd.Params, delta ldd.EdgeDelta) (*Result, error) {
 	s, _ := Get("changli")
 	return s.RepairSpec(ctx, gv, old, ChangLiParams(p), delta)
-}
-
-// SparseCoverKey is the cache key of a sparsecover run under p.
-func SparseCoverKey(p ldd.ENParams) string {
-	return fmt.Sprintf("sparsecover|lambda=%g|ntilde=%d|seed=%d",
-		p.Lambda, p.NTilde, p.Seed)
-}
-
-// SparseCoverParams converts an ldd.ENParams to the registry bag.
-func SparseCoverParams(p ldd.ENParams) Params {
-	return Params{
-		"lambda":  formatFloat(p.Lambda),
-		"ntilde":  strconv.Itoa(p.NTilde),
-		"seed":    strconv.FormatUint(p.Seed, 10),
-		"workers": strconv.Itoa(p.Workers),
-	}
-}
-
-// RunSparseCover executes the sparsecover family from typed params.
-func RunSparseCover(ctx context.Context, g *graph.Graph, p ldd.ENParams) (*Result, error) {
-	s, _ := Get("sparsecover")
-	return s.RunSpec(ctx, g, SparseCoverParams(p))
-}
-
-// RepairSparseCover delta-repairs a cached sparsecover envelope onto the
-// view gv from typed params.
-func RepairSparseCover(ctx context.Context, gv graph.View, old *Result, p ldd.ENParams, delta ldd.EdgeDelta) (*Result, error) {
-	s, _ := Get("sparsecover")
-	return s.RepairSpec(ctx, gv, old, SparseCoverParams(p), delta)
-}
-
-// NetDecompKey is the cache key of a netdecomp run under p.
-func NetDecompKey(p netdecomp.Params) string {
-	return fmt.Sprintf("netdecomp|lambda=%g|ntilde=%d|seed=%d",
-		p.Lambda, p.NTilde, p.Seed)
-}
-
-// NetDecompParams converts a netdecomp.Params to the registry bag.
-func NetDecompParams(p netdecomp.Params) Params {
-	return Params{
-		"lambda":  formatFloat(p.Lambda),
-		"ntilde":  strconv.Itoa(p.NTilde),
-		"seed":    strconv.FormatUint(p.Seed, 10),
-		"workers": strconv.Itoa(p.Workers),
-	}
-}
-
-// RunNetDecomp executes the netdecomp family from typed params.
-func RunNetDecomp(ctx context.Context, g *graph.Graph, p netdecomp.Params) (*Result, error) {
-	s, _ := Get("netdecomp")
-	return s.RunSpec(ctx, g, NetDecompParams(p))
 }
 
 func formatFloat(f float64) string {

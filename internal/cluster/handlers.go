@@ -380,6 +380,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	n.markUp()
 	defer resp.Body.Close()
+	// The member's reply is relayed while the request body may still be
+	// streaming to it; keep that body readable after the first flush.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)

@@ -146,15 +146,17 @@ type state struct {
 	opt      solve.Options
 }
 
-// worker is the per-goroutine scratch for the fan-out steps: a traversal
-// workspace plus the dense remaps and buffers that replace the per-call
-// hash maps of the local-ILP extraction. Read-only state (inst, g, alive
-// snapshots, used snapshots) is shared; everything mutable lives here.
+// worker is the per-goroutine scratch for the fan-out steps: a
+// decomposition workspace, a traversal workspace, and the dense remaps and
+// buffers that replace the per-call hash maps of the local-ILP extraction.
+// Read-only state (inst, g, alive snapshots, used snapshots) is shared;
+// everything mutable lives here.
 type worker struct {
-	lws   *ldd.Workspace // also provides the traversal workspace (lws.G)
-	rmap  graph.Remap    // region vertex -> local variable index
-	cons  graph.Remap    // constraint-id marks
-	vmark graph.Remap    // solution-membership marks (grow-and-carve)
+	lws   *ldd.Workspace
+	pw    *graph.ParWorkspace
+	rmap  graph.Remap // region vertex -> local variable index
+	cons  graph.Remap // constraint-id marks
+	vmark graph.Remap // solution-membership marks (grow-and-carve)
 	ball  []int32
 	vars  []int32
 	wts   []int64
@@ -165,7 +167,7 @@ type worker struct {
 func newWorkers(k int) []*worker {
 	out := make([]*worker, k)
 	for i := range out {
-		out[i] = &worker{lws: ldd.AcquireWorkspace()}
+		out[i] = &worker{lws: ldd.AcquireWorkspace(), pw: graph.AcquireParWorkspace()}
 	}
 	return out
 }
@@ -173,6 +175,7 @@ func newWorkers(k int) []*worker {
 func releaseWorkers(wks []*worker) {
 	for _, wk := range wks {
 		ldd.ReleaseWorkspace(wk.lws)
+		graph.ReleaseParWorkspace(wk.pw)
 	}
 }
 
@@ -267,7 +270,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if prepErrs[i] != nil {
 			return
 		}
-		sc := g.BallFromSetWithWorkspace(wk.lws.G, members[i], d.estRadius, nil)
+		sc := graph.ParBallFromSet(wk.pw, g, members[i], d.estRadius, nil, 1)
 		pc.wSC, ex2, prepErrs[i] = st.localValue(sc)
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
@@ -415,7 +418,7 @@ func (s *state) localValue(members []int32) (int64, bool, error) {
 // mutates the run state and therefore always runs sequentially, on the
 // caller's scratch.
 func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
-	layers := s.g.BallLayersFromSetWithWorkspace(wk.lws.G, seed, b, s.alive)
+	layers := graph.ParBallLayersFromSet(wk.pw, s.g, seed, b, s.alive, 1)
 	if layers == nil {
 		return nil
 	}

@@ -54,20 +54,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/ilp"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -108,8 +105,8 @@ type Options struct {
 	// certificates. <= 0 means the default (32).
 	RepairMaxGen int
 	// Workers is the default per-query worker bound injected into requests
-	// for worker-capable algorithm families (and the Balls/LocalSolves fan
-	// outs) when the request leaves its own workers knob unset. <= 0 keeps
+	// for worker-capable algorithm families (and the Balls fan-out) when
+	// the request leaves its own workers knob unset. <= 0 keeps
 	// the downstream default (GOMAXPROCS). Worker counts never change
 	// results (parallel execution is bit-identical to serial) and are
 	// excluded from cache keys, so this knob only shapes CPU usage.
@@ -232,16 +229,11 @@ type cacheKey struct {
 	key string
 }
 
-// entry is one cache slot: completed when ready is closed. Cluster
-// materialization is cached lazily so repeated per-cluster queries do not
-// rebuild the vertex lists.
+// entry is one cache slot: completed when ready is closed.
 type entry struct {
 	ready chan struct{}
 	val   any
 	err   error
-
-	clustersOnce sync.Once
-	clusters     [][]int32
 }
 
 // Engine is the concurrent algorithm server. The zero value is not
@@ -266,8 +258,6 @@ type Engine struct {
 	repairedClusters atomic.Uint64
 
 	met *obs.EngineMetrics
-
-	wsPool sync.Pool // *graph.Workspace reservoir for the query paths
 }
 
 // New constructs an Engine.
@@ -296,7 +286,6 @@ func New(o Options) *Engine {
 		}
 		e.shards[i] = newShard(c)
 	}
-	e.wsPool.New = func() any { return graph.NewWorkspace(0) }
 	return e
 }
 
@@ -590,31 +579,6 @@ func (e *Engine) do(ctx context.Context, key cacheKey, compute func(context.Cont
 	}
 }
 
-// getEntry is the read path of do used by the cluster queries: it returns
-// the entry itself so lazily materialized per-entry state can be shared.
-func (e *Engine) getEntry(ctx context.Context, key cacheKey, compute func(context.Context) (any, error)) (*entry, error) {
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	if ent, ok := sh.cache.get(key); ok {
-		e.hits.Add(1)
-		sh.mu.Unlock()
-		return ent, nil
-	}
-	sh.mu.Unlock()
-	if _, err := e.do(ctx, key, compute); err != nil {
-		return nil, err
-	}
-	// The entry is now cached (do only stores successful computations).
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ent, ok := sh.cache.get(key); ok {
-		return ent, nil
-	}
-	// Evicted between fill and re-read under heavy churn: extremely small
-	// window; surface as a retryable error rather than recursing.
-	return nil, fmt.Errorf("engine: result for %q evicted before use; raise Options.Capacity", key.key)
-}
-
 // stamp records the snapshot identity a result was computed against, so
 // callers (and tests) can audit which graph version produced a cached
 // entry.
@@ -701,55 +665,6 @@ func (e *Engine) ChangLi(ctx context.Context, src Source, p ldd.Params) (*ldd.De
 	return v.(*algo.Result).Raw.(*ldd.Decomposition), nil
 }
 
-// SparseCover returns the Lemma C.2 sparse cover of src's snapshot under
-// p, cached like ChangLi.
-func (e *Engine) SparseCover(ctx context.Context, src Source, p ldd.ENParams) (*ldd.Cover, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.SparseCoverKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("sparsecover", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairSparseCover(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunSparseCover(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*ldd.Cover), nil
-}
-
-// NetDecomp returns the Linial–Saks style colored network decomposition of
-// src's snapshot under p, cached like ChangLi.
-func (e *Engine) NetDecomp(ctx context.Context, src Source, p netdecomp.Params) (*netdecomp.Decomposition, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.NetDecompKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("netdecomp", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		r, err := algo.RunNetDecomp(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*netdecomp.Decomposition), nil
-}
-
 // ClusterOf answers a batch of cluster-of-vertex queries against the cached
 // ChangLi decomposition of src's current snapshot (computing it on first
 // use). The returned slice is caller-owned.
@@ -770,8 +685,8 @@ func (e *Engine) ClusterOf(ctx context.Context, src Source, p ldd.Params, vs []i
 }
 
 // Balls answers a batch of ball queries N^radius(v) on src's current
-// snapshot, fanning out across the worker pool. Immutable handles run the
-// zero-allocation workspace path; store snapshots run directly on the
+// snapshot, fanning out across the worker pool with one pooled traversal
+// workspace per worker. Store snapshots are searched directly on their
 // delta overlay (no CSR materialization). workers <= 0 means GOMAXPROCS.
 // The returned slices are caller-owned.
 func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, workers int) ([][]int32, error) {
@@ -788,103 +703,15 @@ func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, work
 	if workers == 0 {
 		return out, nil
 	}
-	if sv.snap != nil {
-		err := par.ForEachCtx(ctx, workers, len(vs), func(_, i int) {
-			out[i] = sv.snap.Ball(int(vs[i]), radius)
-		})
-		if err != nil {
-			e.cancellations.Add(1)
-			return nil, err
-		}
-		return out, nil
-	}
-	g := sv.g
-	wss := make([]*graph.Workspace, workers)
-	for i := range wss {
-		wss[i] = e.acquireWS()
-	}
+	gv := sv.view()
+	pws := graph.AcquireParWorkspaces(workers)
 	err := par.ForEachCtx(ctx, workers, len(vs), func(w, i int) {
-		ball := g.BallWithWorkspace(wss[w], int(vs[i]), radius)
-		out[i] = append([]int32(nil), ball...)
+		out[i] = slices.Clone(graph.ParBall(pws[w], gv, int(vs[i]), radius, nil, 1))
 	})
-	for _, ws := range wss {
-		e.releaseWS(ws)
-	}
+	graph.ReleaseParWorkspaces(pws)
 	if err != nil {
 		e.cancellations.Add(1)
 		return nil, err
 	}
 	return out, nil
 }
-
-// ClusterSolve is the result of one per-cluster local solve.
-type ClusterSolve struct {
-	// Cluster is the cluster id in the decomposition.
-	Cluster int
-	// Value is the local objective value (weight packed / weight paid).
-	Value int64
-	// Method is the solver path that produced it.
-	Method solve.Method
-}
-
-// LocalSolves runs the per-cluster local solve of inst over every cluster
-// of the cached ChangLi decomposition of src's current snapshot, computing
-// the decomposition at most once and fanning the independent per-cluster
-// solves out across the worker pool (workers <= 0 means GOMAXPROCS).
-// Packing instances use solve.PackingLocal, covering instances
-// solve.CoveringLocal; inst must have one variable per graph vertex.
-func (e *Engine) LocalSolves(ctx context.Context, src Source, p ldd.Params, inst *ilp.Instance, opt solve.Options, workers int) ([]ClusterSolve, error) {
-	e.queries.Add(1)
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	if inst.NumVars() != sv.n() {
-		return nil, fmt.Errorf("engine: instance has %d variables, graph has %d vertices", inst.NumVars(), sv.n())
-	}
-	key := cacheKey{fp: sv.fp, key: algo.ChangLiKey(p)}
-	ent, err := e.getEntry(ctx, key, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key.key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairChangLi(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunChangLi(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := ent.val.(*algo.Result).Raw.(*ldd.Decomposition)
-	ent.clustersOnce.Do(func() { ent.clusters = d.Clusters() })
-	clusters := ent.clusters
-
-	out := make([]ClusterSolve, len(clusters))
-	errs := make([]error, len(clusters))
-	ferr := par.ForEachCtx(ctx, e.defaultWorkers(workers), len(clusters), func(_, c int) {
-		switch inst.Kind() {
-		case ilp.Covering:
-			_, val, m, err := solve.CoveringLocalCtx(ctx, inst, clusters[c], opt)
-			out[c] = ClusterSolve{Cluster: c, Value: val, Method: m}
-			errs[c] = err
-		default:
-			_, val, m, err := solve.PackingLocalCtx(ctx, inst, clusters[c], opt)
-			out[c] = ClusterSolve{Cluster: c, Value: val, Method: m}
-			errs[c] = err
-		}
-	})
-	if ferr != nil {
-		e.cancellations.Add(1)
-		return nil, ferr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (e *Engine) acquireWS() *graph.Workspace   { return e.wsPool.Get().(*graph.Workspace) }
-func (e *Engine) releaseWS(ws *graph.Workspace) { e.wsPool.Put(ws) }

@@ -8,13 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
-	"repro/internal/ilp"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
-	"repro/internal/problems"
-	"repro/internal/solve"
 	"repro/internal/xrand"
 )
 
@@ -120,10 +117,12 @@ func TestDistinctParamsAndAlgorithmsMiss(t *testing.T) {
 	if _, err := e.ChangLi(bg, h, p2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SparseCover(bg, h, ldd.ENParams{Lambda: 0.5, Seed: 2}); err != nil {
+	sc := algo.Params{"lambda": "0.5", "seed": "2"}
+	nd := algo.Params{"lambda": "0.5", "seed": "3"}
+	if _, err := e.Run(bg, h, "sparsecover", sc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.NetDecomp(bg, h, netdecomp.Params{Lambda: 0.5, Seed: 3}); err != nil {
+	if _, err := e.Run(bg, h, "netdecomp", nd); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 4 {
@@ -132,8 +131,8 @@ func TestDistinctParamsAndAlgorithmsMiss(t *testing.T) {
 	// All four now served from cache.
 	e.ChangLi(bg, h, p)
 	e.ChangLi(bg, h, p2)
-	e.SparseCover(bg, h, ldd.ENParams{Lambda: 0.5, Seed: 2})
-	e.NetDecomp(bg, h, netdecomp.Params{Lambda: 0.5, Seed: 3})
+	e.Run(bg, h, "sparsecover", sc)
+	e.Run(bg, h, "netdecomp", nd)
 	if st := e.Stats(); st.Computations != 4 {
 		t.Fatalf("cache round ran %d computations, want 4", st.Computations)
 	}
@@ -297,56 +296,6 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 	h2 := e.Register(gen.Cycle(100))
 	if h2.Fingerprint() != h.Fingerprint() {
 		t.Fatal("fingerprint changed")
-	}
-}
-
-func TestLocalSolves(t *testing.T) {
-	g := gen.GNP(200, 6.0/200, xrand.New(4))
-	e := New(Options{})
-	h := e.Register(g)
-	p := testParams()
-
-	for _, prob := range []problems.Problem{problems.MIS, problems.MinVertexCover} {
-		inst, err := problems.Build(prob, g, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := e.LocalSolves(bg, h, p, inst, solve.Options{}, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", prob, err)
-		}
-		d, _ := e.ChangLi(bg, h, p)
-		clusters := d.Clusters()
-		if len(sol) != len(clusters) {
-			t.Fatalf("%s: %d solves for %d clusters", prob, len(sol), len(clusters))
-		}
-		for c, cs := range sol {
-			var wantVal int64
-			var wantM solve.Method
-			if inst.Kind() == ilp.Covering {
-				_, wantVal, wantM, err = solve.CoveringLocal(inst, clusters[c], solve.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				_, wantVal, wantM = solve.PackingLocal(inst, clusters[c], solve.Options{})
-			}
-			if cs.Value != wantVal || cs.Method != wantM {
-				t.Fatalf("%s cluster %d: got (%d, %s), want (%d, %s)", prob, c, cs.Value, cs.Method, wantVal, wantM)
-			}
-		}
-	}
-	// One ChangLi underneath it all.
-	if st := e.Stats(); st.Computations != 1 {
-		t.Fatalf("local solves recomputed the decomposition (computations = %d)", st.Computations)
-	}
-	// Variable-count mismatch is rejected.
-	bad, err := problems.Build(problems.MIS, gen.Cycle(7), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.LocalSolves(bg, h, p, bad, solve.Options{}, 0); err == nil {
-		t.Fatal("instance/graph size mismatch accepted")
 	}
 }
 

@@ -152,17 +152,18 @@ func TestRepairGenerationCap(t *testing.T) {
 
 func TestRepairSparseCoverPath(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{RepairK: 8})
-	p := ldd.ENParams{Lambda: 0.3, Seed: 3}
-	if _, err := e.SparseCover(bg, h, p); err != nil {
+	p := algo.Params{"lambda": "0.3", "seed": "3"}
+	if _, err := e.Run(bg, h, "sparsecover", p); err != nil {
 		t.Fatal(err)
 	}
 	if !st.AddEdge(1, 5) {
 		t.Fatal("AddEdge failed")
 	}
-	c, err := e.SparseCover(bg, h, p)
+	r, err := e.Run(bg, h, "sparsecover", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := r.Raw.(*ldd.Cover)
 	if est := e.Stats(); est.RepairHits != 1 {
 		t.Fatalf("RepairHits = %d, want 1", est.RepairHits)
 	}

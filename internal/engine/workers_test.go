@@ -8,7 +8,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
-	"repro/internal/netdecomp"
 	"repro/internal/xrand"
 )
 
@@ -87,7 +86,8 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantND, err := e.NetDecomp(bg, h, netdecomp.Params{Seed: 5})
+	ndParams := algo.Params{"seed": "5"}
+	wantND, err := e.Run(bg, h, "netdecomp", ndParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					}
 					errs[i] = err
 				case 1:
-					nd, err := e.NetDecomp(bg, h, netdecomp.Params{Seed: 5})
+					nd, err := e.Run(bg, h, "netdecomp", ndParams)
 					if err == nil && nd != wantND {
 						err = errDifferentInstance
 					}

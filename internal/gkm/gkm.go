@@ -114,8 +114,8 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 	}
 	k := p.horizon(nTilde)
 	var rc local.RoundCounter
-	ws := graph.AcquireWorkspace()
-	defer graph.ReleaseWorkspace(ws)
+	ws := graph.AcquireParWorkspace()
+	defer graph.ReleaseParWorkspace(ws)
 
 	// Step 2: network decomposition of G^{2k}. Building the power graph is
 	// free locally; the decomposition itself costs rounds_nd * 2k in G.
@@ -190,7 +190,7 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 // removes the ball from alive. Returns whether all local solves were exact.
 func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 	solution ilp.Solution, used []float64, packing bool, p Params,
-	ws *graph.Workspace, scratch *gkmScratch) bool {
+	ws *graph.ParWorkspace, scratch *gkmScratch) bool {
 
 	eps := p.Epsilon
 	if eps <= 0 || eps > 1 {
@@ -198,7 +198,7 @@ func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 	}
 	// layers alias ws and stay valid through the local solves below, which
 	// never touch the traversal workspace.
-	layers := g.BallLayersWithWorkspace(ws, centre, k+1, alive)
+	layers := graph.ParBallLayers(ws, g, centre, k+1, alive, 1)
 	if layers == nil {
 		return true
 	}

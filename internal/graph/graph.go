@@ -10,21 +10,22 @@
 // vertices operate on an alive-mask or build induced subgraphs, which keeps
 // the base structure shareable across goroutines without locks.
 //
-// Every traversal comes in two flavors: the classic form (BFSBounded, Ball,
-// Induced, ...), which returns caller-owned results, and a *WithWorkspace
-// form that runs on a reusable Workspace and performs zero allocations once
-// warm. The classic forms are thin wrappers over a pooled workspace, so hot
-// loops should hold an explicit Workspace — one per goroutine — and call the
-// *WithWorkspace variants directly. See Workspace for the ownership and
-// aliasing rules.
+// Every search runs on one kernel family over View (ParBFSBounded, ParBFS,
+// ParBall, ParBallLayers, ParBallFromSet, ParBallLayersFromSet,
+// ParComponents), backed by one reusable ParWorkspace and one shared pool
+// of them. A kernel allocates nothing once its workspace is warm, and its
+// results alias the workspace. Its worker bound expands large BFS levels
+// across goroutines with merges that are bit-identical at every worker
+// count; frontiers too small to be worth fanning out expand serially, and
+// callers that already fan independent searches out pass workers = 1 (on a
+// *Graph that runs a plain loop with no per-vertex interface call). See
+// parbfs.go for the claim/emit discipline and ParWorkspace for the
+// ownership and aliasing rules.
 //
-// A third flavor parallelizes inside one traversal: the Par* family
-// (ParBFSBounded, ParMultiBFS, ParBallFromSet, ParComponents, ParDiameter,
-// ...) expands BFS levels across a worker pool with merges that are
-// bit-identical to the serial traversals at every worker count, dispatching
-// to the serial loop whenever a frontier is too small to be worth fanning
-// out. See parbfs.go for the claim/emit discipline and ParWorkspace for the
-// shared-scratch rules.
+// The classic methods on *Graph (BFS, BFSBounded, Ball, BallAlive,
+// BallLayers, Components, Induced, Power, Diameter, WeakDiameter, ...)
+// return caller-owned results: they are thin wrappers that run the kernel
+// at workers = 1 on a pooled workspace and copy the result out.
 package graph
 
 import (
@@ -248,35 +249,6 @@ type View interface {
 
 var _ View = (*Graph)(nil)
 
-// BallOnView is Ball over any View: the vertices of N^k(src) in BFS order
-// (sorted by distance, src first). Out-of-range sources yield nil. Unlike
-// the *WithWorkspace traversals this allocates its scratch per call — it is
-// the read path for overlay-backed snapshots, where the adjacency is an
-// interface, not a CSR.
-func BallOnView(v View, src, k int) []int32 {
-	n := v.N()
-	if src < 0 || src >= n {
-		return nil
-	}
-	visited := make([]bool, n)
-	visited[src] = true
-	out := make([]int32, 1, 16)
-	out[0] = int32(src)
-	head := 0
-	for depth := 0; depth < k && head < len(out); depth++ {
-		levelEnd := len(out)
-		for ; head < levelEnd; head++ {
-			for _, w := range v.Neighbors(int(out[head])) {
-				if !visited[w] {
-					visited[w] = true
-					out = append(out, w)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Unreachable is the distance value reported for vertices not reached by a
 // bounded or disconnected BFS.
 const Unreachable = int32(-1)
@@ -289,26 +261,12 @@ func (g *Graph) BFS(src int) []int32 {
 
 // BFSBounded computes distances from src up to the given radius (inclusive).
 // A negative radius means unbounded. The caller owns the returned slice; for
-// an allocation-free variant see BFSBoundedWithWorkspace.
+// an allocation-free variant see ParBFSBounded.
 func (g *Graph) BFSBounded(src, radius int) []int32 {
-	ws := AcquireWorkspace()
-	dist := append([]int32(nil), g.BFSBoundedWithWorkspace(ws, src, radius)...)
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	dist := slices.Clone(ParBFSBounded(pw, g, src, radius, 1))
+	ReleaseParWorkspace(pw)
 	return dist
-}
-
-// MultiBFS computes, for every vertex, the distance to the nearest source
-// and the identity of that source (ties broken toward the earlier BFS
-// settlement, which for equal distances is the smaller queue position).
-// Vertices unreachable from any source get distance Unreachable and source
-// -1.
-func (g *Graph) MultiBFS(sources []int) (dist []int32, from []int32) {
-	ws := AcquireWorkspace()
-	d, f := g.MultiBFSWithWorkspace(ws, sources)
-	dist = append([]int32(nil), d...)
-	from = append([]int32(nil), f...)
-	ReleaseWorkspace(ws)
-	return dist, from
 }
 
 // Ball returns the vertices of N^k(v) = {u : dist(u,v) <= k}, in BFS order
@@ -320,15 +278,11 @@ func (g *Graph) Ball(v, k int) []int32 {
 // BallAlive returns N^k(v) restricted to the subgraph induced by vertices u
 // with alive[u] == true. A nil alive mask means all vertices are alive. If v
 // itself is dead the ball is empty. The caller owns the returned slice; for
-// an allocation-free variant see BallAliveWithWorkspace.
+// an allocation-free variant see ParBall.
 func (g *Graph) BallAlive(v, k int, alive []bool) []int32 {
-	ws := AcquireWorkspace()
-	res := g.BallAliveWithWorkspace(ws, v, k, alive)
-	var ball []int32
-	if res != nil {
-		ball = append([]int32(nil), res...)
-	}
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	ball := slices.Clone(ParBall(pw, g, v, k, alive, 1))
+	ReleaseParWorkspace(pw)
 	return ball
 }
 
@@ -336,16 +290,16 @@ func (g *Graph) BallAlive(v, k int, alive []bool) []int32 {
 // alive-induced subgraph: S_j is the set of alive vertices at distance
 // exactly j from v. Trailing empty layers are trimmed.
 func (g *Graph) BallLayers(v, k int, alive []bool) [][]int32 {
-	ws := AcquireWorkspace()
-	res := g.BallLayersWithWorkspace(ws, v, k, alive)
+	pw := AcquireParWorkspace()
+	res := ParBallLayers(pw, g, v, k, alive, 1)
 	var layers [][]int32
 	if res != nil {
 		layers = make([][]int32, len(res))
 		for i, l := range res {
-			layers[i] = append([]int32(nil), l...)
+			layers[i] = slices.Clone(l)
 		}
 	}
-	ReleaseWorkspace(ws)
+	ReleaseParWorkspace(pw)
 	return layers
 }
 
@@ -358,10 +312,10 @@ func (g *Graph) Components() (comp []int32, count int) {
 // ComponentsAlive is Components restricted to the alive-induced subgraph.
 // Dead vertices get component id -1.
 func (g *Graph) ComponentsAlive(alive []bool) (comp []int32, count int) {
-	ws := AcquireWorkspace()
-	c, count := g.ComponentsAliveWithWorkspace(ws, alive)
-	comp = append([]int32(nil), c...)
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	c, count := ParComponents(pw, g, alive, 1)
+	comp = slices.Clone(c)
+	ReleaseParWorkspace(pw)
 	return comp, count
 }
 
@@ -369,15 +323,15 @@ func (g *Graph) ComponentsAlive(alive []bool) (comp []int32, count int) {
 // the new graph and the mapping newID -> oldID (the inverse mapping can be
 // derived by the caller). Duplicate vertices in the input are collapsed.
 func (g *Graph) Induced(vertices []int32) (*Graph, []int32) {
-	ws := AcquireWorkspace()
-	sub, back := g.InducedWithWorkspace(ws, vertices)
+	pw := AcquireParWorkspace()
+	sub, back := g.InducedWithWorkspace(pw, vertices)
 	out := &Graph{
 		offsets: append([]int32(nil), sub.offsets...),
 		adj:     append([]int32(nil), sub.adj...),
 		m:       sub.m,
 	}
 	newToOld := append([]int32(nil), back...)
-	ReleaseWorkspace(ws)
+	ReleaseParWorkspace(pw)
 	return out, newToOld
 }
 
@@ -389,9 +343,9 @@ func (g *Graph) Power(k int) *Graph {
 		// G^1 == G; return a copy-free alias (Graph is immutable).
 		return g
 	}
-	ws := AcquireWorkspace()
-	p := g.PowerWithWorkspace(ws, k)
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	p := g.PowerWithWorkspace(pw, k)
+	ReleaseParWorkspace(pw)
 	return p
 }
 
@@ -500,35 +454,66 @@ func (g *Graph) Girth() int {
 // connected component separately and returning the max over components.
 // Returns 0 for an empty or edgeless graph.
 func (g *Graph) Diameter() int {
-	ws := AcquireWorkspace()
-	best := g.DiameterWithWorkspace(ws)
-	ReleaseWorkspace(ws)
-	return best
+	pw := AcquireParWorkspace()
+	defer ReleaseParWorkspace(pw)
+	return diameter(pw, g)
 }
 
 // Eccentricity returns max_u dist(v, u) within v's component.
 func (g *Graph) Eccentricity(v int) int {
-	ws := AcquireWorkspace()
-	best := g.EccentricityWithWorkspace(ws, v)
-	ReleaseWorkspace(ws)
-	return best
+	pw := AcquireParWorkspace()
+	defer ReleaseParWorkspace(pw)
+	return maxDist(ParBFS(pw, g, v, 1))
 }
 
 // WeakDiameter returns max over u,v in S of dist_G(u, v): distances are
 // measured in the whole graph g, not the induced subgraph. Returns -1 if
 // some pair of S is disconnected in g.
 func (g *Graph) WeakDiameter(s []int32) int {
-	ws := AcquireWorkspace()
-	best := g.WeakDiameterWithWorkspace(ws, s)
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	defer ReleaseParWorkspace(pw)
+	best := 0
+	for _, v := range s {
+		dist := ParBFS(pw, g, int(v), 1)
+		for _, u := range s {
+			d := dist[u]
+			if d == Unreachable {
+				return -1
+			}
+			best = max(best, int(d))
+		}
+	}
 	return best
 }
 
 // StrongDiameter returns the diameter of the subgraph induced by S, or -1 if
 // that subgraph is disconnected.
 func (g *Graph) StrongDiameter(s []int32) int {
-	ws := AcquireWorkspace()
-	best := g.StrongDiameterWithWorkspace(ws, s)
-	ReleaseWorkspace(ws)
+	pw := AcquireParWorkspace()
+	defer ReleaseParWorkspace(pw)
+	// The induced graph lives in the workspace's Induced buffers, which the
+	// traversal kernels below never touch.
+	sub, _ := g.InducedWithWorkspace(pw, s)
+	if _, count := ParComponents(pw, sub, nil, 1); count > 1 {
+		return -1
+	}
+	return diameter(pw, sub)
+}
+
+// diameter is the all-sources BFS sweep behind Diameter.
+func diameter(pw *ParWorkspace, g *Graph) int {
+	best := 0
+	for s := 0; s < g.N(); s++ {
+		best = max(best, maxDist(ParBFS(pw, g, s, 1)))
+	}
+	return best
+}
+
+// maxDist returns the largest finite distance in dist (0 when none).
+func maxDist(dist []int32) int {
+	best := 0
+	for _, d := range dist {
+		best = max(best, int(d))
+	}
 	return best
 }

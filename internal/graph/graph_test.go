@@ -132,24 +132,6 @@ func TestBFSBounded(t *testing.T) {
 	}
 }
 
-func TestMultiBFS(t *testing.T) {
-	g := path(10)
-	dist, from := g.MultiBFS([]int{0, 9})
-	if dist[4] != 4 || dist[5] != 4 {
-		t.Fatalf("multi-source distances wrong: %v", dist)
-	}
-	if from[1] != 0 || from[8] != 9 {
-		t.Fatalf("source attribution wrong: %v", from)
-	}
-	// No sources.
-	dist, _ = g.MultiBFS(nil)
-	for _, d := range dist {
-		if d != Unreachable {
-			t.Fatal("no-source BFS reached a vertex")
-		}
-	}
-}
-
 func TestBall(t *testing.T) {
 	g := path(10)
 	ball := g.Ball(5, 2)
@@ -470,44 +452,5 @@ func BenchmarkBFSGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.BFS(0)
-	}
-}
-
-// gnpView builds a random graph for the View tests.
-func gnpView(n int, deg float64, seed uint64) *Graph {
-	rng := xrand.New(seed)
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < deg/float64(n) {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	return b.Build()
-}
-
-func TestBallOnViewMatchesBall(t *testing.T) {
-	for _, g := range []*Graph{path(30), cycle(25), gnpView(200, 6, 3)} {
-		for _, src := range []int{0, g.N() / 2, g.N() - 1} {
-			for k := 0; k <= 4; k++ {
-				got := BallOnView(g, src, k)
-				want := g.Ball(src, k)
-				if len(got) != len(want) {
-					t.Fatalf("%v src=%d k=%d: size %d != %d", g, src, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v src=%d k=%d: order differs at %d (%d != %d)", g, src, k, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-	if got := BallOnView(path(5), -1, 2); got != nil {
-		t.Fatalf("out-of-range source returned %v", got)
-	}
-	if got := BallOnView(path(5), 5, 2); got != nil {
-		t.Fatalf("out-of-range source returned %v", got)
 	}
 }

@@ -1,15 +1,15 @@
 package graph
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/par"
 )
 
-// This file implements level-synchronous parallel BFS over any View (CSR
-// graphs and store-snapshot overlays alike) with merges that are
-// bit-identical to the serial traversals for every worker count.
+// This file implements the traversal kernels: level-synchronous BFS over
+// any View (CSR graphs and store-snapshot overlays alike) whose levels may
+// expand across a worker pool, with merges that make the output
+// bit-identical to a one-worker (serial) run for every worker count.
 //
 // Each level expands in two passes over the same degree-balanced frontier
 // chunks:
@@ -34,8 +34,9 @@ import (
 // edge work across workers. Levels whose total degree is below
 // ParLevelEdgeThreshold expand serially inside the same call: the output
 // is identical either way, and tiny graphs or frontier tails never pay
-// goroutine or atomics overhead (a warm below-threshold ParBFS allocates
-// nothing, which the workspace test suite pins).
+// goroutine or atomics overhead (a warm below-threshold kernel call
+// allocates nothing, which the test suite pins). A search on a *Graph at
+// one worker skips the level dispatch altogether (see ballLevels).
 
 // ParLevelEdgeThreshold is the frontier degree sum below which a level
 // expands serially even when more workers are available. Parallel
@@ -56,63 +57,16 @@ type parChunkBuf struct {
 	_   [40]byte
 }
 
-// ParWorkspace bundles the scratch state of the parallel traversals: the
-// serial Workspace substrate (distance/stamp arrays, queue and output
-// buffers — parallel results alias it exactly like serial ones), the
-// atomic claim array, the degree prefix sums, and the per-chunk output
-// buffers. Like Workspace it is owned by one goroutine at a time; the
-// worker goroutines a traversal spawns internally never outlive the call.
-type ParWorkspace struct {
-	ws *Workspace
-
-	// claim[v] = (epoch<<32)|frontierIndex; entries from earlier epochs
-	// are stale and lose to any current-epoch claim.
-	claim []int64
-	epoch int64
-
-	prefix []int64 // frontier degree prefix sums (len frontier+1)
-	cuts   []int32 // chunk boundaries into the frontier (len chunks+1)
-	bufs   []parChunkBuf
-}
-
-// NewParWorkspace returns an empty ParWorkspace; buffers grow on first
-// use.
-func NewParWorkspace() *ParWorkspace {
-	return &ParWorkspace{ws: NewWorkspace(0)}
-}
-
-// parPool backs AcquireParWorkspace like wsPool backs AcquireWorkspace.
-var parPool = sync.Pool{New: func() any { return NewParWorkspace() }}
-
-// AcquireParWorkspace takes a ParWorkspace from the shared pool; pair with
-// ReleaseParWorkspace.
-func AcquireParWorkspace() *ParWorkspace { return parPool.Get().(*ParWorkspace) }
-
-// ReleaseParWorkspace returns a workspace to the shared pool. The caller
-// must not use the workspace, or any result aliasing it, afterwards.
-func ReleaseParWorkspace(pw *ParWorkspace) { parPool.Put(pw) }
-
-// reserve sizes the claim array for n vertices and rolls the claim epoch.
-func (pw *ParWorkspace) reserve(n int) {
-	pw.ws.Reserve(n)
-	if n > len(pw.claim) {
-		pw.claim = append(pw.claim, make([]int64, n-len(pw.claim))...)
-	}
-	// Rolling the epoch invalidates every stale claim in O(1). The epoch
-	// only ever grows within a traversal (one bump per parallel level), so
-	// a reset is needed at most once every ~2^30 levels.
-	if pw.epoch >= 1<<30 {
-		for i := range pw.claim {
-			pw.claim[i] = 0
-		}
-		pw.epoch = 0
-	}
-}
-
-// nextEpoch starts a new claim epoch and returns its base word.
+// nextEpoch starts a new claim epoch and returns its base word. Rolling
+// the epoch invalidates every stale claim in O(1); a full reset is needed
+// at most once every ~2^30 parallel levels.
 func (pw *ParWorkspace) nextEpoch() int64 {
-	pw.epoch++
-	return pw.epoch << 32
+	if pw.claimEpoch >= 1<<30 {
+		clear(pw.claim)
+		pw.claimEpoch = 0
+	}
+	pw.claimEpoch++
+	return pw.claimEpoch << 32
 }
 
 // claimMin atomically lowers *p to word unless *p already holds a
@@ -178,6 +132,9 @@ func (pw *ParWorkspace) partition(g View, f []int32, workers int) bool {
 	if len(pw.bufs) < chunks {
 		pw.bufs = append(pw.bufs, make([]parChunkBuf, chunks-len(pw.bufs))...)
 	}
+	if n := g.N(); len(pw.claim) < n {
+		pw.claim = append(pw.claim, make([]int64, n-len(pw.claim))...)
+	}
 	return true
 }
 
@@ -190,20 +147,21 @@ func (pw *ParWorkspace) mergeChunks(q []int32) []int32 {
 	return q
 }
 
-// --- distance-mode expansion (BFS, MultiBFS) -------------------------------
+// --- label-mode expansion (BFS distances, component ids) --------------------
+//
+// A label search writes lab[w] = lab[v] + step for every unlabeled alive
+// neighbor w of v, where unlabeled means -1 (Unreachable). step 1 gives
+// BFS distances, step 0 spreads a component id. Within one level every
+// frontier vertex carries the same label, so a level writes one value.
 
-// expandLevelDist expands frontier f — all at the same distance — into q,
-// stamping dist (and from, when non-nil) exactly like the serial BFS.
-func (pw *ParWorkspace) expandLevelDist(g View, f, q []int32, dist, from []int32, workers int) []int32 {
+// expandLevelLabel expands frontier f into q, labeling discovered vertices
+// with val exactly like labelQueue.
+func (pw *ParWorkspace) expandLevelLabel(g View, f, q []int32, lab []int32, val int32, alive []bool, workers int) []int32 {
 	if workers <= 1 || !pw.partition(g, f, workers) {
 		for _, v := range f {
-			d := dist[v] + 1
 			for _, w := range g.Neighbors(int(v)) {
-				if dist[w] == Unreachable {
-					dist[w] = d
-					if from != nil {
-						from[w] = from[v]
-					}
+				if lab[w] == -1 && (alive == nil || alive[w]) {
+					lab[w] = val
 					q = append(q, w)
 				}
 			}
@@ -217,7 +175,7 @@ func (pw *ParWorkspace) expandLevelDist(g View, f, q []int32, dist, from []int32
 		for idx := int(cuts[c]); idx < int(cuts[c+1]); idx++ {
 			word := base | int64(idx)
 			for _, w := range g.Neighbors(int(f[idx])) {
-				if dist[w] == Unreachable {
+				if lab[w] == -1 && (alive == nil || alive[w]) {
 					claimMin(&claim[w], base, word)
 				}
 			}
@@ -226,15 +184,10 @@ func (pw *ParWorkspace) expandLevelDist(g View, f, q []int32, dist, from []int32
 	par.ForEach(chunks, chunks, func(_, c int) {
 		buf := pw.bufs[c].buf[:0]
 		for idx := int(cuts[c]); idx < int(cuts[c+1]); idx++ {
-			v := f[idx]
 			word := base | int64(idx)
-			d := dist[v] + 1
-			for _, w := range g.Neighbors(int(v)) {
+			for _, w := range g.Neighbors(int(f[idx])) {
 				if claim[w] == word {
-					dist[w] = d
-					if from != nil {
-						from[w] = from[v]
-					}
+					lab[w] = val
 					buf = append(buf, w)
 				}
 			}
@@ -244,11 +197,51 @@ func (pw *ParWorkspace) expandLevelDist(g View, f, q []int32, dist, from []int32
 	return pw.mergeChunks(q)
 }
 
+// labelSearch runs a label search from the labeled queue q (all of one
+// label) for up to radius levels (negative = unbounded) and returns the
+// queue of every labeled vertex in discovery order.
+func (pw *ParWorkspace) labelSearch(g View, q []int32, lab []int32, step int32, radius int, alive []bool, workers int) []int32 {
+	if cg, ok := g.(*Graph); ok && workers <= 1 {
+		return labelQueue(cg, q, lab, step, radius, alive)
+	}
+	levelStart := 0
+	for depth := 0; (radius < 0 || depth < radius) && levelStart < len(q); depth++ {
+		f := q[levelStart:len(q):len(q)]
+		levelStart = len(q)
+		q = pw.expandLevelLabel(g, f, q, lab, lab[f[0]]+step, alive, workers)
+	}
+	return q
+}
+
+// labelQueue is labelSearch for a *Graph at one worker: a plain FIFO loop
+// with the neighbor lookup inlined, for the reason given at ballLevels.
+// Its output is identical to the level loop's.
+func labelQueue(g *Graph, q []int32, lab []int32, step int32, radius int, alive []bool) []int32 {
+	limit := int32(-1)
+	if radius >= 0 {
+		limit = lab[q[0]] + int32(radius)*step
+	}
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		x := lab[v]
+		if x == limit {
+			continue
+		}
+		x += step
+		for _, w := range g.Neighbors(int(v)) {
+			if lab[w] == -1 && (alive == nil || alive[w]) {
+				lab[w] = x
+				q = append(q, w)
+			}
+		}
+	}
+	return q
+}
+
 // --- stamp-mode expansion (balls, layers) ----------------------------------
 
 // expandLevelStamp expands frontier f into out under the workspace's
-// current stamp epoch, honoring the alive mask, exactly like the serial
-// ballLayersCore level step.
+// current stamp epoch, honoring the alive mask, exactly like ballLevels.
 func (pw *ParWorkspace) expandLevelStamp(g View, f, out []int32, seen []int32, epoch int32, alive []bool, workers int) []int32 {
 	if workers <= 1 || !pw.partition(g, f, workers) {
 		for _, v := range f {
@@ -292,79 +285,31 @@ func (pw *ParWorkspace) expandLevelStamp(g View, f, out []int32, seen []int32, e
 	return pw.mergeChunks(out)
 }
 
-// --- component-mode expansion ----------------------------------------------
-
-// expandLevelComp expands frontier f into q, labeling discovered vertices
-// with component id in comp, exactly like the serial component sweep.
-func (pw *ParWorkspace) expandLevelComp(g View, f, q []int32, comp []int32, id int32, alive []bool, workers int) []int32 {
-	if workers <= 1 || !pw.partition(g, f, workers) {
-		for _, v := range f {
-			for _, w := range g.Neighbors(int(v)) {
-				if comp[w] == -1 && (alive == nil || alive[w]) {
-					comp[w] = id
-					q = append(q, w)
-				}
-			}
-		}
-		return q
-	}
-	claim, base := pw.claim, pw.nextEpoch()
-	cuts := pw.cuts
-	chunks := len(cuts) - 1
-	par.ForEach(chunks, chunks, func(_, c int) {
-		for idx := int(cuts[c]); idx < int(cuts[c+1]); idx++ {
-			word := base | int64(idx)
-			for _, w := range g.Neighbors(int(f[idx])) {
-				if comp[w] == -1 && (alive == nil || alive[w]) {
-					claimMin(&claim[w], base, word)
-				}
-			}
-		}
-	})
-	par.ForEach(chunks, chunks, func(_, c int) {
-		buf := pw.bufs[c].buf[:0]
-		for idx := int(cuts[c]); idx < int(cuts[c+1]); idx++ {
-			word := base | int64(idx)
-			for _, w := range g.Neighbors(int(f[idx])) {
-				if claim[w] == word {
-					comp[w] = id
-					buf = append(buf, w)
-				}
-			}
-		}
-		pw.bufs[c].buf = buf
-	})
-	return pw.mergeChunks(q)
-}
-
 // --- public traversals -----------------------------------------------------
+//
+// Every kernel takes a worker bound (<= 0 means GOMAXPROCS). Callers that
+// already fan independent searches out across a pool pass workers = 1: each
+// level then expands in the serial loop with no goroutines, atomics or
+// allocations, and the output is the same as at any other worker count.
 
 // ParBFSBounded computes distances from src up to radius (negative =
 // unbounded) over g, expanding each frontier level across up to `workers`
-// goroutines (<= 0 means GOMAXPROCS). The result is bit-identical to
-// BFSBoundedWithWorkspace for every worker count and aliases the
-// workspace; it is valid until the workspace's next use.
+// goroutines. dist[v] == Unreachable for vertices not reached. The result
+// aliases the workspace and is valid until its next use.
 func ParBFSBounded(pw *ParWorkspace, g View, src, radius, workers int) []int32 {
 	workers = par.Workers(workers)
 	n := g.N()
 	pw.reserve(n)
-	ws := pw.ws
-	ws.resetDist()
-	dist := ws.dist[:n]
+	pw.resetDist()
+	dist := pw.dist[:n]
 	if src < 0 || src >= n {
 		return dist
 	}
 	dist[src] = 0
-	q := append(ws.queue[:0], int32(src))
-	levelStart := 0
-	for depth := 0; (radius < 0 || depth < radius) && levelStart < len(q); depth++ {
-		f := q[levelStart:len(q):len(q)]
-		levelStart = len(q)
-		q = pw.expandLevelDist(g, f, q, dist, nil, workers)
-	}
-	// Like the serial BFS: the dirtied dist entries are exactly the queue
-	// contents, so swap the buffers instead of copying.
-	ws.queue, ws.distDirty = ws.distDirty[:0], q
+	q := pw.labelSearch(g, append(pw.queue[:0], int32(src)), dist, 1, radius, nil, workers)
+	// The dirtied dist entries are exactly the queue contents: swap the two
+	// buffers instead of copying (distDirty was emptied by resetDist above).
+	pw.queue, pw.distDirty = pw.distDirty[:0], q
 	return dist
 }
 
@@ -373,48 +318,34 @@ func ParBFS(pw *ParWorkspace, g View, src, workers int) []int32 {
 	return ParBFSBounded(pw, g, src, -1, workers)
 }
 
-// ParMultiBFS computes nearest-source distances and source provenance from
-// a seed set, bit-identical to MultiBFSWithWorkspace for every worker
-// count (ties break toward the earlier queue position, exactly as the
-// serial scan settles them). Both results alias the workspace.
-func ParMultiBFS(pw *ParWorkspace, g View, sources []int, workers int) (dist []int32, from []int32) {
-	workers = par.Workers(workers)
-	n := g.N()
-	pw.reserve(n)
-	ws := pw.ws
-	ws.resetDist()
-	dist = ws.dist[:n]
-	from = ws.from[:n]
-	q := ws.queue[:0]
-	for _, s := range sources {
-		if s < 0 || s >= n || dist[s] == 0 {
-			continue
-		}
-		dist[s] = 0
-		from[s] = int32(s)
-		q = append(q, int32(s))
+// ParBallLayersFromSet returns the BFS layers around a seed set in the
+// alive-induced subgraph (alive == nil means every vertex is alive): layer
+// 0 is the deduplicated alive subset of seeds (in input order), layer j
+// the alive vertices at distance exactly j, up to radius; trailing empty
+// layers are trimmed. Returns nil when no seed is alive. Each layer lists
+// its vertices in discovery order. The result aliases the workspace.
+func ParBallLayersFromSet(pw *ParWorkspace, g View, seeds []int32, radius int, alive []bool, workers int) [][]int32 {
+	if pw.ball(g, seeds, radius, alive, workers, true) == nil {
+		return nil
 	}
-	levelStart := 0
-	for levelStart < len(q) {
-		f := q[levelStart:len(q):len(q)]
-		levelStart = len(q)
-		q = pw.expandLevelDist(g, f, q, dist, from, workers)
-	}
-	ws.queue, ws.distDirty = ws.distDirty[:0], q
-	return dist, from
+	return pw.layers
 }
 
-// ParBallLayersFromSet is BallLayersFromSetWithWorkspace with parallel
-// level expansion: layer 0 is the deduplicated alive subset of seeds (in
-// input order), layer j the alive vertices at distance exactly j. Returns
-// nil when no seed is alive. Bit-identical to the serial code for every
-// worker count; the result aliases the workspace.
-func ParBallLayersFromSet(pw *ParWorkspace, g View, seeds []int32, radius int, alive []bool, workers int) [][]int32 {
+// ParBallFromSet returns the flattened layers of ParBallLayersFromSet: the
+// vertices within distance `radius` of the seed set, in BFS order. The
+// result aliases the workspace.
+func ParBallFromSet(pw *ParWorkspace, g View, seeds []int32, radius int, alive []bool, workers int) []int32 {
+	return pw.ball(g, seeds, radius, alive, workers, false)
+}
+
+// ball is the kernel behind the ball searches: it returns the flat ball
+// (nil when no seed is alive) and, when layered, leaves the layer headers
+// in pw.layers.
+func (pw *ParWorkspace) ball(g View, seeds []int32, radius int, alive []bool, workers int, layered bool) []int32 {
 	workers = par.Workers(workers)
 	pw.reserve(g.N())
-	ws := pw.ws
-	seen, epoch := ws.beginStamp()
-	out := ws.out[:0]
+	seen, epoch := pw.beginStamp()
+	out := pw.out[:0]
 	for _, s := range seeds {
 		if seen[s] == epoch || (alive != nil && !alive[s]) {
 			continue
@@ -422,43 +353,59 @@ func ParBallLayersFromSet(pw *ParWorkspace, g View, seeds []int32, radius int, a
 		seen[s] = epoch
 		out = append(out, s)
 	}
+	layers := pw.layers[:0]
 	if len(out) == 0 {
-		ws.out = out
+		pw.out, pw.layers = out, layers
 		return nil
 	}
-	layers := append(ws.layers[:0], out[0:len(out):len(out)])
+	if layered {
+		layers = append(layers, out[0:len(out):len(out)])
+	}
+	if cg, ok := g.(*Graph); ok && workers <= 1 {
+		out, layers = ballLevels(cg, out, radius, seen, epoch, alive, layers, layered)
+	} else {
+		start, end := 0, len(out)
+		for d := 0; d < radius && start < end; d++ {
+			out = pw.expandLevelStamp(g, out[start:end:end], out, seen, epoch, alive, workers)
+			if layered && len(out) > end {
+				layers = append(layers, out[end:len(out):len(out)])
+			}
+			start, end = end, len(out)
+		}
+	}
+	pw.out, pw.layers = out, layers
+	return out
+}
+
+// ballLevels is ball's level loop for a *Graph at one worker, the shape of
+// nearly every ball query: callers fan balls out across a pool. With the
+// concrete type the neighbor lookup inlines and no call is made per level.
+// On sparse graphs that is most of the cost: through the View loop, the
+// balls of a 3000-vertex cycle (two vertices per level) took about 1.6x as
+// long. Its output is identical to the View loop's.
+func ballLevels(g *Graph, out []int32, radius int, seen []int32, epoch int32, alive []bool, layers [][]int32, layered bool) ([]int32, [][]int32) {
 	start, end := 0, len(out)
 	for d := 0; d < radius && start < end; d++ {
-		f := out[start:end:end]
-		out = pw.expandLevelStamp(g, f, out, seen, epoch, alive, workers)
-		if len(out) == end {
-			break
+		for i := start; i < end; i++ {
+			for _, w := range g.Neighbors(int(out[i])) {
+				if seen[w] == epoch || (alive != nil && !alive[w]) {
+					continue
+				}
+				seen[w] = epoch
+				out = append(out, w)
+			}
 		}
-		layers = append(layers, out[end:len(out):len(out)])
+		if layered && len(out) > end {
+			layers = append(layers, out[end:len(out):len(out)])
+		}
 		start, end = end, len(out)
 	}
-	ws.out = out
-	ws.layers = layers
-	return layers
+	return out, layers
 }
 
-// ParBallFromSet returns the flattened layers of ParBallLayersFromSet: the
-// vertices within distance `radius` of the seed set, in BFS order. The
-// result aliases the workspace.
-func ParBallFromSet(pw *ParWorkspace, g View, seeds []int32, radius int, alive []bool, workers int) []int32 {
-	layers := ParBallLayersFromSet(pw, g, seeds, radius, alive, workers)
-	if layers == nil {
-		return nil
-	}
-	total := 0
-	for _, l := range layers {
-		total += len(l)
-	}
-	return pw.ws.out[:total]
-}
-
-// ParBallLayers is ParBallLayersFromSet for a single centre, matching
-// BallLayersWithWorkspace.
+// ParBallLayers is ParBallLayersFromSet for a single centre v: the layers
+// S_0 = {v}, S_1, ..., up to radius. Returns nil when v is out of range or
+// dead.
 func ParBallLayers(pw *ParWorkspace, g View, v, radius int, alive []bool, workers int) [][]int32 {
 	if v < 0 || v >= g.N() {
 		return nil
@@ -467,126 +414,39 @@ func ParBallLayers(pw *ParWorkspace, g View, v, radius int, alive []bool, worker
 	return ParBallLayersFromSet(pw, g, seed[:], radius, alive, workers)
 }
 
-// ParComponents labels connected components of the alive-induced subgraph,
-// bit-identical to ComponentsAliveWithWorkspace: ids are dense, 0-based,
-// in order of first discovery, dead vertices get -1. Each component's BFS
-// expands its levels in parallel, so one giant component still uses every
-// worker. The result aliases the workspace.
+// ParBall is ParBallFromSet for a single centre v: N^radius(v) in the
+// alive-induced subgraph, in BFS order (v first). Returns nil when v is out
+// of range or dead.
+func ParBall(pw *ParWorkspace, g View, v, radius int, alive []bool, workers int) []int32 {
+	if v < 0 || v >= g.N() {
+		return nil
+	}
+	seed := [1]int32{int32(v)}
+	return ParBallFromSet(pw, g, seed[:], radius, alive, workers)
+}
+
+// ParComponents labels the connected components of the alive-induced
+// subgraph: ids are dense, 0-based, in order of first discovery, dead
+// vertices get -1. Each component's BFS expands its levels in parallel, so
+// one giant component still uses every worker. The result aliases the
+// workspace.
 func ParComponents(pw *ParWorkspace, g View, alive []bool, workers int) (comp []int32, count int) {
 	workers = par.Workers(workers)
 	n := g.N()
 	pw.reserve(n)
-	ws := pw.ws
-	comp = ws.comp[:n]
+	comp = pw.comp[:n]
 	for i := range comp {
 		comp[i] = -1
 	}
-	q := ws.queue[:0]
+	q := pw.queue[:0]
 	for s := 0; s < n; s++ {
 		if comp[s] != -1 || (alive != nil && !alive[s]) {
 			continue
 		}
-		id := int32(count)
+		comp[s] = int32(count)
 		count++
-		comp[s] = id
-		q = append(q[:0], int32(s))
-		levelStart := 0
-		for levelStart < len(q) {
-			f := q[levelStart:len(q):len(q)]
-			levelStart = len(q)
-			q = pw.expandLevelComp(g, f, q, comp, id, alive, workers)
-		}
+		q = pw.labelSearch(g, append(q[:0], int32(s)), comp, 0, -1, alive, workers)
 	}
-	ws.queue = q
+	pw.queue = q
 	return comp, count
-}
-
-// ParEccentricity is Eccentricity with parallel BFS level expansion.
-func ParEccentricity(pw *ParWorkspace, g View, v, workers int) int {
-	dist := ParBFS(pw, g, v, workers)
-	best := 0
-	for _, d := range dist {
-		if int(d) > best {
-			best = int(d)
-		}
-	}
-	return best
-}
-
-// ParDiameter is Diameter with the per-source BFS sweeps fanned out across
-// the worker pool (one serial workspace per worker; the max over sources
-// is order-independent, so the result is identical for any worker count).
-func (g *Graph) ParDiameter(workers int) int {
-	n := g.N()
-	workers = min(par.Workers(workers), max(n, 1))
-	if workers <= 1 {
-		return g.Diameter()
-	}
-	best := make([]int, workers)
-	wss := make([]*Workspace, workers)
-	for i := range wss {
-		wss[i] = AcquireWorkspace()
-	}
-	par.ForEachChunk(workers, n, 16, func(w, s int) {
-		dist := g.BFSWithWorkspace(wss[w], s)
-		for _, d := range dist {
-			if int(d) > best[w] {
-				best[w] = int(d)
-			}
-		}
-	})
-	for _, ws := range wss {
-		ReleaseWorkspace(ws)
-	}
-	out := 0
-	for _, b := range best {
-		if b > out {
-			out = b
-		}
-	}
-	return out
-}
-
-// ParWeakDiameter is WeakDiameter with the per-member BFS sweeps fanned
-// out across the worker pool. Returns -1 if some pair of s is disconnected
-// in g, exactly like the serial sweep.
-func (g *Graph) ParWeakDiameter(s []int32, workers int) int {
-	workers = min(par.Workers(workers), max(len(s), 1))
-	if workers <= 1 {
-		return g.WeakDiameter(s)
-	}
-	best := make([]int, workers)
-	wss := make([]*Workspace, workers)
-	for i := range wss {
-		wss[i] = AcquireWorkspace()
-	}
-	par.ForEachChunk(workers, len(s), 4, func(w, i int) {
-		if best[w] == -1 {
-			return
-		}
-		dist := g.BFSWithWorkspace(wss[w], int(s[i]))
-		for _, u := range s {
-			d := dist[u]
-			if d == Unreachable {
-				best[w] = -1
-				return
-			}
-			if int(d) > best[w] {
-				best[w] = int(d)
-			}
-		}
-	})
-	for _, ws := range wss {
-		ReleaseWorkspace(ws)
-	}
-	out := 0
-	for _, b := range best {
-		if b == -1 {
-			return -1
-		}
-		if b > out {
-			out = b
-		}
-	}
-	return out
 }

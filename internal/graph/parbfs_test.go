@@ -38,158 +38,94 @@ func copyLayers(layers [][]int32) [][]int32 {
 	return out
 }
 
-// TestParBFSBitIdenticalToSerial pins the tentpole contract: every Par*
-// traversal returns output bit-identical to its serial workspace
-// counterpart for every worker count, on every topology, with and without
-// alive masks.
+// TestParBFSBitIdenticalToSerial pins the kernel contract: every kernel
+// returns output bit-identical to the naive serial reference for every
+// worker count, on every topology, with and without alive masks.
 func TestParBFSBitIdenticalToSerial(t *testing.T) {
 	for name, g := range parTestGraphs() {
 		n := g.N()
-		ws := graph.NewWorkspace(0)
 		alive := randomAlive(n, uint64(n)+3)
 		sources := []int{0, n / 3, n - 1}
 		seeds := []int32{int32(n - 1), int32(n / 2), 1, int32(n / 2)} // dup on purpose
-		multiSrc := []int{n - 1, n / 2, 1, n / 2}
 
 		for _, workers := range parWorkerSweep {
-			pw := graph.NewParWorkspace()
+			pw := new(graph.ParWorkspace)
 			label := fmt.Sprintf("%s/workers=%d", name, workers)
 
 			for _, src := range sources {
 				for _, radius := range []int{-1, 2, 7} {
-					want := int32s(g.BFSBoundedWithWorkspace(ws, src, radius))
+					want := refBFSBounded(g, src, radius)
 					got := int32s(graph.ParBFSBounded(pw, g, src, radius, workers))
 					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("%s: ParBFSBounded(src=%d r=%d) differs from serial", label, src, radius)
+						t.Fatalf("%s: ParBFSBounded(src=%d r=%d) differs from reference", label, src, radius)
 					}
 				}
-			}
-
-			wantD, wantF := g.MultiBFSWithWorkspace(ws, multiSrc)
-			wantD, wantF = int32s(wantD), int32s(wantF)
-			gotD, gotF := graph.ParMultiBFS(pw, g, multiSrc, workers)
-			if !reflect.DeepEqual(wantD, int32s(gotD)) {
-				t.Fatalf("%s: ParMultiBFS dist differs from serial", label)
-			}
-			if !reflect.DeepEqual(wantF, int32s(gotF)) {
-				t.Fatalf("%s: ParMultiBFS from differs from serial (tie-break broken)", label)
 			}
 
 			for _, a := range [][]bool{nil, alive} {
 				for _, radius := range []int{0, 1, 4} {
-					wantL := copyLayers(g.BallLayersFromSetWithWorkspace(ws, seeds, radius, a))
+					wantL := refBallLayersFromSet(g, seeds, radius, a)
 					gotL := copyLayers(graph.ParBallLayersFromSet(pw, g, seeds, radius, a, workers))
 					if !reflect.DeepEqual(wantL, gotL) {
-						t.Fatalf("%s: ParBallLayersFromSet(r=%d alive=%v) differs from serial", label, radius, a != nil)
+						t.Fatalf("%s: ParBallLayersFromSet(r=%d alive=%v) differs from reference", label, radius, a != nil)
 					}
-					wantB := int32s(g.BallFromSetWithWorkspace(ws, seeds, radius, a))
 					gotB := int32s(graph.ParBallFromSet(pw, g, seeds, radius, a, workers))
-					if !reflect.DeepEqual(wantB, gotB) {
-						t.Fatalf("%s: ParBallFromSet(r=%d alive=%v) differs from serial", label, radius, a != nil)
+					if !reflect.DeepEqual(flatten(wantL), gotB) {
+						t.Fatalf("%s: ParBallFromSet(r=%d alive=%v) differs from reference", label, radius, a != nil)
 					}
 				}
-				wantL := copyLayers(g.BallLayersWithWorkspace(ws, n/2, 3, a))
-				gotL := copyLayers(graph.ParBallLayers(pw, g, n/2, 3, a, workers))
-				if !reflect.DeepEqual(wantL, gotL) {
-					t.Fatalf("%s: ParBallLayers differs from serial", label)
+				wantL := refBallLayers(g, n/2, 3, a)
+				if gotL := copyLayers(graph.ParBallLayers(pw, g, n/2, 3, a, workers)); !reflect.DeepEqual(wantL, gotL) {
+					t.Fatalf("%s: ParBallLayers differs from reference", label)
+				}
+				if gotB := int32s(graph.ParBall(pw, g, n/2, 3, a, workers)); !reflect.DeepEqual(flatten(wantL), gotB) {
+					t.Fatalf("%s: ParBall differs from reference", label)
 				}
 
-				wantComp, wantCount := g.ComponentsAliveWithWorkspace(ws, a)
-				wantComp = int32s(wantComp)
+				wantComp, wantCount := refComponents(g, a)
 				gotComp, gotCount := graph.ParComponents(pw, g, a, workers)
 				if wantCount != gotCount || !reflect.DeepEqual(wantComp, int32s(gotComp)) {
-					t.Fatalf("%s: ParComponents(alive=%v) differs from serial", label, a != nil)
+					t.Fatalf("%s: ParComponents(alive=%v) differs from reference", label, a != nil)
 				}
 			}
 		}
-	}
-}
-
-// TestParSweepsMatchSerial covers the source-parallel sweep wrappers
-// (eccentricity, diameter, weak diameter) on a graph small enough for the
-// quadratic serial reference.
-func TestParSweepsMatchSerial(t *testing.T) {
-	g := randomGraph(300, 500, 8)
-	ws := graph.NewWorkspace(0)
-	members := []int32{1, 5, 44, 120, 299}
-	for _, workers := range parWorkerSweep {
-		pw := graph.NewParWorkspace()
-		if want, got := g.EccentricityWithWorkspace(ws, 7), graph.ParEccentricity(pw, g, 7, workers); want != got {
-			t.Fatalf("workers=%d: ParEccentricity = %d, serial = %d", workers, got, want)
-		}
-		if want, got := g.DiameterWithWorkspace(ws), g.ParDiameter(workers); want != got {
-			t.Fatalf("workers=%d: ParDiameter = %d, serial = %d", workers, got, want)
-		}
-		if want, got := g.WeakDiameterWithWorkspace(ws, members), g.ParWeakDiameter(members, workers); want != got {
-			t.Fatalf("workers=%d: ParWeakDiameter = %d, serial = %d", workers, got, want)
-		}
-	}
-	// Disconnected member sets must report -1 like the serial sweep.
-	b := graph.NewBuilder(12)
-	for i := 0; i+1 < 10; i++ {
-		b.AddEdge(i, i+1)
-	}
-	b.AddEdge(10, 11)
-	two := b.Build()
-	if got := two.ParWeakDiameter([]int32{0, 11}, 4); got != -1 {
-		t.Fatalf("ParWeakDiameter across components = %d, want -1", got)
 	}
 }
 
 // TestParWorkspaceReuse pins that results stay correct across workspace
 // reuse and epoch rollover pressure: many traversals back to back on one
-// ParWorkspace, interleaved across modes.
+// workspace, interleaved across modes, at every worker count.
 func TestParWorkspaceReuse(t *testing.T) {
 	g := randomGraph(5000, 15000, 17)
 	alive := randomAlive(g.N(), 23)
-	ws := graph.NewWorkspace(0)
-	pw := graph.AcquireParWorkspace()
-	defer graph.ReleaseParWorkspace(pw)
-	for trial := 0; trial < 30; trial++ {
-		src := (trial * 131) % g.N()
-		want := int32s(g.BFSBoundedWithWorkspace(ws, src, -1))
-		if got := int32s(graph.ParBFS(pw, g, src, 4)); !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: ParBFS drifted from serial on reuse", trial)
+	wantComp, wantCount := refComponents(g, alive)
+	for _, workers := range parWorkerSweep {
+		pw := graph.AcquireParWorkspace()
+		for trial := 0; trial < 30; trial++ {
+			src := (trial * 131) % g.N()
+			if got := int32s(graph.ParBFS(pw, g, src, workers)); !reflect.DeepEqual(refBFSBounded(g, src, -1), got) {
+				t.Fatalf("workers=%d trial %d: ParBFS drifted from reference on reuse", workers, trial)
+			}
+			seeds := []int32{int32(src), int32((src + 7) % g.N())}
+			wantB := flatten(refBallLayersFromSet(g, seeds, 3, alive))
+			if gotB := int32s(graph.ParBallFromSet(pw, g, seeds, 3, alive, workers)); !reflect.DeepEqual(wantB, gotB) {
+				t.Fatalf("workers=%d trial %d: ParBallFromSet drifted from reference on reuse", workers, trial)
+			}
+			if trial%10 == 0 {
+				gotComp, gotCount := graph.ParComponents(pw, g, alive, workers)
+				if wantCount != gotCount || !reflect.DeepEqual(wantComp, int32s(gotComp)) {
+					t.Fatalf("workers=%d trial %d: ParComponents drifted from reference on reuse", workers, trial)
+				}
+			}
 		}
-		seeds := []int32{int32(src), int32((src + 7) % g.N())}
-		wantB := int32s(g.BallFromSetWithWorkspace(ws, seeds, 3, alive))
-		if gotB := int32s(graph.ParBallFromSet(pw, g, seeds, 3, alive, 4)); !reflect.DeepEqual(wantB, gotB) {
-			t.Fatalf("trial %d: ParBallFromSet drifted from serial on reuse", trial)
-		}
+		graph.ReleaseParWorkspace(pw)
 	}
 }
 
 // TestParBFSZeroAllocBelowThreshold pins the dispatcher cost contract: on
 // a graph whose frontiers stay below the parallel threshold, a warm
-// parallel-capable call allocates nothing — Workers: 1 and small graphs
-// pay zero for the parallel machinery.
-func TestParBFSZeroAllocBelowThreshold(t *testing.T) {
-	g := randomGraph(400, 700, 21)
-	alive := randomAlive(400, 31)
-	seeds := []int32{3, 9}
-	pw := graph.NewParWorkspace()
-	// Warm every buffer (prefix sums are computed once frontiers pass 64
-	// vertices even when the level stays serial).
-	graph.ParBFSBounded(pw, g, 0, -1, 4)
-	graph.ParBallFromSet(pw, g, seeds, 5, alive, 4)
-	graph.ParComponents(pw, g, alive, 4)
-
-	if n := testing.AllocsPerRun(50, func() {
-		graph.ParBFSBounded(pw, g, 5, -1, 4)
-	}); n != 0 {
-		t.Errorf("ParBFSBounded below threshold: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		graph.ParBallFromSet(pw, g, seeds, 5, alive, 4)
-	}); n != 0 {
-		t.Errorf("ParBallFromSet below threshold: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		graph.ParComponents(pw, g, alive, 4)
-	}); n != 0 {
-		t.Errorf("ParComponents below threshold: %v allocs/op, want 0", n)
-	}
-}
+// parallel-capable call allocates nothing.
+func TestParBFSZeroAllocBelowThreshold(t *testing.T) { assertZeroAllocKernels(t, 4) }
 
 // TestParConcurrentQueries runs parallel traversals from many goroutines
 // at once (each with its own ParWorkspace, like concurrent engine
@@ -198,10 +134,9 @@ func TestParBFSZeroAllocBelowThreshold(t *testing.T) {
 func TestParConcurrentQueries(t *testing.T) {
 	g := randomGraph(20000, 60000, 7)
 	want := make(map[int][]int32)
-	ws := graph.NewWorkspace(0)
 	srcs := []int{0, 999, 5000, 19999}
 	for _, s := range srcs {
-		want[s] = int32s(g.BFSWithWorkspace(ws, s))
+		want[s] = refBFSBounded(g, s, -1)
 	}
 	var wg sync.WaitGroup
 	for worker := 0; worker < 4; worker++ {
@@ -214,7 +149,7 @@ func TestParConcurrentQueries(t *testing.T) {
 				s := srcs[(worker+trial)%len(srcs)]
 				got := graph.ParBFS(pw, g, s, 4)
 				if !reflect.DeepEqual(want[s], int32s(got)) {
-					t.Errorf("worker %d: concurrent ParBFS(src=%d) differs from serial", worker, s)
+					t.Errorf("worker %d: concurrent ParBFS(src=%d) differs from reference", worker, s)
 					return
 				}
 			}
@@ -234,7 +169,7 @@ func BenchmarkParBFS(b *testing.B) {
 	g := benchParGraph(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pw := graph.NewParWorkspace()
+			pw := new(graph.ParWorkspace)
 			graph.ParBFS(pw, g, 0, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -250,7 +185,7 @@ func BenchmarkParComponents(b *testing.B) {
 	alive := randomAlive(g.N(), 5)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pw := graph.NewParWorkspace()
+			pw := new(graph.ParWorkspace)
 			graph.ParComponents(pw, g, alive, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -266,7 +201,7 @@ func BenchmarkParBallFromSet(b *testing.B) {
 	seeds := []int32{1, 77777, 123456}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pw := graph.NewParWorkspace()
+			pw := new(graph.ParWorkspace)
 			graph.ParBallFromSet(pw, g, seeds, 6, nil, workers)
 			b.ReportAllocs()
 			b.ResetTimer()

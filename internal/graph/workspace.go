@@ -6,30 +6,32 @@ import (
 	"sync"
 )
 
-// Workspace holds the reusable scratch state for the traversal primitives:
-// an epoch-stamped visited array (O(1) reset), distance/provenance arrays
-// with dirty-list resets, a preallocated queue that doubles as the BFS-order
-// output buffer, reusable layer headers, a dense old→new Remap, and the
-// storage backing InducedWithWorkspace results. After a few warm-up calls a
-// Workspace makes every *WithWorkspace traversal allocation-free.
+// ParWorkspace holds the reusable scratch state of every traversal kernel:
+// an epoch-stamped visited array (O(1) reset), a distance array with a
+// dirty-list reset, a preallocated queue that doubles as the BFS-order
+// output buffer, reusable layer headers, the component labels, a dense
+// old→new Remap with the storage backing InducedWithWorkspace results, and
+// the claim array, degree prefix sums and chunk buffers of the parallel
+// level expansion. After a few warm-up calls every kernel performs zero
+// allocations on it. The zero value is ready to use.
 //
-// Ownership rule: a Workspace must be owned by exactly one goroutine at a
-// time. Concurrent traversals must each use their own Workspace (the graph
-// itself is immutable and freely shared). Results returned by
-// *WithWorkspace methods alias Workspace storage and are valid only until
-// the next call on the same Workspace; callers that need to retain a result
-// must copy it.
-type Workspace struct {
-	// epoch-stamped visited marks: stamp[v] == epoch means "seen in the
-	// current traversal".
-	stamp []int32
-	epoch int32
+// Ownership rule: a ParWorkspace must be owned by exactly one goroutine at
+// a time; the worker goroutines a traversal spawns internally never
+// outlive the call. Concurrent traversals must each use their own
+// workspace (the graph itself is immutable and freely shared). Results
+// returned by the kernels alias workspace storage and are valid only until
+// the next call on the same workspace; callers that need to retain a
+// result must copy it. Only InducedWithWorkspace's result survives the
+// traversal kernels: it lives in buffers they never touch.
+type ParWorkspace struct {
+	// stamp[v] == stampEpoch means "seen in the current traversal".
+	stamp      []int32
+	stampEpoch int32
 
-	// dist/from are maintained all-Unreachable / all -1 between calls; the
-	// dirty list records which entries the previous BFS touched so the next
-	// call resets O(visited), not O(n).
+	// dist is all-Unreachable between calls; distDirty records which
+	// entries the previous BFS touched so the next call resets
+	// O(visited), not O(n).
 	dist      []int32
-	from      []int32
 	distDirty []int32
 
 	// queue is the BFS queue; for ball queries the output buffer itself is
@@ -39,13 +41,11 @@ type Workspace struct {
 	// layers holds reusable layer headers; each header subslices out.
 	layers [][]int32
 
-	// comp backs ComponentsAliveWithWorkspace results.
+	// comp backs ParComponents results.
 	comp []int32
 
-	// Remap is the dense old→new vertex id map used by
-	// InducedWithWorkspace; it is reset at the start of that call but is
-	// otherwise free for callers to use between traversals.
-	Remap Remap
+	// remap is the dense old→new vertex id map of InducedWithWorkspace.
+	remap Remap
 
 	// Induced storage: the result graph of InducedWithWorkspace is built in
 	// place from these buffers.
@@ -54,302 +54,83 @@ type Workspace struct {
 	indAdj     []int32
 	indCursor  []int32
 	indG       Graph
+
+	// claim[v] = (claimEpoch<<32)|frontierIndex; entries from earlier
+	// epochs are stale and lose to any current-epoch claim. Sized lazily
+	// by the first level that actually expands in parallel.
+	claim      []int64
+	claimEpoch int64
+
+	prefix []int64 // frontier degree prefix sums (len frontier+1)
+	cuts   []int32 // chunk boundaries into the frontier (len chunks+1)
+	bufs   []parChunkBuf
 }
 
-// NewWorkspace returns a Workspace pre-sized for graphs of up to n
-// vertices. Buffers grow on demand, so n = 0 is a valid starting point.
-func NewWorkspace(n int) *Workspace {
-	ws := &Workspace{}
-	ws.Reserve(n)
-	return ws
+var parPool = sync.Pool{New: func() any { return new(ParWorkspace) }}
+
+// AcquireParWorkspace takes a ParWorkspace from the shared pool; pair with
+// ReleaseParWorkspace.
+func AcquireParWorkspace() *ParWorkspace { return parPool.Get().(*ParWorkspace) }
+
+// ReleaseParWorkspace returns a workspace to the shared pool. The caller
+// must not use the workspace, or any result aliasing it, afterwards.
+func ReleaseParWorkspace(pw *ParWorkspace) { parPool.Put(pw) }
+
+// AcquireParWorkspaces takes k workspaces for a worker fleet, one per
+// worker id of a par fan-out; pair with ReleaseParWorkspaces.
+func AcquireParWorkspaces(k int) []*ParWorkspace {
+	out := make([]*ParWorkspace, k)
+	for i := range out {
+		out[i] = AcquireParWorkspace()
+	}
+	return out
 }
 
-// Reserve grows the vertex-indexed buffers to hold n vertices. It is called
-// automatically by every traversal; explicit calls just pre-warm.
-func (ws *Workspace) Reserve(n int) {
-	if n <= len(ws.stamp) {
-		return
+// ReleaseParWorkspaces returns a fleet to the shared pool.
+func ReleaseParWorkspaces(pws []*ParWorkspace) {
+	for _, pw := range pws {
+		ReleaseParWorkspace(pw)
 	}
-	old := len(ws.stamp)
-	ws.stamp = append(ws.stamp, make([]int32, n-old)...)
-	grown := make([]int32, n-len(ws.dist))
-	for i := range grown {
-		grown[i] = Unreachable
+}
+
+// reserve grows the vertex-indexed buffers to hold n vertices. The check
+// inlines into every kernel call; growth happens in grow.
+func (pw *ParWorkspace) reserve(n int) {
+	if n > len(pw.stamp) {
+		pw.grow(n)
 	}
-	ws.dist = append(ws.dist, grown...)
-	grownFrom := make([]int32, n-len(ws.from))
-	for i := range grownFrom {
-		grownFrom[i] = -1
+}
+
+func (pw *ParWorkspace) grow(n int) {
+	pw.stamp = append(pw.stamp, make([]int32, n-len(pw.stamp))...)
+	dist := make([]int32, n)
+	for i := copy(dist, pw.dist); i < n; i++ {
+		dist[i] = Unreachable
 	}
-	ws.from = append(ws.from, grownFrom...)
-	if cap(ws.comp) < n {
-		ws.comp = make([]int32, n)
+	pw.dist = dist
+	if cap(pw.comp) < n {
+		pw.comp = make([]int32, n)
 	}
 }
 
 // beginStamp starts a new traversal epoch and returns the stamp array and
 // the fresh epoch value.
-func (ws *Workspace) beginStamp() ([]int32, int32) {
-	if ws.epoch == math.MaxInt32 {
-		for i := range ws.stamp {
-			ws.stamp[i] = 0
-		}
-		ws.epoch = 0
+func (pw *ParWorkspace) beginStamp() ([]int32, int32) {
+	if pw.stampEpoch == math.MaxInt32 {
+		clear(pw.stamp)
+		pw.stampEpoch = 0
 	}
-	ws.epoch++
-	return ws.stamp, ws.epoch
+	pw.stampEpoch++
+	return pw.stamp, pw.stampEpoch
 }
 
-// resetDist restores the all-Unreachable / all -1 invariant on dist/from by
-// clearing only the entries dirtied by the previous BFS.
-func (ws *Workspace) resetDist() {
-	for _, v := range ws.distDirty {
-		ws.dist[v] = Unreachable
-		ws.from[v] = -1
+// resetDist restores the all-Unreachable invariant on dist by clearing
+// only the entries dirtied by the previous BFS.
+func (pw *ParWorkspace) resetDist() {
+	for _, v := range pw.distDirty {
+		pw.dist[v] = Unreachable
 	}
-	ws.distDirty = ws.distDirty[:0]
-}
-
-// wsPool backs the legacy (workspace-free) wrappers so they stay cheap
-// without changing their allocation contract: results are copied out before
-// the workspace returns to the pool.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace(0) }}
-
-// AcquireWorkspace takes a Workspace from the shared pool. Pair with
-// ReleaseWorkspace. Useful for call sites that want reuse without managing
-// a long-lived workspace of their own.
-func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
-
-// ReleaseWorkspace returns a workspace to the shared pool. The caller must
-// not use the workspace, or any result aliasing it, afterwards.
-func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
-
-// --- BFS ------------------------------------------------------------------
-
-// BFSBoundedWithWorkspace is BFSBounded on reusable storage. The returned
-// slice aliases the workspace and is valid until its next use.
-func (g *Graph) BFSBoundedWithWorkspace(ws *Workspace, src, radius int) []int32 {
-	n := g.N()
-	ws.Reserve(n)
-	ws.resetDist()
-	dist := ws.dist[:n]
-	if src < 0 || src >= n {
-		return dist
-	}
-	dist[src] = 0
-	q := append(ws.queue[:0], int32(src))
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		d := dist[v]
-		if radius >= 0 && int(d) >= radius {
-			continue
-		}
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] == Unreachable {
-				dist[w] = d + 1
-				q = append(q, w)
-			}
-		}
-	}
-	// The dirtied dist entries are exactly the queue contents: swap the two
-	// buffers instead of copying (distDirty was emptied by resetDist above).
-	ws.queue, ws.distDirty = ws.distDirty[:0], q
-	return dist
-}
-
-// BFSWithWorkspace is BFS on reusable storage; see BFSBoundedWithWorkspace.
-func (g *Graph) BFSWithWorkspace(ws *Workspace, src int) []int32 {
-	return g.BFSBoundedWithWorkspace(ws, src, -1)
-}
-
-// MultiBFSWithWorkspace is MultiBFS on reusable storage. Both returned
-// slices alias the workspace and are valid until its next use.
-func (g *Graph) MultiBFSWithWorkspace(ws *Workspace, sources []int) (dist []int32, from []int32) {
-	n := g.N()
-	ws.Reserve(n)
-	ws.resetDist()
-	dist = ws.dist[:n]
-	from = ws.from[:n]
-	q := ws.queue[:0]
-	for _, s := range sources {
-		if s < 0 || s >= n || dist[s] == 0 {
-			continue
-		}
-		dist[s] = 0
-		from[s] = int32(s)
-		q = append(q, int32(s))
-	}
-	for head := 0; head < len(q); head++ {
-		v := q[head]
-		for _, w := range g.Neighbors(int(v)) {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				from[w] = from[v]
-				q = append(q, w)
-			}
-		}
-	}
-	// Swap, don't copy: the dirtied entries are exactly the queue contents.
-	ws.queue, ws.distDirty = ws.distDirty[:0], q
-	return dist, from
-}
-
-// --- Balls and layers -----------------------------------------------------
-
-// BallWithWorkspace is Ball on reusable storage; the result aliases the
-// workspace.
-func (g *Graph) BallWithWorkspace(ws *Workspace, v, k int) []int32 {
-	return g.BallAliveWithWorkspace(ws, v, k, nil)
-}
-
-// BallAliveWithWorkspace is BallAlive on reusable storage: the output
-// buffer doubles as the BFS queue, so a warm call performs zero
-// allocations. The result aliases the workspace.
-func (g *Graph) BallAliveWithWorkspace(ws *Workspace, v, k int, alive []bool) []int32 {
-	if v < 0 || v >= g.N() {
-		return nil
-	}
-	if alive != nil && !alive[v] {
-		return nil
-	}
-	ws.Reserve(g.N())
-	seen, epoch := ws.beginStamp()
-	out := append(ws.out[:0], int32(v))
-	seen[v] = epoch
-	start, end := 0, 1
-	for d := 0; d < k && start < end; d++ {
-		for i := start; i < end; i++ {
-			for _, w := range g.Neighbors(int(out[i])) {
-				if seen[w] == epoch || (alive != nil && !alive[w]) {
-					continue
-				}
-				seen[w] = epoch
-				out = append(out, w)
-			}
-		}
-		start, end = end, len(out)
-	}
-	ws.out = out
-	return out
-}
-
-// BallLayersWithWorkspace is BallLayers on reusable storage: the layers
-// subslice a single flat buffer and the headers are reused, so a warm call
-// performs zero allocations. The result aliases the workspace.
-func (g *Graph) BallLayersWithWorkspace(ws *Workspace, v, k int, alive []bool) [][]int32 {
-	if v < 0 || v >= g.N() || (alive != nil && !alive[v]) {
-		return nil
-	}
-	ws.Reserve(g.N())
-	seen, epoch := ws.beginStamp()
-	seen[v] = epoch
-	out := append(ws.out[:0], int32(v))
-	return g.ballLayersCore(ws, out, k, alive)
-}
-
-// BallLayersFromSetWithWorkspace generalizes BallLayersWithWorkspace to a
-// multi-source seed set: layer 0 is the deduplicated alive subset of seeds
-// (in input order), layer j the alive vertices at distance exactly j from
-// it. Returns nil when no seed is alive. The result aliases the workspace.
-func (g *Graph) BallLayersFromSetWithWorkspace(ws *Workspace, seeds []int32, radius int, alive []bool) [][]int32 {
-	ws.Reserve(g.N())
-	seen, epoch := ws.beginStamp()
-	out := ws.out[:0]
-	for _, s := range seeds {
-		if seen[s] == epoch || (alive != nil && !alive[s]) {
-			continue
-		}
-		seen[s] = epoch
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		ws.out = out
-		return nil
-	}
-	return g.ballLayersCore(ws, out, radius, alive)
-}
-
-// BallFromSetWithWorkspace returns the flattened layers of
-// BallLayersFromSetWithWorkspace; the result aliases the workspace.
-func (g *Graph) BallFromSetWithWorkspace(ws *Workspace, seeds []int32, radius int, alive []bool) []int32 {
-	layers := g.BallLayersFromSetWithWorkspace(ws, seeds, radius, alive)
-	if layers == nil {
-		return nil
-	}
-	// The layers subslice ws.out contiguously: the flat ball is the prefix.
-	total := 0
-	for _, l := range layers {
-		total += len(l)
-	}
-	return ws.out[:total]
-}
-
-// ballLayersCore expands the current epoch's frontier (out, already marked
-// as layer 0) level by level, filling ws.layers with subslices of the flat
-// buffer.
-func (g *Graph) ballLayersCore(ws *Workspace, out []int32, radius int, alive []bool) [][]int32 {
-	seen, epoch := ws.stamp, ws.epoch
-	layers := append(ws.layers[:0], out[0:len(out):len(out)])
-	start, end := 0, len(out)
-	for d := 0; d < radius && start < end; d++ {
-		for i := start; i < end; i++ {
-			for _, w := range g.Neighbors(int(out[i])) {
-				if seen[w] == epoch || (alive != nil && !alive[w]) {
-					continue
-				}
-				seen[w] = epoch
-				out = append(out, w)
-			}
-		}
-		if len(out) == end {
-			break
-		}
-		layers = append(layers, out[end:len(out):len(out)])
-		start, end = end, len(out)
-	}
-	ws.out = out
-	ws.layers = layers
-	return layers
-}
-
-// --- Components -----------------------------------------------------------
-
-// ComponentsWithWorkspace is Components on reusable storage; the result
-// aliases the workspace.
-func (g *Graph) ComponentsWithWorkspace(ws *Workspace) (comp []int32, count int) {
-	return g.ComponentsAliveWithWorkspace(ws, nil)
-}
-
-// ComponentsAliveWithWorkspace is ComponentsAlive on reusable storage; the
-// result aliases the workspace.
-func (g *Graph) ComponentsAliveWithWorkspace(ws *Workspace, alive []bool) (comp []int32, count int) {
-	n := g.N()
-	ws.Reserve(n)
-	comp = ws.comp[:n]
-	for i := range comp {
-		comp[i] = -1
-	}
-	q := ws.queue[:0]
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 || (alive != nil && !alive[s]) {
-			continue
-		}
-		id := int32(count)
-		count++
-		comp[s] = id
-		q = append(q[:0], int32(s))
-		for head := 0; head < len(q); head++ {
-			v := q[head]
-			for _, w := range g.Neighbors(int(v)) {
-				if comp[w] == -1 && (alive == nil || alive[w]) {
-					comp[w] = id
-					q = append(q, w)
-				}
-			}
-		}
-	}
-	ws.queue = q
-	return comp, count
+	pw.distDirty = pw.distDirty[:0]
 }
 
 // --- Induced and Power ----------------------------------------------------
@@ -358,10 +139,10 @@ func (g *Graph) ComponentsAliveWithWorkspace(ws *Workspace, alive []bool) (comp 
 // uses the workspace's dense Remap instead of a hash map, and the result
 // graph is built directly in CSR form inside workspace-owned buffers. Both
 // returned values alias the workspace and are valid until its next
-// InducedWithWorkspace call.
-func (g *Graph) InducedWithWorkspace(ws *Workspace, vertices []int32) (*Graph, []int32) {
-	ws.Reserve(g.N())
-	rm := &ws.Remap
+// InducedWithWorkspace call; the traversal kernels do not touch these
+// buffers, so the result may be traversed on the same workspace.
+func (g *Graph) InducedWithWorkspace(ws *ParWorkspace, vertices []int32) (*Graph, []int32) {
+	rm := &ws.remap
 	rm.Reset(g.N())
 	newToOld := ws.newToOld[:0]
 	for _, v := range vertices {
@@ -375,9 +156,7 @@ func (g *Graph) InducedWithWorkspace(ws *Workspace, vertices []int32) (*Graph, [
 	n2 := len(newToOld)
 
 	offsets := growInt32(ws.indOffsets, n2+1)
-	for i := range offsets {
-		offsets[i] = 0
-	}
+	clear(offsets)
 	for newU, oldU := range newToOld {
 		deg := int32(0)
 		for _, w := range g.Neighbors(int(oldU)) {
@@ -414,14 +193,14 @@ func (g *Graph) InducedWithWorkspace(ws *Workspace, vertices []int32) (*Graph, [
 
 // PowerWithWorkspace is Power with the per-vertex ball queries running on
 // the workspace. The returned graph is freshly allocated (it does not alias
-// the workspace).
-func (g *Graph) PowerWithWorkspace(ws *Workspace, k int) *Graph {
+// the workspace), and the workspace's Induced buffers are left untouched.
+func (g *Graph) PowerWithWorkspace(ws *ParWorkspace, k int) *Graph {
 	if k <= 1 {
 		return g
 	}
 	b := NewBuilder(g.N())
 	for v := 0; v < g.N(); v++ {
-		for _, u := range g.BallWithWorkspace(ws, v, k) {
+		for _, u := range ParBall(ws, g, v, k, nil, 1) {
 			if int(u) > v {
 				b.AddEdge(v, int(u))
 			}
@@ -436,64 +215,6 @@ func growInt32(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// --- Eccentricity and diameters -------------------------------------------
-
-// EccentricityWithWorkspace is Eccentricity on reusable storage.
-func (g *Graph) EccentricityWithWorkspace(ws *Workspace, v int) int {
-	dist := g.BFSWithWorkspace(ws, v)
-	best := 0
-	for _, d := range dist {
-		if int(d) > best {
-			best = int(d)
-		}
-	}
-	return best
-}
-
-// DiameterWithWorkspace is Diameter on reusable storage.
-func (g *Graph) DiameterWithWorkspace(ws *Workspace) int {
-	best := 0
-	for s := 0; s < g.N(); s++ {
-		dist := g.BFSWithWorkspace(ws, s)
-		for _, d := range dist {
-			if int(d) > best {
-				best = int(d)
-			}
-		}
-	}
-	return best
-}
-
-// WeakDiameterWithWorkspace is WeakDiameter on reusable storage.
-func (g *Graph) WeakDiameterWithWorkspace(ws *Workspace, s []int32) int {
-	best := 0
-	for _, v := range s {
-		dist := g.BFSWithWorkspace(ws, int(v))
-		for _, u := range s {
-			d := dist[u]
-			if d == Unreachable {
-				return -1
-			}
-			if int(d) > best {
-				best = int(d)
-			}
-		}
-	}
-	return best
-}
-
-// StrongDiameterWithWorkspace is StrongDiameter on reusable storage. It
-// uses the workspace's Induced buffers and traversal buffers back to back;
-// the two sets do not overlap, so a single workspace suffices.
-func (g *Graph) StrongDiameterWithWorkspace(ws *Workspace, s []int32) int {
-	sub, _ := g.InducedWithWorkspace(ws, s)
-	_, count := sub.ComponentsWithWorkspace(ws)
-	if count > 1 {
-		return -1
-	}
-	return sub.DiameterWithWorkspace(ws)
 }
 
 // --- Dense remap ----------------------------------------------------------

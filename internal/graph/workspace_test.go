@@ -1,11 +1,13 @@
 package graph_test
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/gen"
 	"repro/internal/xrand"
 )
 
@@ -58,40 +60,25 @@ func refBFSBounded(g *graph.Graph, src, radius int) []int32 {
 	return dist
 }
 
-func refBallAlive(g *graph.Graph, v, k int, alive []bool) []int32 {
-	if v < 0 || v >= g.N() || (alive != nil && !alive[v]) {
-		return nil
-	}
+// refBallLayersFromSet is the naive multi-source layered BFS: layer 0 is
+// the deduplicated alive subset of seeds in input order, layer j the alive
+// vertices at distance exactly j, trailing empty layers trimmed; nil when
+// no seed is alive.
+func refBallLayersFromSet(g *graph.Graph, seeds []int32, k int, alive []bool) [][]int32 {
 	seen := make([]bool, g.N())
-	seen[v] = true
-	ball := []int32{int32(v)}
-	frontier := []int32{int32(v)}
-	for d := 0; d < k && len(frontier) > 0; d++ {
-		var next []int32
-		for _, u := range frontier {
-			for _, w := range g.Neighbors(int(u)) {
-				if seen[w] || (alive != nil && !alive[w]) {
-					continue
-				}
-				seen[w] = true
-				next = append(next, w)
-				ball = append(ball, w)
-			}
+	var frontier []int32
+	for _, s := range seeds {
+		if seen[s] || (alive != nil && !alive[s]) {
+			continue
 		}
-		frontier = next
+		seen[s] = true
+		frontier = append(frontier, s)
 	}
-	return ball
-}
-
-func refBallLayers(g *graph.Graph, v, k int, alive []bool) [][]int32 {
-	if v < 0 || v >= g.N() || (alive != nil && !alive[v]) {
+	if len(frontier) == 0 {
 		return nil
 	}
-	seen := make([]bool, g.N())
-	seen[v] = true
-	layers := [][]int32{{int32(v)}}
-	frontier := []int32{int32(v)}
-	for d := 0; d < k && len(frontier) > 0; d++ {
+	layers := [][]int32{frontier}
+	for d := 0; d < k; d++ {
 		var next []int32
 		for _, u := range frontier {
 			for _, w := range g.Neighbors(int(u)) {
@@ -111,37 +98,120 @@ func refBallLayers(g *graph.Graph, v, k int, alive []bool) [][]int32 {
 	return layers
 }
 
-// --- Equivalence: workspace variants vs reference semantics ----------------
+func refBallLayers(g *graph.Graph, v, k int, alive []bool) [][]int32 {
+	if v < 0 || v >= g.N() {
+		return nil
+	}
+	return refBallLayersFromSet(g, []int32{int32(v)}, k, alive)
+}
 
+func flatten(layers [][]int32) []int32 {
+	if layers == nil {
+		return nil
+	}
+	var out []int32
+	for _, l := range layers {
+		out = append(out, l...)
+	}
+	return out
+}
+
+func refBallAlive(g *graph.Graph, v, k int, alive []bool) []int32 {
+	return flatten(refBallLayers(g, v, k, alive))
+}
+
+// refComponents labels the components of the alive-induced subgraph with
+// dense ids in order of their lowest vertex; dead vertices get -1.
+func refComponents(g *graph.Graph, alive []bool) ([]int32, int) {
+	comp := make([]int32, g.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	count := 0
+	for s := 0; s < g.N(); s++ {
+		if comp[s] != -1 || (alive != nil && !alive[s]) {
+			continue
+		}
+		comp[s] = int32(count)
+		queue := []int32{int32(s)}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, w := range g.Neighbors(int(v)) {
+				if comp[w] == -1 && (alive == nil || alive[w]) {
+					comp[w] = int32(count)
+					queue = append(queue, w)
+				}
+			}
+		}
+		count++
+	}
+	return comp, count
+}
+
+// --- Equivalence: kernels and wrappers vs reference semantics -------------
+
+// TestWorkspaceTraversalsMatchReference checks every kernel against the
+// naive references at every worker count, both on a *Graph and through an
+// opaque View (which takes the general level loop even at one worker), and
+// the caller-owned wrappers once per graph.
 func TestWorkspaceTraversalsMatchReference(t *testing.T) {
-	ws := graph.NewWorkspace(0)
 	for _, tc := range []struct{ n, m int }{{1, 0}, {17, 20}, {120, 200}, {300, 260}} {
 		g := randomGraph(tc.n, tc.m, uint64(tc.n)*13+1)
 		alive := randomAlive(tc.n, uint64(tc.m)+7)
 		for _, src := range []int{0, tc.n / 2, tc.n - 1} {
 			for _, radius := range []int{-1, 0, 1, 3, tc.n} {
-				want := refBFSBounded(g, src, radius)
-				got := g.BFSBoundedWithWorkspace(ws, src, radius)
-				if !reflect.DeepEqual(want, append([]int32(nil), got...)) {
-					t.Fatalf("BFSBounded(n=%d src=%d r=%d) mismatch", tc.n, src, radius)
+				if got := g.BFSBounded(src, radius); !reflect.DeepEqual(refBFSBounded(g, src, radius), got) {
+					t.Fatalf("n=%d: BFSBounded(src=%d r=%d) mismatch", tc.n, src, radius)
 				}
 			}
 			for _, k := range []int{0, 1, 2, 5, tc.n} {
 				for _, a := range [][]bool{nil, alive} {
-					want := refBallAlive(g, src, k, a)
-					got := g.BallAliveWithWorkspace(ws, src, k, a)
-					if len(want) != len(got) || (want != nil && !reflect.DeepEqual(want, append([]int32(nil), got...))) {
-						t.Fatalf("BallAlive(n=%d v=%d k=%d) mismatch: want %v got %v", tc.n, src, k, want, got)
+					if got := g.BallAlive(src, k, a); !reflect.DeepEqual(refBallAlive(g, src, k, a), got) {
+						t.Fatalf("n=%d: BallAlive(v=%d k=%d) mismatch", tc.n, src, k)
 					}
-					wantL := refBallLayers(g, src, k, a)
-					gotL := g.BallLayersWithWorkspace(ws, src, k, a)
-					if len(wantL) != len(gotL) {
-						t.Fatalf("BallLayers(n=%d v=%d k=%d) layer count %d != %d", tc.n, src, k, len(gotL), len(wantL))
+					if got := g.BallLayers(src, k, a); !reflect.DeepEqual(refBallLayers(g, src, k, a), got) {
+						t.Fatalf("n=%d: BallLayers(v=%d k=%d) mismatch", tc.n, src, k)
 					}
-					for i := range wantL {
-						if !reflect.DeepEqual(wantL[i], append([]int32(nil), gotL[i]...)) {
-							t.Fatalf("BallLayers(n=%d v=%d k=%d) layer %d mismatch", tc.n, src, k, i)
+				}
+			}
+		}
+		for _, a := range [][]bool{nil, alive} {
+			wantComp, wantCount := refComponents(g, a)
+			if gotComp, gotCount := g.ComponentsAlive(a); wantCount != gotCount || !reflect.DeepEqual(wantComp, gotComp) {
+				t.Fatalf("n=%d: ComponentsAlive(alive=%v) mismatch", tc.n, a != nil)
+			}
+		}
+
+		for _, workers := range parWorkerSweep {
+			for _, view := range []graph.View{g, opaqueView{g}} {
+				pw := new(graph.ParWorkspace)
+				label := fmt.Sprintf("workers=%d n=%d view=%T", workers, tc.n, view)
+				for _, src := range []int{0, tc.n / 2, tc.n - 1} {
+					for _, radius := range []int{-1, 0, 1, 3, tc.n} {
+						want := refBFSBounded(g, src, radius)
+						if got := int32s(graph.ParBFSBounded(pw, view, src, radius, workers)); !reflect.DeepEqual(want, got) {
+							t.Fatalf("%s: ParBFSBounded(src=%d r=%d) mismatch", label, src, radius)
 						}
+					}
+					for _, k := range []int{0, 1, 2, 5, tc.n} {
+						for _, a := range [][]bool{nil, alive} {
+							want := refBallAlive(g, src, k, a)
+							if got := int32s(graph.ParBall(pw, view, src, k, a, workers)); !reflect.DeepEqual(want, got) {
+								t.Fatalf("%s: ParBall(v=%d k=%d) mismatch: want %v got %v", label, src, k, want, got)
+							}
+							wantL := refBallLayers(g, src, k, a)
+							if gotL := copyLayers(graph.ParBallLayers(pw, view, src, k, a, workers)); !reflect.DeepEqual(wantL, gotL) {
+								t.Fatalf("%s: ParBallLayers(v=%d k=%d) mismatch", label, src, k)
+							}
+						}
+					}
+				}
+				for _, a := range [][]bool{nil, alive} {
+					wantComp, wantCount := refComponents(g, a)
+					gotComp, gotCount := graph.ParComponents(pw, view, a, workers)
+					if wantCount != gotCount || !reflect.DeepEqual(wantComp, int32s(gotComp)) {
+						t.Fatalf("%s: ParComponents(alive=%v) mismatch", label, a != nil)
 					}
 				}
 			}
@@ -149,27 +219,8 @@ func TestWorkspaceTraversalsMatchReference(t *testing.T) {
 	}
 }
 
-func TestWorkspaceComponentsAndMultiBFSMatchWrappers(t *testing.T) {
-	ws := graph.NewWorkspace(0)
-	g := randomGraph(150, 170, 99)
-	alive := randomAlive(150, 5)
-
-	wantComp, wantCount := g.ComponentsAlive(alive)
-	gotComp, gotCount := g.ComponentsAliveWithWorkspace(ws, alive)
-	if wantCount != gotCount || !reflect.DeepEqual(wantComp, append([]int32(nil), gotComp...)) {
-		t.Fatal("ComponentsAlive mismatch between wrapper and workspace variant")
-	}
-
-	sources := []int{3, 77, 149, 3}
-	wantD, wantF := g.MultiBFS(sources)
-	gotD, gotF := g.MultiBFSWithWorkspace(ws, sources)
-	if !reflect.DeepEqual(wantD, append([]int32(nil), gotD...)) || !reflect.DeepEqual(wantF, append([]int32(nil), gotF...)) {
-		t.Fatal("MultiBFS mismatch between wrapper and workspace variant")
-	}
-}
-
 func TestInducedWithWorkspaceMatchesReference(t *testing.T) {
-	ws := graph.NewWorkspace(0)
+	ws := new(graph.ParWorkspace)
 	g := randomGraph(80, 140, 17)
 	rng := xrand.New(123)
 	for trial := 0; trial < 20; trial++ {
@@ -209,6 +260,12 @@ func TestInducedWithWorkspaceMatchesReference(t *testing.T) {
 		if sub.N() != want.N() || sub.M() != want.M() || !reflect.DeepEqual(sub.EdgeList(), want.EdgeList()) {
 			t.Fatalf("trial %d: induced graph mismatch: got %v want %v", trial, sub, want)
 		}
+		// The induced graph survives traversals on the same workspace.
+		graph.ParComponents(ws, sub, nil, 1)
+		graph.ParBall(ws, g, 0, 3, nil, 1)
+		if !reflect.DeepEqual(sub.EdgeList(), want.EdgeList()) {
+			t.Fatalf("trial %d: traversal clobbered the induced graph", trial)
+		}
 	}
 }
 
@@ -219,51 +276,92 @@ func TestInducedWithWorkspaceMatchesReference(t *testing.T) {
 func TestBallOutputStableAcrossReuse(t *testing.T) {
 	g := randomGraph(200, 320, 3)
 	alive := randomAlive(200, 11)
-	ws := graph.NewWorkspace(0)
+	ws := new(graph.ParWorkspace)
 	for v := 0; v < g.N(); v += 7 {
-		fresh := g.BallAlive(v, 4, alive)
-		warm := append([]int32(nil), g.BallAliveWithWorkspace(ws, v, 4, alive)...)
+		fresh := refBallAlive(g, v, 4, alive)
+		warm := int32s(graph.ParBall(ws, g, v, 4, alive, 1))
 		// Interleave other traversals, then re-query.
-		g.BFSBoundedWithWorkspace(ws, (v+13)%g.N(), 3)
-		g.ComponentsAliveWithWorkspace(ws, alive)
-		again := append([]int32(nil), g.BallAliveWithWorkspace(ws, v, 4, alive)...)
+		graph.ParBFSBounded(ws, g, (v+13)%g.N(), 3, 1)
+		graph.ParComponents(ws, g, alive, 1)
+		again := int32s(graph.ParBall(ws, g, v, 4, alive, 1))
 		if !reflect.DeepEqual(fresh, warm) || !reflect.DeepEqual(fresh, again) {
 			t.Fatalf("ball contents changed across workspace reuse at v=%d:\nfresh %v\nwarm  %v\nagain %v", v, fresh, warm, again)
 		}
 	}
 }
 
+// TestParBallOnOverlayView runs the ball kernel over a View that is not a
+// *Graph (the shape of a store snapshot's overlay) and checks it against
+// the reference ball on the same adjacency.
+func TestParBallOnOverlayView(t *testing.T) {
+	pw := new(graph.ParWorkspace)
+	for _, g := range []*graph.Graph{gen.Path(30), gen.Cycle(25), randomGraph(200, 600, 3)} {
+		v := opaqueView{g}
+		for _, src := range []int{0, g.N() / 2, g.N() - 1} {
+			for k := 0; k <= 4; k++ {
+				want := refBallAlive(g, src, k, nil)
+				if got := int32s(graph.ParBall(pw, v, src, k, nil, 1)); !reflect.DeepEqual(want, got) {
+					t.Fatalf("%v src=%d k=%d: got %v, want %v", g, src, k, got, want)
+				}
+			}
+		}
+	}
+	for _, src := range []int{-1, 5} {
+		if got := graph.ParBall(pw, opaqueView{gen.Path(5)}, src, 2, nil, 1); got != nil {
+			t.Fatalf("out-of-range source %d returned %v", src, got)
+		}
+	}
+}
+
+// opaqueView hides a *Graph behind the View interface.
+type opaqueView struct{ g *graph.Graph }
+
+func (v opaqueView) N() int                  { return v.g.N() }
+func (v opaqueView) Degree(u int) int        { return v.g.Degree(u) }
+func (v opaqueView) Neighbors(u int) []int32 { return v.g.Neighbors(u) }
+
 // --- Allocation regressions ------------------------------------------------
 
-func TestZeroAllocTraversalsWarmWorkspace(t *testing.T) {
+// assertZeroAllocKernels pins that a warm workspace runs the single-source
+// ball, the seed-set ball, the bounded BFS, the component sweep and the
+// induced subgraph without allocating, at the given worker count. The
+// graph's frontiers stay below the parallel threshold, so workers > 1 must
+// pay nothing for the parallel machinery either.
+func assertZeroAllocKernels(t *testing.T, workers int) {
+	t.Helper()
 	g := randomGraph(400, 700, 21)
 	alive := randomAlive(400, 31)
-	ws := graph.NewWorkspace(g.N())
+	seeds := []int32{3, 9}
 	vertices := make([]int32, 0, g.N()/2)
 	for v := 0; v < g.N(); v += 2 {
 		vertices = append(vertices, int32(v))
 	}
-	// Warm up every buffer once.
-	g.BFSBoundedWithWorkspace(ws, 0, -1)
-	g.BallAliveWithWorkspace(ws, 0, 8, alive)
-	g.InducedWithWorkspace(ws, vertices)
+	pw := new(graph.ParWorkspace)
+	// Warm every buffer (prefix sums are computed once frontiers pass 64
+	// vertices even when the level stays serial).
+	graph.ParBFSBounded(pw, g, 0, -1, workers)
+	graph.ParBallLayers(pw, g, 0, 8, nil, workers)
+	graph.ParBallFromSet(pw, g, seeds, 5, alive, workers)
+	graph.ParComponents(pw, g, alive, workers)
+	g.InducedWithWorkspace(pw, vertices)
 
-	if n := testing.AllocsPerRun(50, func() {
-		g.BFSBoundedWithWorkspace(ws, 5, -1)
-	}); n != 0 {
-		t.Errorf("BFSBoundedWithWorkspace: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		g.BallAliveWithWorkspace(ws, 9, 8, alive)
-	}); n != 0 {
-		t.Errorf("BallAliveWithWorkspace: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		g.InducedWithWorkspace(ws, vertices)
-	}); n != 0 {
-		t.Errorf("InducedWithWorkspace: %v allocs/op, want 0", n)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ParBallLayers", func() { graph.ParBallLayers(pw, g, 9, 8, alive, workers) }},
+		{"ParBallFromSet", func() { graph.ParBallFromSet(pw, g, seeds, 5, alive, workers) }},
+		{"ParBFSBounded", func() { graph.ParBFSBounded(pw, g, 5, -1, workers) }},
+		{"ParComponents", func() { graph.ParComponents(pw, g, alive, workers) }},
+		{"InducedWithWorkspace", func() { g.InducedWithWorkspace(pw, vertices) }},
+	} {
+		if n := testing.AllocsPerRun(50, c.fn); n != 0 {
+			t.Errorf("%s at workers=%d: %v allocs/op, want 0", c.name, workers, n)
+		}
 	}
 }
+
+func TestZeroAllocTraversalsWarmWorkspace(t *testing.T) { assertZeroAllocKernels(t, 1) }
 
 // --- Concurrency: one workspace per goroutine is race-free -----------------
 
@@ -272,25 +370,20 @@ func TestConcurrentWorkspaces(t *testing.T) {
 	alive := randomAlive(300, 9)
 	want := make([][]int32, g.N())
 	for v := range want {
-		want[v] = g.BallAlive(v, 5, alive)
+		want[v] = refBallAlive(g, v, 5, alive)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			ws := graph.NewWorkspace(0)
+			ws := graph.AcquireParWorkspace()
+			defer graph.ReleaseParWorkspace(ws)
 			for v := worker; v < g.N(); v += 8 {
-				got := g.BallAliveWithWorkspace(ws, v, 5, alive)
-				if len(got) != len(want[v]) {
-					t.Errorf("worker %d: ball size mismatch at v=%d", worker, v)
+				got := graph.ParBall(ws, g, v, 5, alive, 1)
+				if !reflect.DeepEqual(want[v], int32s(got)) {
+					t.Errorf("worker %d: ball mismatch at v=%d", worker, v)
 					return
-				}
-				for i := range got {
-					if got[i] != want[v][i] {
-						t.Errorf("worker %d: ball content mismatch at v=%d", worker, v)
-						return
-					}
 				}
 				sub, _ := g.InducedWithWorkspace(ws, got)
 				if sub.N() != len(got) {

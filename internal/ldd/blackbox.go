@@ -79,8 +79,8 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 	var rc local.RoundCounter
 	rootRNG := xrand.New(p.Seed)
 
-	gws := graph.AcquireWorkspace()
-	defer graph.ReleaseWorkspace(gws)
+	gws := graph.AcquireParWorkspace()
+	defer graph.ReleaseParWorkspace(gws)
 	var aliveList, back, seedSet []int32
 	done := ctx.Done()
 	for rep := 0; rep < reps; rep++ {
@@ -141,7 +141,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 			for _, v := range cluster {
 				seedSet = append(seedSet, back[v])
 			}
-			layers := g.BallLayersFromSetWithWorkspace(gws, seedSet, grow, alive)
+			layers := graph.ParBallLayersFromSet(gws, g, seedSet, grow, alive, 1)
 			rc.Charge(grow)
 			// Find the thinnest layer among 1..grow; carve below it.
 			jStar, best := -1, -1

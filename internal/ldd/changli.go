@@ -108,8 +108,8 @@ func derive(n int, p Params) Derived {
 // the radius reaches the whole component, the component size is used, which
 // avoids the O(n·m) blowup at paper-scale radii. The per-vertex ball
 // queries are independent and fan out across the worker pool, each worker
-// on its own traversal workspace; cancelling ctx stops the fan-out between
-// tasks.
+// running the one-worker kernel on its own traversal workspace; cancelling
+// ctx stops the fan-out between tasks.
 func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, workers int) ([]int, error) {
 	n := g.N()
 	sizes := make([]int, n)
@@ -123,8 +123,8 @@ func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, worker
 			compSize[comp[v]]++
 		}
 	}
-	wss := acquireGraphWorkspaces(workers)
-	defer releaseGraphWorkspaces(wss)
+	pws := graph.AcquireParWorkspaces(workers)
+	defer graph.ReleaseParWorkspaces(pws)
 	// Per-vertex costs are heavily skewed (component shortcut vs real
 	// ball): chunked grabbing keeps the scheduling overhead off the cheap
 	// vertices without giving up the balance.
@@ -138,7 +138,7 @@ func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, worker
 			sizes[v] = compSize[c]
 			return
 		}
-		sizes[v] = len(g.BallAliveWithWorkspace(wss[w], v, radius, alive))
+		sizes[v] = len(graph.ParBall(pws[w], g, v, radius, alive, 1))
 	})
 	if err != nil {
 		return nil, err
@@ -200,8 +200,8 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	}
 
 	workers := par.Workers(p.Workers)
-	wss := acquireGraphWorkspaces(workers)
-	defer releaseGraphWorkspaces(wss)
+	pws := graph.AcquireParWorkspaces(workers)
+	defer graph.ReleaseParWorkspaces(pws)
 	var centres []int32
 	iterations := d.T
 	if !p.SkipPhase2 {
@@ -241,22 +241,15 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 			}
 		}
 		outcomes := make([]*CarveOutcome, len(centres))
+		// Too few centres to fill the pool from the outside: run them in
+		// order and parallelize each carve's frontier expansion instead.
+		// Either split yields bit-identical outcomes.
+		fanOut, carveWorkers := workers, 1
 		if workers > 1 && len(centres) < workers {
-			// Too few centres to fill the pool from the outside: run them
-			// in order and parallelize each carve's frontier expansion
-			// instead. Either path yields bit-identical outcomes.
-			pw := graph.AcquireParWorkspace()
-			for j := range centres {
-				if err := ctx.Err(); err != nil {
-					graph.ReleaseParWorkspace(pw)
-					endCarve()
-					return nil, err
-				}
-				outcomes[j] = GrowCarvePar(g, int(centres[j]), interval[0], interval[1], alive, pw, workers)
-			}
-			graph.ReleaseParWorkspace(pw)
-		} else if err := par.ForEachCtx(ctx, workers, len(centres), func(w, j int) {
-			outcomes[j] = GrowCarveWS(g, int(centres[j]), interval[0], interval[1], alive, wss[w])
+			fanOut, carveWorkers = 1, workers
+		}
+		if err := par.ForEachCtx(ctx, fanOut, len(centres), func(w, j int) {
+			outcomes[j] = GrowCarve(g, int(centres[j]), interval[0], interval[1], alive, pws[w], carveWorkers)
 		}); err != nil {
 			endCarve()
 			return nil, err
@@ -295,14 +288,12 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	for v := range clusterOf {
 		clusterOf[v] = Unclustered
 	}
-	pw := graph.AcquireParWorkspace()
-	comp, count := graph.ParComponents(pw, g, removed, workers)
+	comp, count := graph.ParComponents(pws[0], g, removed, workers)
 	for v := 0; v < n; v++ {
 		if removed[v] {
 			clusterOf[v] = comp[v]
 		}
 	}
-	graph.ReleaseParWorkspace(pw)
 	for v := 0; v < n; v++ {
 		if alive[v] && en.ClusterOf[v] >= 0 {
 			clusterOf[v] = int32(count) + en.ClusterOf[v]

@@ -23,41 +23,21 @@ type CarveOutcome struct {
 // When the ball runs out before layer a (the entire residual component of v
 // is closer than the cut window), there is nothing to cut: the component is
 // removed whole with no deletions, which only helps the analysis.
-func GrowCarve(g *graph.Graph, v int, a, b int, alive []bool) *CarveOutcome {
-	ws := graph.AcquireWorkspace()
-	oc := GrowCarveWS(g, v, a, b, alive, ws)
-	graph.ReleaseWorkspace(ws)
-	return oc
-}
-
-// GrowCarveWS is GrowCarve on a caller-owned traversal workspace: the layer
-// gathering is allocation-free, and only the carve outcome (which outlives
-// the call) is freshly allocated. Safe to run concurrently from several
-// goroutines, each with its own workspace, against the same alive snapshot.
-func GrowCarveWS(g *graph.Graph, v int, a, b int, alive []bool, ws *graph.Workspace) *CarveOutcome {
+//
+// The layers are gathered on the caller's traversal workspace, expanding
+// each BFS level across up to `workers` goroutines; only the carve outcome
+// (which outlives the call) is freshly allocated. Outcomes are
+// bit-identical for every worker count. Callers that fan centres out pass
+// workers = 1 and one workspace per goroutine; concurrent carves against
+// the same alive snapshot are then safe.
+func GrowCarve(g *graph.Graph, v int, a, b int, alive []bool, ws *graph.ParWorkspace, workers int) *CarveOutcome {
 	if a < 1 {
 		a = 1
 	}
 	if b < a {
 		b = a
 	}
-	layers := g.BallLayersWithWorkspace(ws, v, b, alive)
-	return carveOutcomeFromLayers(layers, a, b)
-}
-
-// GrowCarvePar is GrowCarveWS with the layer gathering running as a
-// parallel frontier expansion on pw — the right shape when one iteration
-// samples fewer centres than there are workers, so per-centre fan-out
-// cannot use the machine. Outcomes are bit-identical to GrowCarveWS for
-// every worker count.
-func GrowCarvePar(g *graph.Graph, v int, a, b int, alive []bool, pw *graph.ParWorkspace, workers int) *CarveOutcome {
-	if a < 1 {
-		a = 1
-	}
-	if b < a {
-		b = a
-	}
-	layers := graph.ParBallLayers(pw, g, v, b, alive, workers)
+	layers := graph.ParBallLayers(ws, g, v, b, alive, workers)
 	return carveOutcomeFromLayers(layers, a, b)
 }
 

@@ -20,15 +20,15 @@ func SequentialLDD(g *graph.Graph, mask []bool, epsilon float64) (clusters [][]i
 	if epsilon <= 0 {
 		epsilon = 0.5
 	}
-	ws := graph.AcquireWorkspace()
-	defer graph.ReleaseWorkspace(ws)
+	ws := graph.AcquireParWorkspace()
+	defer graph.ReleaseParWorkspace(ws)
 	alive := append([]bool(nil), mask...)
 	for v := 0; v < g.N(); v++ {
 		if !alive[v] {
 			continue
 		}
 		// Grow until the next layer is small relative to the ball.
-		layers := g.BallLayersWithWorkspace(ws, v, g.N(), alive)
+		layers := graph.ParBallLayers(ws, g, v, g.N(), alive, 1)
 		ballSize := 0
 		j := 0
 		for ; j < len(layers); j++ {

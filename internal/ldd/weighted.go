@@ -25,14 +25,14 @@ import (
 
 // weightedCarve runs Algorithm 1 with layer weight as the cut criterion,
 // gathering layers on the caller's traversal workspace.
-func weightedCarve(g *graph.Graph, v int, a, b int, alive []bool, w []int64, ws *graph.Workspace) *CarveOutcome {
+func weightedCarve(g *graph.Graph, v int, a, b int, alive []bool, w []int64, ws *graph.ParWorkspace) *CarveOutcome {
 	if a < 1 {
 		a = 1
 	}
 	if b < a {
 		b = a
 	}
-	layers := g.BallLayersWithWorkspace(ws, v, b, alive)
+	layers := graph.ParBallLayers(ws, g, v, b, alive, 1)
 	if layers == nil {
 		return nil
 	}
@@ -103,8 +103,8 @@ func ChangLiWeightedCtx(ctx context.Context, g *graph.Graph, w []int64, p Params
 	}
 
 	workers := par.Workers(p.Workers)
-	wss := acquireGraphWorkspaces(workers)
-	defer releaseGraphWorkspaces(wss)
+	pws := graph.AcquireParWorkspaces(workers)
+	defer graph.ReleaseParWorkspaces(pws)
 	var centres []int32
 	iterations := d.T
 	if !p.SkipPhase2 {
@@ -134,7 +134,7 @@ func ChangLiWeightedCtx(ctx context.Context, g *graph.Graph, w []int64, p Params
 		}
 		outcomes := make([]*CarveOutcome, len(centres))
 		err := par.ForEachCtx(ctx, workers, len(centres), func(wk, j int) {
-			outcomes[j] = weightedCarve(g, int(centres[j]), interval[0], interval[1], alive, w, wss[wk])
+			outcomes[j] = weightedCarve(g, int(centres[j]), interval[0], interval[1], alive, w, pws[wk])
 		})
 		if err != nil {
 			return nil, err
@@ -182,9 +182,9 @@ func ChangLiWeightedCtx(ctx context.Context, g *graph.Graph, w []int64, p Params
 func ballWeights(ctx context.Context, g *graph.Graph, alive []bool, radius int, w []int64, workers int) ([]int64, error) {
 	n := g.N()
 	out := make([]int64, n)
-	cws := graph.AcquireWorkspace()
-	defer graph.ReleaseWorkspace(cws)
-	comp, count := g.ComponentsAliveWithWorkspace(cws, alive)
+	cws := graph.AcquireParWorkspace()
+	defer graph.ReleaseParWorkspace(cws)
+	comp, count := graph.ParComponents(cws, g, alive, 1)
 	compW := make([]int64, count)
 	compSize := make([]int, count)
 	for v := 0; v < n; v++ {
@@ -194,8 +194,8 @@ func ballWeights(ctx context.Context, g *graph.Graph, alive []bool, radius int, 
 		}
 	}
 	workers = par.Workers(workers)
-	wss := acquireGraphWorkspaces(workers)
-	defer releaseGraphWorkspaces(wss)
+	pws := graph.AcquireParWorkspaces(workers)
+	defer graph.ReleaseParWorkspaces(pws)
 	err := par.ForEachCtx(ctx, workers, n, func(wk, v int) {
 		if alive != nil && !alive[v] {
 			return
@@ -206,7 +206,7 @@ func ballWeights(ctx context.Context, g *graph.Graph, alive []bool, radius int, 
 			return
 		}
 		var s int64
-		for _, u := range g.BallAliveWithWorkspace(wss[wk], v, radius, alive) {
+		for _, u := range graph.ParBall(pws[wk], g, v, radius, alive, 1) {
 			s += w[u]
 		}
 		out[v] = s

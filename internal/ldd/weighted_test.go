@@ -95,7 +95,7 @@ func TestWeightedCarvePicksLightestLayer(t *testing.T) {
 	for i := range alive {
 		alive[i] = true
 	}
-	oc := weightedCarve(g, 1, 1, 2, alive, w, graph.NewWorkspace(g.N()))
+	oc := weightedCarve(g, 1, 1, 2, alive, w, new(graph.ParWorkspace))
 	if oc.JStar != 2 {
 		t.Fatalf("jStar = %d, want 2 (the light layer)", oc.JStar)
 	}

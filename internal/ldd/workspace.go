@@ -1,22 +1,14 @@
 package ldd
 
-import (
-	"sync"
-
-	"repro/internal/graph"
-)
+import "sync"
 
 // Workspace bundles the reusable scratch state of this package's
-// decomposition algorithms: a graph.Workspace for the traversal substrate,
-// the per-vertex exponential shifts, the shifted-label priority queue, and
-// the per-vertex label lists of topLabels. Like graph.Workspace it is owned
-// by one goroutine at a time; parallel callers hold one Workspace per
-// worker.
+// decomposition algorithms: the per-vertex exponential shifts, the
+// shifted-label priority queue, and the per-vertex label lists of
+// topLabels. Graph searches run on a graph.ParWorkspace instead. Like that
+// workspace it is owned by one goroutine at a time; parallel callers hold
+// one Workspace per worker.
 type Workspace struct {
-	// G is the traversal workspace; usable directly by callers between
-	// decomposition calls.
-	G *graph.Workspace
-
 	shifts []float64
 	heap   []labelItem
 	labels [][]label
@@ -25,14 +17,8 @@ type Workspace struct {
 	clusterID []int32
 }
 
-// NewWorkspace returns an empty Workspace; buffers grow on first use.
-func NewWorkspace() *Workspace {
-	return &Workspace{G: graph.NewWorkspace(0)}
-}
-
 // reserve sizes the per-vertex buffers for an n-vertex graph.
 func (ws *Workspace) reserve(n int) {
-	ws.G.Reserve(n)
 	if cap(ws.shifts) < n {
 		ws.shifts = make([]float64, n)
 	}
@@ -44,7 +30,7 @@ func (ws *Workspace) reserve(n int) {
 	}
 }
 
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // AcquireWorkspace takes a package workspace from the shared pool; pair
 // with ReleaseWorkspace. Used by the solver packages that fan independent
@@ -69,21 +55,6 @@ func AcquireWorkspaces(k int) []*Workspace {
 func ReleaseWorkspaces(wss []*Workspace) {
 	for _, ws := range wss {
 		ReleaseWorkspace(ws)
-	}
-}
-
-// acquireGraphWorkspaces takes k traversal workspaces for a worker fleet.
-func acquireGraphWorkspaces(k int) []*graph.Workspace {
-	out := make([]*graph.Workspace, k)
-	for i := range out {
-		out[i] = graph.AcquireWorkspace()
-	}
-	return out
-}
-
-func releaseGraphWorkspaces(wss []*graph.Workspace) {
-	for _, ws := range wss {
-		graph.ReleaseWorkspace(ws)
 	}
 }
 

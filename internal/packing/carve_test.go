@@ -26,7 +26,7 @@ func TestGrowCarvePackingWindow(t *testing.T) {
 	g := gen.Path(30)
 	inst := misOn(t, g)
 	alive := allAlive(30)
-	oc, exact := growCarvePacking(inst, g, []int32{0}, 4, 9, alive, solve.Options{}, graph.NewWorkspace(g.N()))
+	oc, exact := growCarvePacking(inst, g, []int32{0}, 4, 9, alive, solve.Options{}, new(graph.ParWorkspace))
 	if !exact {
 		t.Fatal("path-structured solve should be exact")
 	}
@@ -47,7 +47,7 @@ func TestGrowCarvePackingExhausted(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := allAlive(5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, graph.NewWorkspace(g.N()))
+	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace))
 	if len(oc.deleted) != 0 {
 		t.Fatalf("deleted = %v, want none", oc.deleted)
 	}
@@ -60,7 +60,7 @@ func TestGrowCarvePackingDeadSeed(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := make([]bool, 5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 1, 3, alive, solve.Options{}, graph.NewWorkspace(g.N()))
+	oc, _ := growCarvePacking(inst, g, []int32{2}, 1, 3, alive, solve.Options{}, new(graph.ParWorkspace))
 	if oc != nil {
 		t.Fatal("dead seed should return nil")
 	}

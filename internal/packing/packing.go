@@ -178,6 +178,8 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	workers := par.Workers(p.Workers)
 	wss := ldd.AcquireWorkspaces(workers)
 	defer ldd.ReleaseWorkspaces(wss)
+	pws := graph.AcquireParWorkspaces(workers)
+	defer graph.ReleaseParWorkspaces(pws)
 
 	endPrep := tr.StartPhase("preparation")
 	prepSeeds := make([]uint64, d.prepRuns)
@@ -216,7 +218,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		pc := prepCluster{members: members[i]}
 		var ex1, ex2 bool
 		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve)
-		sc := g.BallFromSetWithWorkspace(wss[w].G, members[i], d.estRadius, nil)
+		sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
 		if c, ok := wholeComponent(sc, comp, compSize); ok {
 			pc.wSC, ex2 = compEst[c].get(inst, sc, p.Solve)
 		} else {
@@ -287,7 +289,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if err := par.ForEachCtx(ctx, workers, len(sampled), func(w, j int) {
 			pc := clusters[sampled[j]]
 			outcomes[j], carveExact[j] = growCarvePacking(inst, g, pc.members,
-				interval[0], interval[1], alive, p.Solve, wss[w].G)
+				interval[0], interval[1], alive, p.Solve, pws[w])
 		}); err != nil {
 			return nil, err
 		}
@@ -432,9 +434,9 @@ type carveOutcome struct {
 // The gather runs on the caller's workspace; concurrent calls against the
 // same alive snapshot are safe when each uses its own workspace.
 func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int,
-	alive []bool, opt solve.Options, ws *graph.Workspace) (*carveOutcome, bool) {
+	alive []bool, opt solve.Options, ws *graph.ParWorkspace) (*carveOutcome, bool) {
 
-	layers := g.BallLayersFromSetWithWorkspace(ws, seed, b-1, alive)
+	layers := graph.ParBallLayersFromSet(ws, g, seed, b-1, alive, 1)
 	if layers == nil {
 		return nil, true
 	}

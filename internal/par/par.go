@@ -41,7 +41,7 @@ func Workers(requested int) int {
 // ForEach runs fn(worker, i) for every i in [0, n), using at most
 // `workers` goroutines (<= 0 means GOMAXPROCS). The worker argument is a
 // stable id in [0, workers), so callers can give each worker its own
-// scratch space (e.g. a graph.Workspace). Tasks are handed out dynamically
+// scratch space (e.g. a graph.ParWorkspace). Tasks are handed out dynamically
 // via an atomic counter; ForEach returns once every invocation finished.
 //
 // With one worker (or n <= 1) everything runs inline on the calling

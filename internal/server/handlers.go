@@ -411,6 +411,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Results stream back while request lines are still arriving. Without
+	// full duplex, the first flush makes net/http discard and close the
+	// unread rest of the request body.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -91,6 +91,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// the batch endpoint can switch the connection to full duplex.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // status returns the recorded code, defaulting to 200 for handlers that
 // never wrote an explicit header.
 func (w *statusWriter) status() int {

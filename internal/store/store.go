@@ -41,6 +41,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -520,9 +521,13 @@ func (s *Snapshot) HasEdge(u, v int) bool {
 }
 
 // Ball returns N^k(v) at this version in BFS order, straight off the
-// overlay (no materialization).
+// overlay (no materialization). The search runs on a pooled traversal
+// workspace; only the returned slice is allocated, and the caller owns it.
 func (s *Snapshot) Ball(v, k int) []int32 {
-	return graph.BallOnView(s, v, k)
+	pw := graph.AcquireParWorkspace()
+	ball := slices.Clone(graph.ParBall(pw, s, v, k, nil, 1))
+	graph.ReleaseParWorkspace(pw)
+	return ball
 }
 
 // Ancestor is an earlier version of a snapshot's store, reachable by
