@@ -290,6 +290,27 @@ func TestBallOutputStableAcrossReuse(t *testing.T) {
 	}
 }
 
+// TestWorkspaceComponentsAndMultiBFSMatchWrappers checks that one reused
+// workspace gives the wrapper's components and the reference multi-source
+// BFS layers (duplicate seeds included) on the same graph.
+func TestWorkspaceComponentsAndMultiBFSMatchWrappers(t *testing.T) {
+	pw := new(graph.ParWorkspace)
+	g := randomGraph(150, 170, 99)
+	alive := randomAlive(150, 5)
+
+	wantComp, wantCount := g.ComponentsAlive(alive)
+	gotComp, gotCount := graph.ParComponents(pw, g, alive, 1)
+	if wantCount != gotCount || !reflect.DeepEqual(wantComp, int32s(gotComp)) {
+		t.Fatal("ComponentsAlive mismatch between wrapper and workspace variant")
+	}
+
+	sources := []int32{3, 77, 149, 3}
+	want := refBallLayersFromSet(g, sources, g.N(), nil)
+	if got := copyLayers(graph.ParBallLayersFromSet(pw, g, sources, g.N(), nil, 1)); !reflect.DeepEqual(want, got) {
+		t.Fatal("multi-source BFS layers mismatch between reference and workspace variant")
+	}
+}
+
 // TestParBallOnOverlayView runs the ball kernel over a View that is not a
 // *Graph (the shape of a store snapshot's overlay) and checks it against
 // the reference ball on the same adjacency.
