@@ -1,6 +1,6 @@
 // Command benchdiff compares two BENCH_<rev>.json baselines produced by
 // bench_baseline.sh and prints the per-benchmark ns/op, B/op, and allocs/op
-// deltas, plus the tail metrics the churn benchmarks report (hit_rate,
+// deltas between the medians of each side's repeated runs, plus the tail metrics the churn benchmarks report (hit_rate,
 // p99_ns) when both baselines carry them. With -threshold t (default
 // 0.10), any benchmark whose ns/op or p99_ns regressed by more than t (as
 // a fraction), or whose hit_rate dropped by more than t, makes the command
@@ -10,7 +10,7 @@
 // benchmark in HEAD must not break comparisons against older baselines.
 //
 // -json switches the report to NDJSON: one object per benchmark with the
-// averaged old/new metrics (including hit_rate/p99_ns when present), the
+// median old/new metrics (including hit_rate/p99_ns when present), the
 // relative ns/op delta as a fraction, the regression verdict, and the
 // metrics that tripped it (added/removed benchmarks carry a status field
 // instead), so dashboards and scripts consume the diff without scraping the
@@ -21,8 +21,8 @@
 // never fails on it — a 1-CPU baseline against a 4-CPU run measures the
 // machine, not the change, and the reader should know that. Rows mixing
 // GOMAXPROCS *within* one file are segregated by (name, gomaxprocs) and
-// reported as separate "name [gomaxprocs=N]" entries rather than averaged
-// into a mean nobody measured.
+// reported as separate "name [gomaxprocs=N]" entries rather than folded
+// into a median nobody measured.
 //
 // Usage:
 //
@@ -54,9 +54,9 @@ func main() {
 	}
 }
 
-// record is one benchmark's averaged metrics from one baseline file. Memory
-// metrics keep their own run count: a baseline mixing -benchmem and plain
-// rows for one benchmark must average each metric over the rows that
+// record is one benchmark's median metrics from one baseline file. Each
+// metric keeps its own run count: a baseline mixing -benchmem and plain
+// rows for one benchmark must take each metric's median over the rows that
 // actually carried it.
 type record struct {
 	nsPerOp     float64
@@ -64,21 +64,42 @@ type record struct {
 	allocsPerOp float64
 	hitRate     float64
 	p99Ns       float64
-	runs        int
 	memRuns     int
 	rateRuns    int
 	p99Runs     int
+}
+
+// samples collects one benchmark's per-run values before the medians are
+// taken.
+type samples struct {
+	ns, b, allocs, rate, p99 []float64
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count), or 0 for none. A median, unlike a mean, ignores one
+// pass that a noisy host slowed down.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(xs))
+	m := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[m]
+	}
+	return (s[m-1] + s[m]) / 2
 }
 
 func (r *record) hasMem() bool  { return r.memRuns > 0 }
 func (r *record) hasRate() bool { return r.rateRuns > 0 }
 func (r *record) hasP99() bool  { return r.p99Runs > 0 }
 
-// loadBaseline parses a bench_baseline.sh JSON file, averaging repeated
-// entries for the same benchmark (COUNT > 1 runs). Rows are segregated by
-// (name, gomaxprocs) before averaging: a 1-CPU row and a 4-CPU row for the
-// same benchmark measure different machines, and folding them into one
-// mean would fabricate a number nobody ran. When a name appears under a
+// loadBaseline parses a bench_baseline.sh JSON file, taking the median of
+// repeated entries for the same benchmark (COUNT > 1 runs, or several
+// captures concatenated). Rows are segregated by (name, gomaxprocs) first:
+// a 1-CPU row and a 4-CPU row for the same benchmark measure different
+// machines, and folding them into one median would fabricate a number
+// nobody ran. When a name appears under a
 // single gomaxprocs, it keys the result map as-is; under several, each
 // group gets a "name [gomaxprocs=N]" key so the groups diff independently.
 // The second return is the sorted set of distinct gomaxprocs values the
@@ -98,7 +119,7 @@ func loadBaseline(path string) (map[string]*record, []int, error) {
 	}
 	gset := make(map[int]bool)
 	gmpsOf := make(map[string]map[int]bool)
-	agg := make(map[rowKey]*record)
+	agg := make(map[rowKey]*samples)
 	for i, row := range rows {
 		name, ok := row["name"].(string)
 		if !ok {
@@ -119,39 +140,33 @@ func loadBaseline(path string) (map[string]*record, []int, error) {
 		gmpsOf[name][gmp] = true
 		r := agg[rowKey{name, gmp}]
 		if r == nil {
-			r = &record{}
+			r = &samples{}
 			agg[rowKey{name, gmp}] = r
 		}
-		r.nsPerOp += ns
+		r.ns = append(r.ns, ns)
 		if b, ok := row["B_per_op"].(float64); ok {
-			r.bPerOp += b
-			if a, ok := row["allocs_per_op"].(float64); ok {
-				r.allocsPerOp += a
-			}
-			r.memRuns++
+			r.b = append(r.b, b)
+			a, _ := row["allocs_per_op"].(float64)
+			r.allocs = append(r.allocs, a)
 		}
 		if h, ok := row["hit_rate"].(float64); ok {
-			r.hitRate += h
-			r.rateRuns++
+			r.rate = append(r.rate, h)
 		}
 		if p, ok := row["p99_ns"].(float64); ok {
-			r.p99Ns += p
-			r.p99Runs++
+			r.p99 = append(r.p99, p)
 		}
-		r.runs++
 	}
 	out := make(map[string]*record, len(agg))
-	for k, r := range agg {
-		r.nsPerOp /= float64(r.runs)
-		if r.memRuns > 0 {
-			r.bPerOp /= float64(r.memRuns)
-			r.allocsPerOp /= float64(r.memRuns)
-		}
-		if r.rateRuns > 0 {
-			r.hitRate /= float64(r.rateRuns)
-		}
-		if r.p99Runs > 0 {
-			r.p99Ns /= float64(r.p99Runs)
+	for k, sm := range agg {
+		r := &record{
+			nsPerOp:     median(sm.ns),
+			bPerOp:      median(sm.b),
+			allocsPerOp: median(sm.allocs),
+			hitRate:     median(sm.rate),
+			p99Ns:       median(sm.p99),
+			memRuns:     len(sm.b),
+			rateRuns:    len(sm.rate),
+			p99Runs:     len(sm.p99),
 		}
 		key := k.name
 		if len(gmpsOf[k.name]) > 1 {

@@ -73,30 +73,57 @@ func TestDiffRegressionExceedsThreshold(t *testing.T) {
 	}
 }
 
-func TestAveragesRepeatedRuns(t *testing.T) {
+func TestMedianOfRepeatedRuns(t *testing.T) {
 	dir := t.TempDir()
+	// One slow pass (900) among three: the median is 110, the mean 370.
 	o := writeBaseline(t, dir, "old.json", `[
+        {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 100},
+        {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 900},
+        {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 110}
+    ]`)
+	// Head's own slow pass (1000) must not count either: median 115.
+	n := writeBaseline(t, dir, "new.json", `[
+        {"rev": "b", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 1000},
+        {"rev": "b", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 115},
+        {"rev": "b", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 112}
+    ]`)
+	// 110 -> 115 is +4.5%: under a 5% threshold, over a 4% one. Means
+	// (370 -> 409, +10.5%) would fail both.
+	var out strings.Builder
+	reg, err := run([]string{"-threshold", "0.05", o, n}, &out)
+	if err != nil || reg != 0 {
+		t.Fatalf("threshold 0.05: reg=%d err=%v\n%s", reg, err, out.String())
+	}
+	if !strings.Contains(out.String(), "+4.5%") {
+		t.Fatalf("want the median delta +4.5%%:\n%s", out.String())
+	}
+	reg, err = run([]string{"-threshold", "0.04", o, n}, io.Discard)
+	if err != nil || reg != 1 {
+		t.Fatalf("threshold 0.04: reg=%d err=%v", reg, err)
+	}
+	// An even count takes the mean of the two middle runs: 100 and 300
+	// give 200, so 210 is a 5% regression, under the default 10%.
+	o = writeBaseline(t, dir, "old2.json", `[
         {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 100},
         {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 300}
     ]`)
-	n := writeBaseline(t, dir, "new.json", `[
+	n = writeBaseline(t, dir, "new2.json", `[
         {"rev": "b", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 210}
     ]`)
-	// Mean old = 200; 210 is a 5% regression, under the default 10%.
-	reg, err := run([]string{o, n}, io.Discard)
+	reg, err = run([]string{o, n}, io.Discard)
 	if err != nil || reg != 0 {
-		t.Fatalf("reg=%d err=%v", reg, err)
+		t.Fatalf("even count: reg=%d err=%v", reg, err)
 	}
 	reg, err = run([]string{"-threshold", "0.01", o, n}, io.Discard)
 	if err != nil || reg != 1 {
-		t.Fatalf("tight threshold: reg=%d err=%v", reg, err)
+		t.Fatalf("even count, tight threshold: reg=%d err=%v", reg, err)
 	}
 }
 
 func TestMixedGomaxprocsRowsAreSegregated(t *testing.T) {
 	dir := t.TempDir()
 	// One baseline holding rows captured under different GOMAXPROCS: these
-	// measure different machine shapes and must not melt into one mean.
+	// measure different machine shapes and must not melt into one median.
 	o := writeBaseline(t, dir, "old.json", `[
         {"rev": "a", "gomaxprocs": 1, "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 1000},
         {"rev": "a", "gomaxprocs": 4, "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 100}
@@ -105,7 +132,7 @@ func TestMixedGomaxprocsRowsAreSegregated(t *testing.T) {
         {"rev": "b", "gomaxprocs": 1, "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 1000},
         {"rev": "b", "gomaxprocs": 4, "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 200}
     ]`)
-	// The 4-CPU group doubled (100 -> 200). Blended means would show
+	// The 4-CPU group doubled (100 -> 200). Blended medians would show
 	// 550 -> 600 (+9%), sliding under the default 10% gate.
 	var out strings.Builder
 	reg, err := run([]string{o, n}, &out)
@@ -124,8 +151,8 @@ func TestMixedGomaxprocsRowsAreSegregated(t *testing.T) {
 
 func TestMemAverageIgnoresRowsWithoutMemFields(t *testing.T) {
 	dir := t.TempDir()
-	// One -benchmem row (B/op 512) and one plain row: the average must be
-	// 512, not 256.
+	// One -benchmem row (B/op 512) and one plain row: the B/op median must
+	// be 512, taken over the one row that carried it.
 	o := writeBaseline(t, dir, "old.json", `[
         {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 100, "B_per_op": 512, "allocs_per_op": 4},
         {"rev": "a", "name": "BenchmarkFoo-8", "iterations": 1, "ns_per_op": 100}
@@ -137,8 +164,8 @@ func TestMemAverageIgnoresRowsWithoutMemFields(t *testing.T) {
 	if _, err := run([]string{o, n}, &out); err != nil {
 		t.Fatal(err)
 	}
-	// Equal true averages: the B/op delta must be +0.0%, which only holds
-	// if the divisor was the mem-carrying run count.
+	// Equal true medians: the B/op delta must be +0.0%, which only holds
+	// if the plain row was left out.
 	if !strings.Contains(out.String(), "+0.0%") {
 		t.Fatalf("mem average wrong:\n%s", out.String())
 	}

@@ -1,8 +1,10 @@
 package ldd
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -86,13 +88,25 @@ type label struct {
 	value  float64
 }
 
-// labelItem is a priority-queue entry for the shifted multi-source search.
-// The queue is a max-heap on value with deterministic tie-breaking on
-// source (see labelLess in workspace.go) so runs are reproducible across
-// executions and executors.
+// labelItem is one label offered to a vertex by topLabels: the initial
+// label (T_v, v) at v itself, or a label pushed from a neighbour one hop
+// further from its source.
 type labelItem struct {
-	label
+	value  float64
+	source int32
 	vertex int32
+}
+
+// compareLabels is topLabels' pop order: value descending, then source
+// ascending, so runs are reproducible across executions and executors.
+func compareLabels(a, b labelItem) int {
+	switch {
+	case a.value > b.value:
+		return -1
+	case a.value < b.value:
+		return 1
+	}
+	return int(a.source) - int(b.source)
 }
 
 // topLabels computes, for every alive vertex v, the labels
@@ -103,6 +117,10 @@ type labelItem struct {
 // the workspace (the per-vertex slices keep their capacity across calls, so
 // warm runs allocate only when a vertex collects more labels than ever
 // before).
+//
+// Labels are popped in compareLabels order from two streams: the initial
+// labels, sorted once, and a FIFO of pushed labels (see the workspace doc
+// for why the FIFO never needs a heap).
 // done is an optional cancellation channel (nil means uncancellable): the
 // pop loop polls it every topLabelsCheckMask+1 pops — a coarse stride, so
 // the warm path pays one closed-channel poll per ~4k pops — and returns
@@ -115,27 +133,51 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 	for v := range out {
 		out[v] = out[v][:0]
 	}
-	pq := ws.heap[:0]
+	seeds := ws.seeds[:0]
 	for v := 0; v < n; v++ {
 		if alive != nil && !alive[v] {
 			continue
 		}
-		pq = append(pq, labelItem{label: label{source: int32(v), value: shifts[v]}, vertex: int32(v)})
+		seeds = append(seeds, labelItem{value: shifts[v], source: int32(v), vertex: int32(v)})
 	}
-	heapInit(pq)
+	slices.SortFunc(seeds, compareLabels)
+	ws.seeds = seeds
+	// fifo[head:] holds the pending pushed labels; fifo[head:sorted] is an
+	// equal-value run already put in source order.
+	fifo := ws.fifo[:0]
+	head, sorted := 0, 0
 	pops := 0
-	for len(pq) > 0 {
+	for next := 0; next < len(seeds) || head < len(fifo); {
 		// The counter lives inside the done branch so the uncancellable
 		// path pays exactly one predictable nil-check per pop.
 		if done != nil {
 			if pops&topLabelsCheckMask == 0 && stopped(done) {
-				ws.heap = pq
+				ws.fifo = fifo
 				return nil, false
 			}
 			pops++
 		}
+		fromFIFO := head < len(fifo) && (next == len(seeds) || fifo[head].value >= seeds[next].value)
+		if fromFIFO {
+			// No pending label can push the head run's value any more, so
+			// the run is complete and may be ordered.
+			if head == sorted {
+				sorted = sortRun(fifo, head)
+			}
+			fromFIFO = next == len(seeds) || compareLabels(fifo[head], seeds[next]) < 0
+		}
 		var it labelItem
-		pq, it = heapPop(pq)
+		if fromFIFO {
+			it = fifo[head]
+			head++
+			if head == len(fifo) {
+				fifo = fifo[:0]
+				head, sorted = 0, 0
+			}
+		} else {
+			it = seeds[next]
+			next++
+		}
 		v := it.vertex
 		ls := out[v]
 		// Discard if v already has this source or `keep` better labels, or
@@ -153,7 +195,7 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 		if dup || len(ls) >= keep {
 			continue
 		}
-		out[v] = append(ls, it.label)
+		out[v] = append(ls, label{source: it.source, value: it.value})
 		// Relax neighbors with value - 1. Values below -slack can never be
 		// within slack of any best label (best >= 0 because every alive
 		// vertex has its own label T_v >= 0).
@@ -168,21 +210,46 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			// Push-side prune of labels the pop loop would provably
 			// discard: a vertex's label list only grows and its best value
 			// never changes, so "already full" and "below the slack
-			// window" both still hold at pop time. This keeps the heap
-			// small without changing a single accepted label.
+			// window" both still hold at pop time. This keeps the FIFO
+			// short without changing a single accepted label.
 			lw := out[w]
 			if len(lw) >= keep || (len(lw) > 0 && nv < lw[0].value-slack) {
 				continue
 			}
-			pq = heapPush(pq, labelItem{label: label{source: it.source, value: nv}, vertex: w})
+			if len(fifo) == cap(fifo) && head >= len(fifo)/2 {
+				// Reuse the popped prefix instead of growing; the copy
+				// is at most the space it frees.
+				fifo = fifo[:copy(fifo, fifo[head:])]
+				sorted -= head
+				head = 0
+			}
+			fifo = append(fifo, labelItem{value: nv, source: it.source, vertex: w})
 		}
 	}
-	ws.heap = pq
+	ws.fifo = fifo
 	return out, true
 }
 
+// sortRun puts the equal-value run starting at fifo[head] in source order
+// and returns its end. Pops of one value push in source order, so a run is
+// already ordered unless T-1 rounded two different popped values to the
+// same pushed value.
+func sortRun(fifo []labelItem, head int) int {
+	val := fifo[head].value
+	end, ordered := head+1, true
+	for ; end < len(fifo) && fifo[end].value == val; end++ {
+		ordered = ordered && fifo[end-1].source <= fifo[end].source
+	}
+	if !ordered {
+		slices.SortFunc(fifo[head:end], func(a, b labelItem) int {
+			return cmp.Compare(a.source, b.source)
+		})
+	}
+	return end
+}
+
 // topLabelsCheckMask sets the cancellation polling stride of topLabels:
-// one non-blocking channel poll every 4096 heap pops.
+// one non-blocking channel poll every 4096 label pops.
 const topLabelsCheckMask = 4095
 
 // stopped polls a done channel without blocking.

@@ -3,14 +3,15 @@ package ldd
 import "sync"
 
 // Workspace bundles the reusable scratch state of this package's
-// decomposition algorithms: the per-vertex exponential shifts, the
-// shifted-label priority queue, and the per-vertex label lists of
-// topLabels. Graph searches run on a graph.ParWorkspace instead. Like that
-// workspace it is owned by one goroutine at a time; parallel callers hold
-// one Workspace per worker.
+// decomposition algorithms: the per-vertex exponential shifts, and the
+// sorted initial labels, the FIFO of pushed labels and the per-vertex label
+// lists of topLabels. Graph searches run on a graph.ParWorkspace instead.
+// Like that workspace it is owned by one goroutine at a time; parallel
+// callers hold one Workspace per worker.
 type Workspace struct {
 	shifts []float64
-	heap   []labelItem
+	seeds  []labelItem
+	fifo   []labelItem
 	labels [][]label
 	// clusterID maps source vertex -> dense cluster id for SparseCover
 	// (reset to -1 per call).
@@ -58,68 +59,27 @@ func ReleaseWorkspaces(wss []*Workspace) {
 	}
 }
 
-// --- label heap -----------------------------------------------------------
+// --- label order ----------------------------------------------------------
 //
-// A concrete max-heap on labelItem replacing container/heap: pushing an
-// interface value boxes the item and was the single largest allocation
-// source in the pipeline. The sift routines mirror container/heap
-// operation-for-operation so the pop order (and therefore every
-// decomposition) is bit-identical to the previous implementation.
-
-func labelLess(a, b labelItem) bool {
-	if a.value != b.value {
-		return a.value > b.value
-	}
-	return a.source < b.source
-}
-
-func heapInit(h []labelItem) {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		heapDown(h, i, n)
-	}
-}
-
-func heapPush(h []labelItem, it labelItem) []labelItem {
-	h = append(h, it)
-	heapUp(h, len(h)-1)
-	return h
-}
-
-func heapPop(h []labelItem) ([]labelItem, labelItem) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	heapDown(h, 0, n)
-	it := h[n]
-	return h[:n], it
-}
-
-func heapUp(h []labelItem, j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !labelLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func heapDown(h []labelItem, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && labelLess(h[j2], h[j1]) {
-			j = j2
-		}
-		if !labelLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
+// topLabels pops labels in compareLabels order (value descending, then source
+// ascending) without a heap, because that order can be met by merging two
+// streams that are already in it:
+//
+//   - Output depends only on the order in which (value, source) pairs are
+//     popped. Pops at different vertices with the same (value, source)
+//     commute, because each pop reads and writes only out[v] and pushes
+//     labels of a strictly smaller value.
+//   - The initial labels (T_v, v) are sorted once.
+//   - Every pushed label has value popped-1, and pops come out in
+//     non-increasing value order, so the pushed labels form a FIFO whose
+//     values never increase.
+//   - Within one value, the FIFO is in source order only per popped value:
+//     rounding can make a-1 == b-1 for two tiny shifts a != b, so a run of
+//     equal pushed values can mix sources out of order. A run is sorted by
+//     source once its value is >= the head of the initial labels. From then
+//     on no pending label can push that value again (every pending value is
+//     at most the run's, and x-1 < x), so the run is complete.
+//
+// Each pop takes the earlier of the two stream heads. The FIFO reuses its
+// storage: it resets when it drains and compacts instead of growing when
+// most of it has been popped.

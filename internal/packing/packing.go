@@ -197,13 +197,12 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		return nil, err
 	}
 	// Clusters whose ball S_C is exactly their connected component share
-	// one solve of it (see the package doc).
-	comp, numComps := g.ComponentsAlive(nil)
-	compSize := make([]int, numComps)
-	for _, c := range comp {
-		compSize[c]++
-	}
-	compEst := make([]componentEstimate, numComps)
+	// one solve of it (see the package doc). The decompositions ran on the
+	// whole graph, so every cluster lies in its source's component, and
+	// when the estimate radius reaches that component's size the ball is
+	// the whole component: it is not searched.
+	cc := componentsOf(g)
+	compEst := make([]componentEstimate, len(cc.start)-1)
 	var members [][]int32
 	for _, en := range ens {
 		for _, m := range en.Clusters() {
@@ -218,11 +217,16 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		pc := prepCluster{members: members[i]}
 		var ex1, ex2 bool
 		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve)
-		sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
-		if c, ok := wholeComponent(sc, comp, compSize); ok {
-			pc.wSC, ex2 = compEst[c].get(inst, sc, p.Solve)
-		} else {
-			_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
+		c := cc.of[members[i][0]]
+		whole := d.estRadius >= len(cc.members(c))
+		if !whole {
+			sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
+			if whole = cc.isComponent(sc); !whole {
+				_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
+			}
+		}
+		if whole {
+			pc.wSC, ex2 = compEst[c].get(inst, cc.members(c), p.Solve)
 		}
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
@@ -381,19 +385,50 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}, nil
 }
 
-// wholeComponent reports whether a duplicate-free vertex set is exactly
-// one connected component, and which one.
-func wholeComponent(set, comp []int32, compSize []int) (int32, bool) {
-	c := comp[set[0]]
-	if len(set) != compSize[c] {
-		return c, false
+// components lists the vertices of each connected component of a graph,
+// in id order.
+type components struct {
+	of    []int32 // component id of each vertex
+	start []int   // component c is verts[start[c]:start[c+1]]
+	verts []int32
+}
+
+func componentsOf(g *graph.Graph) components {
+	of, count := g.ComponentsAlive(nil)
+	start := make([]int, count+1)
+	for _, c := range of {
+		start[c+1]++
+	}
+	for c := 0; c < count; c++ {
+		start[c+1] += start[c]
+	}
+	verts := make([]int32, len(of))
+	fill := slices.Clone(start[:count])
+	for v, c := range of {
+		verts[fill[c]] = int32(v)
+		fill[c]++
+	}
+	return components{of: of, start: start, verts: verts}
+}
+
+// members returns component c's vertices in id order.
+func (cs components) members(c int32) []int32 {
+	return cs.verts[cs.start[c]:cs.start[c+1]]
+}
+
+// isComponent reports whether a non-empty duplicate-free vertex set is
+// exactly one connected component.
+func (cs components) isComponent(set []int32) bool {
+	c := cs.of[set[0]]
+	if len(set) != len(cs.members(c)) {
+		return false
 	}
 	for _, v := range set {
-		if comp[v] != c {
-			return c, false
+		if cs.of[v] != c {
+			return false
 		}
 	}
-	return c, true
+	return true
 }
 
 // componentEstimate is W(P^local_K, K) for one connected component K,
@@ -404,13 +439,12 @@ type componentEstimate struct {
 	exact bool
 }
 
-// get returns the component's estimate, solving it from ball (the
-// component's vertices, aliasing a workspace) on the first call. The solve
-// runs in vertex-id order, so the value cannot depend on which cluster
-// reached the component first.
-func (e *componentEstimate) get(inst *ilp.Instance, ball []int32, opt solve.Options) (int64, bool) {
+// get returns the component's estimate, solving it from the component's
+// vertices in id order on the first call, so the value cannot depend on
+// which cluster reached the component first.
+func (e *componentEstimate) get(inst *ilp.Instance, verts []int32, opt solve.Options) (int64, bool) {
 	e.once.Do(func() {
-		_, e.w, e.exact = solveLocal(inst, slices.Sorted(slices.Values(ball)), opt)
+		_, e.w, e.exact = solveLocal(inst, verts, opt)
 	})
 	return e.w, e.exact
 }
