@@ -10,11 +10,15 @@ package repro
 // algorithms on their own.
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/covering"
 	"repro/internal/expt"
 	"repro/internal/gkm"
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
 	"repro/internal/packing"
@@ -141,6 +145,32 @@ func BenchmarkAlgoCoveringMDS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := covering.Solve(inst, covering.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAlgoPackingRequest is one cold packing request as the registry
+// serves it: algo.Run("packing") builds the MIS instance of GNP(10000,
+// 8/9999) and solves it, serially. Unlike BenchmarkAlgoPackingMISGNP it
+// pays for the instance and its primal graph on every iteration.
+func BenchmarkAlgoPackingRequest(b *testing.B) {
+	benchRequest(b, "packing", gen.GNP(10000, 8.0/9999, xrand.New(7)), "mis")
+}
+
+// BenchmarkAlgoCoveringRequest is one cold covering request: minimum
+// dominating set on GNP(1000, 8/999) through algo.Run("covering").
+func BenchmarkAlgoCoveringRequest(b *testing.B) {
+	benchRequest(b, "covering", gen.GNP(1000, 8.0/999, xrand.New(7)), "mds")
+}
+
+func benchRequest(b *testing.B, name string, g *graph.Graph, problem string) {
+	b.Helper()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := algo.Params{"problem": problem, "seed": strconv.Itoa(i + 1), "workers": "1"}
+		if _, err := algo.Run(ctx, name, g, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -201,7 +201,7 @@ func Solve(inst *ilp.Instance, p Params) (*Result, error) {
 // within it), and the Phase-2 per-region fan-out; a cancelled run returns
 // ctx.Err() promptly and releases its pooled workspaces.
 func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
-	g := inst.Hypergraph().Primal()
+	g := inst.Primal()
 	n := g.N()
 	d := derive(n, p)
 	eps := clampEps(p.Epsilon)

@@ -210,3 +210,22 @@ func BenchmarkCoveringVCCycle200(b *testing.B) {
 		_, _ = Solve(inst, Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
 	}
 }
+
+// TestRepeatedVariableRow solves weights {5, 1} under x0 + x0 >= 1 and
+// x0 + x1 >= 1. The first row is 2·x0 >= 1, not an edge: x0 must be 1.
+func TestRepeatedVariableRow(t *testing.T) {
+	b := ilp.NewBuilder(ilp.Covering, []int64{5, 1})
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}, {Var: 0, Coeff: 1}}, 1)
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, 1)
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Solve(inst, Params{Epsilon: 0.25, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, j := inst.Feasible(r.Solution); !ok || r.Value != 5 {
+		t.Fatalf("solution %v value %d, feasible=%v (row %d)", r.Solution, r.Value, ok, j)
+	}
+}

@@ -106,7 +106,7 @@ func SolveCoveringCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Resul
 }
 
 func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Result, error) {
-	g := inst.Hypergraph().Primal()
+	g := inst.Primal()
 	n := g.N()
 	nTilde := p.NTilde
 	if nTilde < n {

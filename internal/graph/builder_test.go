@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -152,5 +153,59 @@ func BenchmarkBuilderBuild(b *testing.B) {
 			bb.AddEdge(int(e[0]), int(e[1]))
 		}
 		_ = bb.Build()
+	}
+}
+
+// TestFromCSRSymmetryMatchesNaive drops, adds and moves single adjacency
+// entries of random graphs and checks that FromCSR's linear symmetry check
+// accepts and rejects exactly what a per-entry reverse lookup does, naming
+// the same first asymmetric entry.
+func TestFromCSRSymmetryMatchesNaive(t *testing.T) {
+	rng := xrand.New(23)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(9)
+		b := NewBuilder(n)
+		for i := 0; i < rng.Intn(3*n); i++ {
+			b.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		base := b.Build()
+		lists := make([][]int32, n)
+		for v := range lists {
+			lists[v] = slices.Clone(base.Neighbors(v))
+		}
+		// Two toggles keep the total length even, so the symmetry check is
+		// what decides.
+		for toggles := 0; trial%4 != 0 && toggles < 2 && n > 1; {
+			v, w := rng.Intn(n), int32(rng.Intn(n))
+			if int(w) == v {
+				continue
+			}
+			if i, found := slices.BinarySearch(lists[v], w); found {
+				lists[v] = slices.Delete(lists[v], i, i+1)
+			} else {
+				lists[v] = slices.Insert(lists[v], i, w)
+			}
+			toggles++
+		}
+		offsets := make([]int32, n+1)
+		var adj []int32
+		for v, l := range lists {
+			adj = append(adj, l...)
+			offsets[v+1] = int32(len(adj))
+		}
+		var want error
+		naive := &Graph{offsets: offsets, adj: adj}
+		for v := 0; v < n && want == nil; v++ {
+			for _, w := range lists[v] {
+				if !slices.Contains(lists[w], int32(v)) {
+					want = fmt.Errorf("graph: asymmetric edge %d->%d", v, w)
+					break
+				}
+			}
+		}
+		_, err := FromCSR(offsets, adj)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("trial %d (%v): FromCSR error %v, want %v", trial, naive, err, want)
+		}
 	}
 }

@@ -216,14 +216,32 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 	if len(adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: odd adjacency length %d cannot be symmetric", len(adj))
 	}
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			if !g.HasEdge(int(w), v) {
-				return nil, fmt.Errorf("graph: asymmetric edge %d->%d", v, w)
+	// The lists are strictly sorted, so visiting every u in increasing
+	// order consumes each list w in order exactly when the adjacency is
+	// symmetric: w's next unconsumed entry must be u. This takes O(m).
+	cursor := slices.Clone(offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, w := range g.Neighbors(u) {
+			if cursor[w] == offsets[w+1] || adj[cursor[w]] != int32(u) {
+				return nil, firstAsymmetric(g)
 			}
+			cursor[w]++
 		}
 	}
 	return g, nil
+}
+
+// firstAsymmetric names the first entry v->w, in CSR order, whose reverse
+// w->v is missing.
+func firstAsymmetric(g *Graph) error {
+	for v := 0; v < g.N(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if !g.HasEdge(int(w), v) {
+				return fmt.Errorf("graph: asymmetric edge %d->%d", v, w)
+			}
+		}
+	}
+	return nil
 }
 
 // FromEdges builds a graph on n vertices from an explicit edge list.

@@ -11,9 +11,14 @@
 // semantics (Observations 2.1 and 2.2), and the bit-decomposition reduction
 // from bounded-integer variables to 0/1 variables described in Section 1.
 //
-// The hypergraph and its primal graph are built on the first Hypergraph
-// call, not by Build: the local solvers build many small per-region
-// instances that never ask for it.
+// Builder keeps every row's terms in one flat array and Build slices the
+// constraints out of it. FromGraph builds the edge-form instance of a graph
+// (MIS, vertex cover) in one exact-sized pass over its CSR, and records the
+// graph itself as the instance's primal graph: a *graph.Graph has strictly
+// sorted, loop-free, symmetric adjacency, so it equals, array for array, the
+// primal that Definition 1.3 derives from its edges. Any other instance
+// builds its primal on the first Primal call, not in Build: the local
+// solvers build many small per-region instances that never ask for it.
 package ilp
 
 import (
@@ -23,7 +28,7 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/hypergraph"
+	"repro/internal/graph"
 )
 
 // Kind distinguishes packing from covering instances.
@@ -60,8 +65,8 @@ type Constraint struct {
 	B     float64
 }
 
-// Instance is an immutable packing or covering ILP. Build with NewBuilder.
-// It is safe for concurrent use.
+// Instance is an immutable packing or covering ILP. Build with NewBuilder or
+// FromGraph. It is safe for concurrent use.
 type Instance struct {
 	kind        Kind
 	weights     []int64
@@ -69,40 +74,53 @@ type Instance struct {
 	// Variable v's terms, in constraint order: conIDs[conStart[v]:
 	// conStart[v+1]] holds the constraint ids and conCoeffs the matching
 	// Coeff values. A variable repeated in one constraint repeats its id.
-	conStart  []int32
-	conIDs    []int32
-	conCoeffs []float64
-	rank2Unit bool
-	hyperOnce sync.Once
-	hyper     *hypergraph.H // built by the first Hypergraph call
+	conStart   []int32
+	conIDs     []int32
+	conCoeffs  []float64
+	rank2Unit  bool
+	primalOnce sync.Once
+	primal     *graph.Graph // FromGraph's graph, or built by the first Primal call
 }
 
 // ErrBadInstance is returned for structurally invalid instances (negative
 // data, empty unsatisfiable covering rows, ...).
 var ErrBadInstance = errors.New("ilp: invalid instance")
 
-// Builder accumulates an instance.
+// Builder accumulates an instance. Every row's terms go into one flat array
+// (row j is terms[rows[j-1].end:rows[j].end]), so a row costs no allocation
+// of its own.
 type Builder struct {
 	kind    Kind
 	weights []int64
-	cons    []Constraint
+	terms   []Term
+	rows    []rowEnd
 	err     error
+}
+
+// rowEnd is where a row's terms end in Builder.terms, and its rhs.
+type rowEnd struct {
+	end int
+	rhs float64
 }
 
 // NewBuilder returns a builder for an instance of the given kind with the
 // given variable weights (one per variable; all must be >= 0).
 func NewBuilder(kind Kind, weights []int64) *Builder {
-	b := &Builder{kind: kind, weights: append([]int64(nil), weights...)}
-	if kind != Packing && kind != Covering {
-		b.err = fmt.Errorf("%w: unknown kind %d", ErrBadInstance, kind)
-	}
+	return &Builder{kind: kind, weights: append([]int64(nil), weights...), err: checkHeader(kind, weights)}
+}
+
+// checkHeader validates an instance's kind and weights. A negative weight
+// is reported ahead of an unknown kind.
+func checkHeader(kind Kind, weights []int64) error {
 	for i, w := range weights {
 		if w < 0 {
-			b.err = fmt.Errorf("%w: negative weight on variable %d", ErrBadInstance, i)
-			break
+			return fmt.Errorf("%w: negative weight on variable %d", ErrBadInstance, i)
 		}
 	}
-	return b
+	if kind != Packing && kind != Covering {
+		return fmt.Errorf("%w: unknown kind %d", ErrBadInstance, kind)
+	}
+	return nil
 }
 
 // AddConstraint records a row. Nonpositive coefficients and out-of-range
@@ -116,7 +134,6 @@ func (b *Builder) AddConstraint(terms []Term, rhs float64) *Builder {
 		b.err = fmt.Errorf("%w: bad rhs %v", ErrBadInstance, rhs)
 		return b
 	}
-	row := Constraint{Terms: make([]Term, 0, len(terms)), B: rhs}
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(b.weights) {
 			b.err = fmt.Errorf("%w: variable %d out of range", ErrBadInstance, t.Var)
@@ -126,10 +143,11 @@ func (b *Builder) AddConstraint(terms []Term, rhs float64) *Builder {
 			b.err = fmt.Errorf("%w: nonpositive coefficient %v on variable %d", ErrBadInstance, t.Coeff, t.Var)
 			return b
 		}
-		row.Terms = append(row.Terms, t)
 	}
-	slices.SortFunc(row.Terms, func(x, y Term) int { return x.Var - y.Var })
-	b.cons = append(b.cons, row)
+	start := len(b.terms)
+	b.terms = append(b.terms, terms...)
+	slices.SortFunc(b.terms[start:], func(x, y Term) int { return x.Var - y.Var })
+	b.rows = append(b.rows, rowEnd{len(b.terms), rhs})
 	return b
 }
 
@@ -142,15 +160,20 @@ func (b *Builder) Build() (*Instance, error) {
 	inst := &Instance{
 		kind:        b.kind,
 		weights:     b.weights,
-		constraints: b.cons,
+		constraints: make([]Constraint, len(b.rows)),
 		conStart:    make([]int32, n+1),
 		rank2Unit:   true,
 	}
-	for ci, c := range b.cons {
+	start := 0
+	for ci, r := range b.rows {
+		c := Constraint{Terms: b.terms[start:r.end:r.end], B: r.rhs}
+		start = r.end
+		inst.constraints[ci] = c
 		if b.kind == Covering && len(c.Terms) == 0 && c.B > 0 {
 			return nil, fmt.Errorf("%w: covering constraint %d has no variables but rhs %v", ErrBadInstance, ci, c.B)
 		}
-		if len(c.Terms) > 2 || c.B != 1 {
+		// A two-term row on one variable (x + x) is not an edge.
+		if len(c.Terms) > 2 || c.B != 1 || (len(c.Terms) == 2 && c.Terms[0].Var == c.Terms[1].Var) {
 			inst.rank2Unit = false
 		}
 		for _, t := range c.Terms {
@@ -166,7 +189,7 @@ func (b *Builder) Build() (*Instance, error) {
 	inst.conIDs = make([]int32, inst.conStart[n])
 	inst.conCoeffs = make([]float64, inst.conStart[n])
 	cursor := slices.Clone(inst.conStart[:n])
-	for ci, c := range b.cons {
+	for ci, c := range inst.constraints {
 		var coeff float64
 		for i, t := range c.Terms {
 			// Terms are sorted by variable, so a repeated variable's run
@@ -179,6 +202,67 @@ func (b *Builder) Build() (*Instance, error) {
 			inst.conCoeffs[k] = coeff
 			cursor[t.Var]++
 		}
+	}
+	return inst, nil
+}
+
+// FromGraph returns the edge-form instance of g: one row x_u + x_v <= 1
+// (Packing) or >= 1 (Covering) per edge {u < v}, numbered in g.Edges order,
+// with the given weights (copied; one per vertex). It is the instance that
+// feeding those rows to a Builder produces, built in one exact-sized pass
+// over g's CSR, and its Primal is g itself. When len(weights) != g.N() the
+// rows go through a Builder, with its errors.
+func FromGraph(kind Kind, g *graph.Graph, weights []int64) (*Instance, error) {
+	n := g.N()
+	if len(weights) != n {
+		b := NewBuilder(kind, weights)
+		g.Edges(func(u, v int) { b.AddConstraint([]Term{{Var: u, Coeff: 1}, {Var: v, Coeff: 1}}, 1) })
+		return b.Build()
+	}
+	if err := checkHeader(kind, weights); err != nil {
+		return nil, err
+	}
+	offsets, adj := g.CSR()
+	if n == 0 {
+		offsets = []int32{0}
+	}
+	m := g.M()
+	inst := &Instance{
+		kind:        kind,
+		weights:     slices.Clone(weights),
+		constraints: make([]Constraint, m),
+		// Variable v sits in one row per incident edge, so its per-variable
+		// view starts where its adjacency does.
+		conStart:  offsets,
+		conIDs:    make([]int32, len(adj)),
+		conCoeffs: make([]float64, len(adj)),
+		rank2Unit: true,
+		primal:    g,
+	}
+	terms := make([]Term, 2*m)
+	// cursor[v] is the next free slot of v's per-variable view. Rows are
+	// numbered by their smaller endpoint, so v's rows to lower neighbours
+	// are filled (in increasing order) before v's own turn: each view comes
+	// out in increasing row order, aligned with v's adjacency.
+	cursor := slices.Clone(offsets[:n])
+	j := 0
+	for u := 0; u < n; u++ {
+		for _, w := range adj[offsets[u]:offsets[u+1]] {
+			if int(w) < u {
+				continue
+			}
+			terms[2*j] = Term{Var: u, Coeff: 1}
+			terms[2*j+1] = Term{Var: int(w), Coeff: 1}
+			inst.constraints[j] = Constraint{Terms: terms[2*j : 2*j+2 : 2*j+2], B: 1}
+			inst.conIDs[cursor[u]] = int32(j)
+			cursor[u]++
+			inst.conIDs[cursor[w]] = int32(j)
+			cursor[w]++
+			j++
+		}
+	}
+	for k := range inst.conCoeffs {
+		inst.conCoeffs[k] = 1
 	}
 	return inst, nil
 }
@@ -238,22 +322,52 @@ func (inst *Instance) Coeff(j, v int) float64 {
 // (packing) / vertex-cover (covering) shape.
 func (inst *Instance) Rank2Unit() bool { return inst.rank2Unit }
 
-// Hypergraph returns the Definition 1.3 hypergraph of the instance, built
-// on the first call.
-func (inst *Instance) Hypergraph() *hypergraph.H {
-	inst.hyperOnce.Do(func() {
-		hb := hypergraph.NewBuilder(len(inst.weights))
-		vars := []int{}
-		for _, c := range inst.constraints {
-			vars = vars[:0]
-			for _, t := range c.Terms {
-				vars = append(vars, t.Var)
-			}
-			hb.AddEdge(vars...)
+// Primal returns the primal (communication) graph of the instance's
+// Definition 1.3 hypergraph: variables are vertices, and two variables are
+// adjacent when some constraint contains both. For a FromGraph instance it
+// is that graph; otherwise it is built on the first call.
+func (inst *Instance) Primal() *graph.Graph {
+	inst.primalOnce.Do(func() {
+		if inst.primal == nil {
+			inst.primal = inst.buildPrimal()
 		}
-		inst.hyper = hb.Build()
 	})
-	return inst.hyper
+	return inst.primal
+}
+
+// buildPrimal lists each variable's distinct co-members, marking them with
+// a stamp, then transposes those lists in increasing variable order. The
+// relation is symmetric, so the transpose holds the same neighbour sets,
+// each sorted with no sort.
+func (inst *Instance) buildPrimal() *graph.Graph {
+	n := len(inst.weights)
+	offsets := make([]int32, n+1)
+	var raw []int32
+	stamp := make([]int32, n) // stamp[u] == v+1: u already listed for v
+	for v := 0; v < n; v++ {
+		for _, cj := range inst.ConstraintsOf(v) {
+			for _, t := range inst.constraints[cj].Terms {
+				if t.Var != v && stamp[t.Var] != int32(v+1) {
+					stamp[t.Var] = int32(v + 1)
+					raw = append(raw, int32(t.Var))
+				}
+			}
+		}
+		offsets[v+1] = int32(len(raw))
+	}
+	adj := make([]int32, len(raw))
+	cursor := slices.Clone(offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, w := range raw[offsets[u]:offsets[u+1]] {
+			adj[cursor[w]] = int32(u)
+			cursor[w]++
+		}
+	}
+	g, err := graph.FromCSR(offsets, adj)
+	if err != nil {
+		panic("ilp: primal graph: " + err.Error())
+	}
+	return g
 }
 
 // Solution is a 0/1 assignment to the variables.

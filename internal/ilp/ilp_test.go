@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/xrand"
 )
@@ -151,26 +152,21 @@ func TestWeights(t *testing.T) {
 	}
 }
 
-func TestHypergraphOfInstance(t *testing.T) {
-	inst := misInstance(t)
-	h := inst.Hypergraph()
-	if h.N() != 4 || h.M() != 4 {
-		t.Fatalf("hypergraph n=%d m=%d", h.N(), h.M())
-	}
-	// Primal graph should match the original triangle+pendant.
-	p := h.Primal()
-	if p.M() != 4 {
-		t.Fatalf("primal m = %d", p.M())
+func TestPrimalOfInstance(t *testing.T) {
+	// The primal graph is the original triangle plus pendant.
+	p := misInstance(t).Primal()
+	if p.N() != 4 || p.M() != 4 {
+		t.Fatalf("primal n=%d m=%d", p.N(), p.M())
 	}
 	if !p.HasEdge(2, 3) || p.HasEdge(0, 3) {
 		t.Fatal("primal structure wrong")
 	}
 }
 
-// TestHypergraphConcurrentFirstUse builds the lazily built hypergraph from
-// 16 goroutines at once: all must get the same *hypergraph.H, and its
-// primal graph must equal an eager build from the constraints.
-func TestHypergraphConcurrentFirstUse(t *testing.T) {
+// TestPrimalConcurrentFirstUse builds the lazily built primal graph from 16
+// goroutines at once: all must get the same *graph.Graph, and it must equal
+// the primal of the hypergraph built from the constraints.
+func TestPrimalConcurrentFirstUse(t *testing.T) {
 	const n = 60
 	b := NewBuilder(Covering, make([]int64, n))
 	for j := 0; j < 3*n; j++ {
@@ -185,7 +181,7 @@ func TestHypergraphConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 16
-	got := make([]*hypergraph.H, workers)
+	got := make([]*graph.Graph, workers)
 	var start, wg sync.WaitGroup
 	start.Add(1)
 	for i := range got {
@@ -193,14 +189,14 @@ func TestHypergraphConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			got[i] = inst.Hypergraph()
+			got[i] = inst.Primal()
 		}()
 	}
 	start.Done()
 	wg.Wait()
-	for i, h := range got {
-		if h != got[0] {
-			t.Fatalf("goroutine %d got a different hypergraph", i)
+	for i, g := range got {
+		if g != got[0] {
+			t.Fatalf("goroutine %d got a different primal graph", i)
 		}
 	}
 
@@ -212,23 +208,10 @@ func TestHypergraphConcurrentFirstUse(t *testing.T) {
 		}
 		eb.AddEdge(vs...)
 	}
-	want := eb.Build()
-	if got[0].M() != want.M() {
-		t.Fatalf("hyperedges = %d, want %d", got[0].M(), want.M())
-	}
-	for e := 0; e < want.M(); e++ {
-		if !slices.Equal(got[0].Edge(e), want.Edge(e)) {
-			t.Fatalf("hyperedge %d = %v, want %v", e, got[0].Edge(e), want.Edge(e))
-		}
-	}
-	gp, wp := got[0].Primal(), want.Primal()
-	if gp.N() != wp.N() || gp.M() != wp.M() {
-		t.Fatalf("primal n=%d m=%d, want n=%d m=%d", gp.N(), gp.M(), wp.N(), wp.M())
-	}
-	for v := 0; v < n; v++ {
-		if !slices.Equal(gp.Neighbors(v), wp.Neighbors(v)) {
-			t.Fatalf("primal neighbours of %d = %v, want %v", v, gp.Neighbors(v), wp.Neighbors(v))
-		}
+	gotOff, gotAdj := got[0].CSR()
+	wantOff, wantAdj := eb.Build().Primal().CSR()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		t.Fatalf("primal CSR = %v %v, want %v %v", gotOff, gotAdj, wantOff, wantAdj)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // theory's ⌈ε⁻² ln ñ⌉ capped at 64 for laptop practicality; the cap is
 // reported via Result.Exact semantics as usual).
 func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
-	g := inst.Hypergraph().Primal()
+	g := inst.Primal()
 	n := g.N()
 	eps := clampEps(p.Epsilon)
 	nTilde := p.NTilde
@@ -110,7 +110,7 @@ func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
 
 // membershipCounts exposes step 2's proxy weights for tests.
 func membershipCounts(inst *ilp.Instance, tRuns int, eps float64, seed uint64, opt solve.Options) []int64 {
-	g := inst.Hypergraph().Primal()
+	g := inst.Primal()
 	n := g.N()
 	rootRNG := xrand.New(seed)
 	wPrime := make([]int64, n)

@@ -6,6 +6,10 @@
 // possible (trees, bipartite graphs, cycles). These oracles are what make
 // the approximation-ratio experiments honest at laptop scale (see the
 // substitution table in DESIGN.md).
+//
+// MIS and vertex cover are edge-form instances built by ilp.FromGraph in one
+// pass over the graph's CSR; their primal (communication) graph is the input
+// graph itself, so the solvers never rebuild it.
 package problems
 
 import (
@@ -101,16 +105,12 @@ func Build(p Problem, g *graph.Graph, weights []int64) (*ilp.Instance, error) {
 }
 
 // buildEdgeConstraints makes x_u + x_v <= 1 (packing) or >= 1 (covering)
-// per edge.
+// per edge, with g itself as the instance's primal graph.
 func buildEdgeConstraints(kind ilp.Kind, g *graph.Graph, weights []int64) (*ilp.Instance, error) {
 	if weights == nil {
 		weights = unit(g.N())
 	}
-	b := ilp.NewBuilder(kind, weights)
-	g.Edges(func(u, v int) {
-		b.AddConstraint([]ilp.Term{{Var: u, Coeff: 1}, {Var: v, Coeff: 1}}, 1)
-	})
-	return b.Build()
+	return ilp.FromGraph(kind, g, weights)
 }
 
 // BuildK constructs the k-distance dominating set instance: minimize the

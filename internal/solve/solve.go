@@ -11,6 +11,12 @@
 // and falls back to a greedy heuristic otherwise, reporting which path ran
 // so experiments can flag non-exact local solves (see DESIGN.md).
 //
+// A forest is bipartite, so the structured paths 2-colour the cluster's
+// conflict edges while they gather them from the instance's per-variable
+// rows, and stop at the first odd cycle. Only a bipartite cluster gets its
+// conflict graph built as a CSR for tree DP and König; on the dense
+// clusters of a random graph both would reject it anyway.
+//
 // The greedy covering fallback is lazy: it keeps the variables in a heap
 // keyed on their last known weight-per-coverage ratio and re-evaluates only
 // the top, which makes the same picks in the same order as rescanning every
@@ -129,19 +135,19 @@ func ctxError(ctx context.Context) error {
 }
 
 func packingLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}) (ilp.Solution, int64, Method, bool) {
-	inCluster := make([]bool, inst.NumVars())
-	vars := dedup(cluster, inCluster)
+	at := make([]int32, inst.NumVars())
+	vars := dedup(cluster, at)
 	if len(vars) == 0 {
 		return inst.NewSolution(), 0, MethodBranchBound, true
 	}
 
 	if !opt.ForceGreedy && !opt.DisableStructure {
-		if sol, val, m, ok := packingStructured(inst, vars, inCluster); ok {
+		if sol, val, m, ok := packingStructured(inst, vars, at); ok {
 			return sol, val, m, true
 		}
 	}
 	if !opt.ForceGreedy && len(vars) <= opt.maxExact() {
-		sol, val, ok := packingBB(inst, vars, inCluster, done)
+		sol, val, ok := packingBB(inst, vars, done)
 		return sol, val, MethodBranchBound, ok
 	}
 	sol, val := GreedyPacking(inst, vars)
@@ -172,9 +178,13 @@ func CoveringLocalCtx(ctx context.Context, inst *ilp.Instance, cluster []int32, 
 }
 
 func coveringLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}) (ilp.Solution, int64, Method, error) {
-	inCluster := make([]bool, inst.NumVars())
-	vars := dedup(cluster, inCluster)
-	local := inst.LocalConstraints(inCluster)
+	at := make([]int32, inst.NumVars())
+	vars := dedup(cluster, at)
+	in := make([]bool, len(at))
+	for _, v := range vars {
+		in[v] = true
+	}
+	local := inst.LocalConstraints(in)
 	// Infeasibility check: all-ones on the cluster must satisfy everything.
 	all := inst.NewSolution()
 	for _, v := range vars {
@@ -188,12 +198,12 @@ func coveringLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan
 	}
 
 	if !opt.ForceGreedy && !opt.DisableStructure {
-		if sol, val, m, ok := coveringStructured(inst, vars, inCluster, local); ok {
+		if sol, val, m, ok := coveringStructured(inst, vars, at, local); ok {
 			return sol, val, m, nil
 		}
 	}
 	if !opt.ForceGreedy && len(vars) <= opt.maxExact() {
-		sol, val, ok := coveringBB(inst, vars, inCluster, local, done)
+		sol, val, ok := coveringBB(inst, vars, local, done)
 		if !ok {
 			return nil, 0, 0, context.Canceled
 		}
@@ -203,35 +213,65 @@ func coveringLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan
 	return sol, val, MethodGreedy, nil
 }
 
-func dedup(cluster []int32, mark []bool) []int32 {
+// dedup returns the distinct in-range cluster entries in first-seen order
+// and marks each one's position in them, plus one, in at (0 = outside the
+// cluster).
+func dedup(cluster []int32, at []int32) []int32 {
 	vars := make([]int32, 0, len(cluster))
 	for _, v := range cluster {
-		if v < 0 || int(v) >= len(mark) || mark[v] {
+		if v < 0 || int(v) >= len(at) || at[v] != 0 {
 			continue
 		}
-		mark[v] = true
 		vars = append(vars, v)
+		at[v] = int32(len(vars))
 	}
 	return vars
 }
 
 // --- Structure detection -------------------------------------------------
 
-// clusterGraph builds the conflict graph on the cluster variables, indexed
-// by position in vars: an edge for every rank-2 constraint with both
-// endpoints in the cluster. Each constraint is emitted from its first
-// term's variable; Build sorts and deduplicates the edges.
-func clusterGraph(inst *ilp.Instance, vars []int32, inCluster []bool) *graph.Graph {
-	pos := make([]int32, inst.NumVars())
-	for i, v := range vars {
-		pos[v] = int32(i)
-	}
+// conflictGraph builds the cluster's conflict graph on positions in vars:
+// an edge for every rank-2 row with both variables in the cluster, emitted
+// from its first term's variable (Build sorts the edges). It 2-colours the
+// graph by BFS on the way and returns nil at the first odd cycle: a forest
+// is bipartite, so then neither tree DP nor König applies, and the CSR is
+// never built.
+func conflictGraph(inst *ilp.Instance, vars []int32, at []int32) *graph.Graph {
+	scratch := make([]int32, 2*len(vars))
+	side := scratch[:len(vars)] // 0 = not reached; else 1 or 2
+	queue := scratch[len(vars):len(vars)]
 	b := graph.NewBuilder(len(vars))
-	for _, v := range vars {
-		for _, cj := range inst.ConstraintsOf(int(v)) {
-			c := inst.Constraint(int(cj))
-			if len(c.Terms) == 2 && c.Terms[0].Var == int(v) && inCluster[c.Terms[1].Var] {
-				b.AddEdge(int(pos[v]), int(pos[c.Terms[1].Var]))
+	for s := range vars {
+		if side[s] != 0 {
+			continue
+		}
+		side[s] = 1
+		queue = append(queue[:0], int32(s))
+		for h := 0; h < len(queue); h++ {
+			i := queue[h]
+			v := int(vars[i])
+			for _, cj := range inst.ConstraintsOf(v) {
+				c := inst.Constraint(int(cj))
+				if len(c.Terms) != 2 {
+					continue
+				}
+				u := c.Terms[0].Var
+				if u == v {
+					u = c.Terms[1].Var
+				}
+				j := at[u] - 1
+				switch {
+				case j < 0:
+					continue
+				case side[j] == 0:
+					side[j] = 3 - side[i]
+					queue = append(queue, j)
+				case side[j] == side[i]:
+					return nil
+				}
+				if c.Terms[0].Var == v {
+					b.AddEdge(int(i), int(j))
+				}
 			}
 		}
 	}
@@ -253,11 +293,14 @@ func unitWeights(inst *ilp.Instance, vars []int32) bool {
 // it afterwards would mean rebuilding the cluster graph and running a
 // girth check per local solve, which used to dominate the solver's
 // allocation profile.
-func packingStructured(inst *ilp.Instance, vars []int32, inCluster []bool) (ilp.Solution, int64, Method, bool) {
+func packingStructured(inst *ilp.Instance, vars []int32, at []int32) (ilp.Solution, int64, Method, bool) {
 	if !inst.Rank2Unit() {
 		return nil, 0, 0, false
 	}
-	g := clusterGraph(inst, vars, inCluster)
+	g := conflictGraph(inst, vars, at)
+	if g == nil {
+		return nil, 0, 0, false
+	}
 	w := make([]int64, len(vars))
 	for i, v := range vars {
 		w[i] = inst.Weight(int(v))
@@ -275,10 +318,14 @@ func packingStructured(inst *ilp.Instance, vars []int32, inCluster []bool) (ilp.
 
 // coveringStructured handles the vertex-cover shape exactly under the same
 // structural conditions. Only inside-edges matter (Observation 2.2), which
-// is exactly what clusterGraph builds; rank-1 constraints (x_v >= 1) force
+// is exactly what conflictGraph builds; rank-1 constraints (x_v >= 1) force
 // their variable and are handled by pre-assignment.
-func coveringStructured(inst *ilp.Instance, vars []int32, inCluster []bool, local []int32) (ilp.Solution, int64, Method, bool) {
+func coveringStructured(inst *ilp.Instance, vars []int32, at []int32, local []int32) (ilp.Solution, int64, Method, bool) {
 	if !inst.Rank2Unit() {
+		return nil, 0, 0, false
+	}
+	g := conflictGraph(inst, vars, at)
+	if g == nil {
 		return nil, 0, 0, false
 	}
 	forced := make(map[int32]bool)
@@ -288,7 +335,6 @@ func coveringStructured(inst *ilp.Instance, vars []int32, inCluster []bool, loca
 			forced[int32(c.Terms[0].Var)] = true
 		}
 	}
-	g := clusterGraph(inst, vars, inCluster)
 	w := make([]int64, len(vars))
 	for i, v := range vars {
 		w[i] = inst.Weight(int(v))
@@ -343,7 +389,7 @@ func liftSolution(inst *ilp.Instance, vars []int32, localIdx []int32) ilp.Soluti
 // searches: one non-blocking channel poll every 1024 explored nodes.
 const bbCheckMask = 1023
 
-func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan struct{}) (ilp.Solution, int64, bool) {
+func packingBB(inst *ilp.Instance, vars []int32, done <-chan struct{}) (ilp.Solution, int64, bool) {
 	// Order variables by weight descending for tighter bounds.
 	order := append([]int32(nil), vars...)
 	sort.Slice(order, func(i, j int) bool {
@@ -390,9 +436,15 @@ func packingBB(inst *ilp.Instance, vars []int32, inCluster []bool, done <-chan s
 		v := order[i]
 		// Branch x_v = 1 if capacities allow.
 		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
-		fits := true
+		// A row that repeats v lists it once per term, in adjacent entries,
+		// and v's load on it is their sum.
+		fits, load := true, 0.0
 		for k, cj := range cons {
-			if coeffs[k] > res[resIdx[cj]]+1e-9 {
+			if k == 0 || cons[k-1] != cj {
+				load = 0
+			}
+			load += coeffs[k]
+			if load > res[resIdx[cj]]+1e-9 {
 				fits = false
 				break
 			}
@@ -427,7 +479,7 @@ func stopped(done <-chan struct{}) bool {
 
 // --- Branch and bound: covering ------------------------------------------
 
-func coveringBB(inst *ilp.Instance, vars []int32, inCluster []bool, local []int32, done <-chan struct{}) (ilp.Solution, int64, bool) {
+func coveringBB(inst *ilp.Instance, vars []int32, local []int32, done <-chan struct{}) (ilp.Solution, int64, bool) {
 	order := append([]int32(nil), vars...)
 	sort.Slice(order, func(i, j int) bool {
 		return inst.Weight(int(order[i])) < inst.Weight(int(order[j]))
@@ -556,9 +608,13 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	var val int64
 	for _, v := range order {
 		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
-		fits := true
+		fits, load := true, 0.0
 		for k, cj := range cons {
-			if coeffs[k] > res[cj]+1e-9 {
+			if k == 0 || cons[k-1] != cj {
+				load = 0 // see packingBB
+			}
+			load += coeffs[k]
+			if load > res[cj]+1e-9 {
 				fits = false
 				break
 			}

@@ -2,6 +2,7 @@ package solve
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/ilp"
+	"repro/internal/matching"
+	"repro/internal/treedp"
 	"repro/internal/xrand"
 )
 
@@ -385,6 +388,50 @@ func TestCoveringForcedRank1(t *testing.T) {
 	}
 }
 
+// repeatedVarILP builds weights {5, 1} with rows x0 + x0 and x0 + x1 (<= 1
+// for packing, >= 1 for covering). The first row is 2·x0, not an edge.
+func repeatedVarILP(t *testing.T, kind ilp.Kind) *ilp.Instance {
+	t.Helper()
+	b := ilp.NewBuilder(kind, []int64{5, 1})
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}, {Var: 0, Coeff: 1}}, 1)
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, 1)
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestRepeatedVariableRow pins local solves on a two-term unit row that
+// repeats its variable: the instance is not in edge form, and the solution
+// is feasible and optimal (x0 = 0 for packing, x0 = 1 for covering).
+func TestRepeatedVariableRow(t *testing.T) {
+	pinst := repeatedVarILP(t, ilp.Packing)
+	if pinst.Rank2Unit() {
+		t.Fatal("x0 + x0 <= 1 taken for an edge")
+	}
+	sol, val, m := PackingLocal(pinst, allVars(2), Options{})
+	if ok, j := pinst.Feasible(sol); !ok || val != 1 || !slices.Equal(sol, ilp.Solution{false, true}) {
+		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
+	}
+	sol, val = GreedyPacking(pinst, allVars(2))
+	if ok, _ := pinst.Feasible(sol); !ok || val != 1 {
+		t.Fatalf("greedy packing: %v value %d, feasible=%v", sol, val, ok)
+	}
+
+	cinst := repeatedVarILP(t, ilp.Covering)
+	if cinst.Rank2Unit() {
+		t.Fatal("x0 + x0 >= 1 taken for an edge")
+	}
+	sol, val, m, err := CoveringLocal(cinst, allVars(2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, j := cinst.Feasible(sol); !ok || val != 5 || !slices.Equal(sol, ilp.Solution{true, false}) {
+		t.Fatalf("covering: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
+	}
+}
+
 func TestCoveringBBRandomAgainstBrute(t *testing.T) {
 	rng := xrand.New(25)
 	for trial := 0; trial < 40; trial++ {
@@ -505,12 +552,14 @@ func refGreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	var val int64
 	for _, v := range order {
 		fits := true
+		load := map[int32]float64{} // a repeated variable's terms add up
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			r, ok := res[cj]
 			if !ok {
 				r = inst.Constraint(int(cj)).B
 			}
-			if refCoeff(inst, cj, v) > r+1e-9 {
+			load[cj] += refCoeff(inst, cj, v)
+			if load[cj] > r+1e-9 {
 				fits = false
 				break
 			}
@@ -682,4 +731,166 @@ func BenchmarkGreedyCovering(b *testing.B) {
 			_, _ = refGreedyCovering(inst, vars, local)
 		}
 	})
+}
+
+// refClusterGraph is the cluster graph as built before the odd-cycle
+// check: a NumVars()-long position array and a membership mask.
+func refClusterGraph(inst *ilp.Instance, vars []int32) *graph.Graph {
+	pos := make([]int32, inst.NumVars())
+	in := make([]bool, inst.NumVars())
+	for i, v := range vars {
+		pos[v] = int32(i)
+		in[v] = true
+	}
+	b := graph.NewBuilder(len(vars))
+	for _, v := range vars {
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			c := inst.Constraint(int(cj))
+			if len(c.Terms) == 2 && c.Terms[0].Var == int(v) && in[c.Terms[1].Var] {
+				b.AddEdge(int(pos[v]), int(pos[c.Terms[1].Var]))
+			}
+		}
+	}
+	return b.Build()
+}
+
+// refDedup returns the distinct cluster entries in first-seen order.
+func refDedup(inst *ilp.Instance, cluster []int32) []int32 {
+	seen := make([]bool, inst.NumVars())
+	var vars []int32
+	for _, v := range cluster {
+		if !seen[v] {
+			seen[v] = true
+			vars = append(vars, v)
+		}
+	}
+	return vars
+}
+
+// refPackingLocal is PackingLocal with the structured path that always
+// builds the cluster graph and lets tree DP and König reject it.
+func refPackingLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64, Method) {
+	vars := refDedup(inst, cluster)
+	if inst.Rank2Unit() && len(vars) > 0 {
+		g := refClusterGraph(inst, vars)
+		w := make([]int64, len(vars))
+		for i, v := range vars {
+			w[i] = inst.Weight(int(v))
+		}
+		if set, val, err := treedp.MaxIndependentSet(g, w); err == nil {
+			return liftSolution(inst, vars, set), val, MethodTreeDP
+		}
+		if unitWeights(inst, vars) {
+			if r := matching.BipartiteAuto(g); r != nil {
+				return liftSolution(inst, vars, r.MaxIndependentSet), int64(len(r.MaxIndependentSet)), MethodBipartite
+			}
+		}
+	}
+	return PackingLocal(inst, cluster, Options{DisableStructure: true})
+}
+
+// refCoveringLocal is CoveringLocal with the always-build structured path.
+func refCoveringLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64, Method, error) {
+	vars := refDedup(inst, cluster)
+	in := make([]bool, inst.NumVars())
+	for _, v := range vars {
+		in[v] = true
+	}
+	local := inst.LocalConstraints(in)
+	if !inst.Rank2Unit() || len(local) == 0 {
+		return CoveringLocal(inst, cluster, Options{DisableStructure: true})
+	}
+	forced := map[int32]bool{}
+	for _, cj := range local {
+		if c := inst.Constraint(int(cj)); len(c.Terms) == 1 {
+			forced[int32(c.Terms[0].Var)] = true
+		}
+	}
+	g := refClusterGraph(inst, vars)
+	w := make([]int64, len(vars))
+	for i, v := range vars {
+		if !forced[v] {
+			w[i] = inst.Weight(int(v))
+		}
+	}
+	var sol ilp.Solution
+	var method Method
+	if cover, _, err := treedp.MinVertexCover(g, w); err == nil {
+		sol, method = liftSolution(inst, vars, cover), MethodTreeDP
+	} else if r := matching.BipartiteAuto(g); unitWeights(inst, vars) && len(forced) == 0 && r != nil {
+		sol, method = liftSolution(inst, vars, r.MinVertexCover), MethodBipartite
+	} else {
+		return CoveringLocal(inst, cluster, Options{DisableStructure: true})
+	}
+	var val int64
+	for v := range forced {
+		sol[v] = true
+	}
+	for _, v := range vars {
+		if sol[v] {
+			val += inst.Weight(int(v))
+		}
+	}
+	return sol, val, method, nil
+}
+
+// TestStructuredSkipMatchesCSR checks the odd-cycle early exit against the
+// always-build structured path on random edge-form instances (forests,
+// cycles and random graphs, unit and random weights, rank-1 rows for
+// covering) and random clusters: same solution, value and method.
+func TestStructuredSkipMatchesCSR(t *testing.T) {
+	rng := xrand.New(91)
+	methods := map[Method]int{}
+	for trial := 0; trial < 800; trial++ {
+		n := 2 + rng.Intn(60)
+		var g *graph.Graph
+		switch trial % 4 {
+		case 0:
+			g = gen.RandomTree(n, rng)
+		case 1:
+			g = gen.Cycle(max(n, 3))
+		case 2:
+			g = gen.GNP(n, 1.5/float64(n), rng)
+		default:
+			// Dense and small, so that branch-and-bound stays quick.
+			n = 2 + rng.Intn(20)
+			g = gen.GNP(n, 4/float64(n), rng)
+		}
+		w := make([]int64, g.N())
+		for i := range w {
+			w[i] = 1
+			if trial%3 == 0 {
+				w[i] = int64(rng.Intn(4))
+			}
+		}
+		pinst := misILP(t, g, w)
+		cluster := randomCluster(g.N(), rng)
+		gotSol, gotVal, gotM := PackingLocal(pinst, cluster, Options{})
+		wantSol, wantVal, wantM := refPackingLocal(pinst, cluster)
+		if gotM != wantM || gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
+			t.Fatalf("trial %d packing: %v (%d) via %v, want %v (%d) via %v", trial, gotSol, gotVal, gotM, wantSol, wantVal, wantM)
+		}
+		methods[gotM]++
+
+		b := ilp.NewBuilder(ilp.Covering, w)
+		g.Edges(func(u, v int) { b.AddConstraint([]ilp.Term{{Var: u, Coeff: 1}, {Var: v, Coeff: 1}}, 1) })
+		if trial%5 == 0 {
+			b.AddConstraint([]ilp.Term{{Var: rng.Intn(g.N()), Coeff: 1}}, 1)
+		}
+		cinst, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSol, gotVal, gotM, gotErr := CoveringLocal(cinst, cluster, Options{})
+		wantSol, wantVal, wantM, wantErr := refCoveringLocal(cinst, cluster)
+		if gotM != wantM || gotVal != wantVal || !slices.Equal(gotSol, wantSol) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d covering: %v (%d) via %v (%v), want %v (%d) via %v (%v)", trial, gotSol, gotVal, gotM, gotErr, wantSol, wantVal, wantM, wantErr)
+		}
+		methods[gotM]++
+	}
+	for _, m := range []Method{MethodTreeDP, MethodBipartite, MethodBranchBound, MethodGreedy} {
+		if methods[m] == 0 {
+			t.Fatalf("no trial ran %v: %v", m, methods)
+		}
+	}
 }
