@@ -80,7 +80,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
-	"repro/internal/ldd"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/server"
@@ -109,7 +108,7 @@ type request struct {
 	op     string // "algo" | "cluster" | "ball" | "addedge" | "deledge" | "compact"
 	algo   string // registry name when op == "algo"
 	params algo.Params
-	cl     ldd.Params // cluster point queries
+	cl     server.QueryRequest // cluster point queries: eps, scale, seed, skip2
 	vertex int32
 	radius int
 	u, v   int32 // mutation endpoints
@@ -139,10 +138,10 @@ func (r request) issue(ctx context.Context, e *engine.Engine, h engine.StoreHand
 		_, err := e.Run(ctx, h, r.algo, r.params)
 		return false, err
 	case "cluster":
-		_, err := e.ClusterOf(ctx, h, r.cl, []int32{r.vertex})
+		_, _, err := e.ClusterOf(ctx, h, r.cl.ClusterParams(), []int32{r.vertex})
 		return false, err
 	case "ball":
-		_, err := e.Balls(ctx, h, []int32{r.vertex}, r.radius, 1)
+		_, _, err := e.Balls(ctx, h, []int32{r.vertex}, r.radius, 1)
 		return false, err
 	case "addedge":
 		return !h.Store().AddEdge(int(r.u), int(r.v)), nil
@@ -164,10 +163,9 @@ func (r request) issueHTTP(ctx context.Context, c *server.Client, id string) (no
 		_, err := c.Run(ctx, id, server.RunRequest{Algo: r.algo, Params: r.params})
 		return false, err
 	case "cluster":
-		_, err := c.Query(ctx, id, server.QueryRequest{
-			Op: "cluster", Vertices: []int32{r.vertex},
-			Eps: r.cl.Epsilon, Scale: r.cl.Scale, Seed: r.cl.Seed, Skip2: r.cl.SkipPhase2,
-		})
+		q := r.cl
+		q.Op, q.Vertices = "cluster", []int32{r.vertex}
+		_, err := c.Query(ctx, id, q)
 		return false, err
 	case "ball":
 		_, err := c.Query(ctx, id, server.QueryRequest{Op: "ball", Vertices: []int32{r.vertex}, Radius: r.radius})
@@ -276,7 +274,7 @@ func parseTraceLine(text string, n int) (request, bool, error) {
 	var err error
 	switch r.op {
 	case "cluster":
-		if r.cl.Epsilon, err = getF("eps", 0.3); err != nil {
+		if r.cl.Eps, err = getF("eps", 0.3); err != nil {
 			return r, false, err
 		}
 		if r.cl.Scale, err = getF("scale", 0.05); err != nil {
@@ -287,7 +285,7 @@ func parseTraceLine(text string, n int) (request, bool, error) {
 			return r, false, err
 		}
 		r.cl.Seed = uint64(seed)
-		r.cl.SkipPhase2 = kv["skip2"] == "true"
+		r.cl.Skip2 = kv["skip2"] == "true"
 	case "ball":
 		if r.radius, err = getI("k", 2); err != nil {
 			return r, false, err
@@ -336,7 +334,7 @@ func readTrace(path string, n int) ([]request, error) {
 type synthSpace struct {
 	decomp []request // one per seed, algorithm = -algo
 	cover  []request
-	cl     []ldd.Params // cluster query params (changli-backed)
+	cl     []server.QueryRequest // cluster query params (changli-backed)
 }
 
 func makeSynthSpace(spec *algo.Spec, seedSpace int, eps, scale float64) synthSpace {
@@ -366,7 +364,7 @@ func makeSynthSpace(spec *algo.Spec, seedSpace int, eps, scale float64) synthSpa
 		sp.decomp = append(sp.decomp, request{op: "algo", algo: spec.Name, params: p})
 		sp.cover = append(sp.cover, request{op: "algo", algo: "sparsecover",
 			params: algo.Params{"lambda": "0.5", "seed": strconv.Itoa(s)}})
-		sp.cl = append(sp.cl, ldd.Params{Epsilon: eps, Scale: scale, Seed: uint64(s)})
+		sp.cl = append(sp.cl, server.QueryRequest{Eps: eps, Scale: scale, Seed: uint64(s)})
 	}
 	return sp
 }

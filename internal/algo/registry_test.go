@@ -146,34 +146,17 @@ func TestParamsParseAndCanonical(t *testing.T) {
 	}
 }
 
-// TestTypedKeysMatchGeneric pins the engine's fast typed key builder to
-// the generic Spec.CacheKey so the two request paths always share cache
-// slots.
-func TestTypedKeysMatchGeneric(t *testing.T) {
-	lp := ldd.Params{Epsilon: 0.3, NTilde: 500, Seed: 11, Scale: 0.05, SkipPhase2: true, Workers: 3}
-	s, _ := Get("changli")
-	want, err := s.CacheKey(ChangLiParams(lp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ChangLiKey(lp); got != want {
-		t.Fatalf("ChangLiKey = %q, generic = %q", got, want)
-	}
-
-}
-
-// TestTypedRunnersMatchDirect pins the typed bridge runners to the direct
-// package entry points: same seed, same output.
-func TestTypedRunnersMatchDirect(t *testing.T) {
+// TestChangLiRunMatchesDirect pins the registry's changli runner to the
+// direct package entry point: same seed, same output.
+func TestChangLiRunMatchesDirect(t *testing.T) {
 	g := gen.RandomRegular(200, 4, xrand.New(3))
-	lp := ldd.Params{Epsilon: 0.3, Seed: 5, Scale: 0.05}
-	res, err := RunChangLi(context.Background(), g, lp)
+	res, err := Run(context.Background(), "changli", g, Params{"eps": "0.3", "seed": "5", "scale": "0.05"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := ldd.ChangLi(g, lp)
+	direct := ldd.ChangLi(g, ldd.Params{Epsilon: 0.3, Seed: 5, Scale: 0.05})
 	if res.NumClusters != direct.NumClusters || res.Unclustered != direct.UnclusteredCount() {
-		t.Fatalf("typed runner diverged: got (%d, %d), want (%d, %d)",
+		t.Fatalf("registry runner diverged: got (%d, %d), want (%d, %d)",
 			res.NumClusters, res.Unclustered, direct.NumClusters, direct.UnclusteredCount())
 	}
 	for v := range direct.ClusterOf {

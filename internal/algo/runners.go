@@ -44,14 +44,7 @@ func registerDecompositions() {
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			lp := ldd.Params{
-				Epsilon:    d.float("eps", 0.3),
-				NTilde:     d.int("ntilde", 0),
-				Seed:       d.uint("seed", 1),
-				Scale:      d.float("scale", 0),
-				SkipPhase2: d.bool("skip2", false),
-				Workers:    d.int("workers", 0),
-			}
+			lp := lddParams(&d)
 			repair := d.bool("repair", false)
 			if d.err != nil {
 				return nil, d.err
@@ -64,14 +57,7 @@ func registerDecompositions() {
 		},
 		Repair: func(ctx context.Context, gv graph.View, old *Result, p Params, delta ldd.EdgeDelta) (*Result, error) {
 			d := decoder{p: p}
-			lp := ldd.Params{
-				Epsilon:    d.float("eps", 0.3),
-				NTilde:     d.int("ntilde", 0),
-				Seed:       d.uint("seed", 1),
-				Scale:      d.float("scale", 0),
-				SkipPhase2: d.bool("skip2", false),
-				Workers:    d.int("workers", 0),
-			}
+			lp := lddParams(&d)
 			if d.err != nil {
 				return nil, d.err
 			}
@@ -97,14 +83,7 @@ func registerDecompositions() {
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			lp := ldd.Params{
-				Epsilon:    d.float("eps", 0.3),
-				NTilde:     d.int("ntilde", 0),
-				Seed:       d.uint("seed", 1),
-				Scale:      d.float("scale", 0),
-				SkipPhase2: d.bool("skip2", false),
-				Workers:    d.int("workers", 0),
-			}
+			lp := lddParams(&d)
 			wseed := d.uint("wseed", 1)
 			wmax := d.int("wmax", 8)
 			repair := d.bool("repair", false)
@@ -148,12 +127,7 @@ func registerDecompositions() {
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			ep := ldd.ENParams{
-				Lambda:  d.float("lambda", 0.3),
-				NTilde:  d.int("ntilde", 0),
-				Seed:    d.uint("seed", 1),
-				Workers: d.int("workers", 0),
-			}
+			ep := enParams(&d, 0.3)
 			repair := d.bool("repair", false)
 			if d.err != nil {
 				return nil, d.err
@@ -210,11 +184,7 @@ func registerDecompositions() {
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			ep := ldd.ENParams{
-				Lambda: d.float("lambda", 0.3),
-				NTilde: d.int("ntilde", 0),
-				Seed:   d.uint("seed", 1),
-			}
+			ep := enParams(&d, 0.3)
 			if d.err != nil {
 				return nil, d.err
 			}
@@ -249,12 +219,7 @@ func registerDecompositions() {
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			ep := ldd.ENParams{
-				Lambda:  d.float("lambda", 0.5),
-				NTilde:  d.int("ntilde", 0),
-				Seed:    d.uint("seed", 1),
-				Workers: d.int("workers", 0),
-			}
+			ep := enParams(&d, 0.5)
 			if d.err != nil {
 				return nil, d.err
 			}
@@ -274,12 +239,7 @@ func registerDecompositions() {
 		},
 		Repair: func(ctx context.Context, gv graph.View, old *Result, p Params, delta ldd.EdgeDelta) (*Result, error) {
 			d := decoder{p: p}
-			ep := ldd.ENParams{
-				Lambda:  d.float("lambda", 0.5),
-				NTilde:  d.int("ntilde", 0),
-				Seed:    d.uint("seed", 1),
-				Workers: d.int("workers", 0),
-			}
+			ep := enParams(&d, 0.5)
 			if d.err != nil {
 				return nil, d.err
 			}
@@ -343,6 +303,31 @@ func registerDecompositions() {
 			}, nil
 		},
 	})
+}
+
+// lddParams decodes the Theorem 1.1 parameters shared by the changli and
+// weighted families.
+func lddParams(d *decoder) ldd.Params {
+	return ldd.Params{
+		Epsilon:    d.float("eps", 0.3),
+		NTilde:     d.int("ntilde", 0),
+		Seed:       d.uint("seed", 1),
+		Scale:      d.float("scale", 0),
+		SkipPhase2: d.bool("skip2", false),
+		Workers:    d.int("workers", 0),
+	}
+}
+
+// enParams decodes the exponential-shift parameters shared by the en, mpx
+// and sparsecover families (mpx declares no workers, so its Workers stays
+// 0).
+func enParams(d *decoder, defaultLambda float64) ldd.ENParams {
+	return ldd.ENParams{
+		Lambda:  d.float("lambda", defaultLambda),
+		NTilde:  d.int("ntilde", 0),
+		Seed:    d.uint("seed", 1),
+		Workers: d.int("workers", 0),
+	}
 }
 
 // decompositionResult wraps an ldd.Decomposition, optionally repairing

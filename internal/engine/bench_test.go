@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/ldd"
@@ -22,8 +23,16 @@ func benchParams() ldd.Params {
 	return ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
 }
 
+// seedParams is the changli bag of benchParams under another seed.
+func seedParams(seed uint64) algo.Params {
+	p := benchParams()
+	p.Seed = seed
+	return changliParams(p)
+}
+
 // BenchmarkEngineCachedQuery times the cache-hit request path: the
 // decomposition is computed once in warm-up, then every iteration is a
+// Run with a prebuilt parameter bag: key canonicalization plus a
 // fingerprint-keyed lookup. Compare against BenchmarkColdChangLi on the
 // same graph and parameters: the acceptance bar is a >= 10x speedup, and in
 // practice the gap is several orders of magnitude.
@@ -31,15 +40,15 @@ func BenchmarkEngineCachedQuery(b *testing.B) {
 	g := benchGraph()
 	e := New(Options{})
 	h := e.Register(g)
-	p := benchParams()
-	if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+	p := changliParams(benchParams())
+	if _, err := e.Run(context.Background(), h, "changli", p); err != nil {
 		b.Fatal(err)
 	}
 	base := e.Stats().Computations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+		if _, err := e.Run(context.Background(), h, "changli", p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +96,7 @@ func BenchmarkEngineBallsBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Balls(context.Background(), h, vs, 2, 0); err != nil {
+		if _, _, err := e.Balls(context.Background(), h, vs, 2, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,13 +107,12 @@ func BenchmarkEngineBallsBatch(b *testing.B) {
 // way a mixed multi-tenant workload would.
 const benchSeeds = 16
 
-func warmSeeds(b *testing.B, e *Engine, h Handle) [benchSeeds]ldd.Params {
+func warmSeeds(b *testing.B, e *Engine, h Handle) [benchSeeds]algo.Params {
 	b.Helper()
-	var ps [benchSeeds]ldd.Params
+	var ps [benchSeeds]algo.Params
 	for s := range ps {
-		ps[s] = benchParams()
-		ps[s].Seed = uint64(s)
-		if _, err := e.ChangLi(context.Background(), h, ps[s]); err != nil {
+		ps[s] = seedParams(uint64(s))
+		if _, err := e.Run(context.Background(), h, "changli", ps[s]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +140,7 @@ func benchCachedParallel(b *testing.B, shards int) {
 		// different keys (and hence different shards) at any instant.
 		i := next.Add(1) * 7
 		for pb.Next() {
-			if _, err := e.ChangLi(context.Background(), h, ps[i%benchSeeds]); err != nil {
+			if _, err := e.Run(context.Background(), h, "changli", ps[i%benchSeeds]); err != nil {
 				b.Fatal(err)
 			}
 			i++
@@ -166,11 +174,10 @@ func benchChurn(b *testing.B, repairK int) {
 	e := New(Options{Capacity: 256, RepairK: repairK})
 	h := e.RegisterStore(st)
 	const seeds = 4
-	var ps [seeds]ldd.Params
+	var ps [seeds]algo.Params
 	for s := range ps {
-		ps[s] = benchParams()
-		ps[s].Seed = uint64(s)
-		if _, err := e.ChangLi(context.Background(), h, ps[s]); err != nil {
+		ps[s] = seedParams(uint64(s))
+		if _, err := e.Run(context.Background(), h, "changli", ps[s]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +193,7 @@ func benchChurn(b *testing.B, repairK int) {
 			}
 		}
 		t0 := time.Now()
-		if _, err := e.ChangLi(context.Background(), h, ps[i%seeds]); err != nil {
+		if _, err := e.Run(context.Background(), h, "changli", ps[i%seeds]); err != nil {
 			b.Fatal(err)
 		}
 		lat.Observe(time.Since(t0))
@@ -222,14 +229,14 @@ func BenchmarkEngineStoreCachedQuery(b *testing.B) {
 	st := store.New(g)
 	e := New(Options{})
 	h := e.RegisterStore(st)
-	p := benchParams()
-	if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+	p := changliParams(benchParams())
+	if _, err := e.Run(context.Background(), h, "changli", p); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+		if _, err := e.Run(context.Background(), h, "changli", p); err != nil {
 			b.Fatal(err)
 		}
 	}

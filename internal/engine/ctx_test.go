@@ -61,28 +61,32 @@ func TestRunRegistryPath(t *testing.T) {
 	}
 }
 
-// TestTypedAndGenericShareCache pins the tentpole cache-key property: the
-// typed ChangLi path and the generic Run("changli") path collide on the
-// same cache slot.
-func TestTypedAndGenericShareCache(t *testing.T) {
+// TestClusterOfSharesRunCache pins the shared cache slot of the two ways
+// to ask for a changli decomposition: ClusterOf after Run("changli") with
+// the same parameters, spelled differently, computes nothing.
+func TestClusterOfSharesRunCache(t *testing.T) {
 	g := gen.Grid(12, 12)
 	e := New(Options{})
 	h := e.Register(g)
-	p := ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
-	d, err := e.ChangLi(context.Background(), h, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := e.Run(context.Background(), h, "changli",
 		algo.Params{"eps": "0.3", "seed": "11", "scale": "0.05"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Raw.(*ldd.Decomposition) != d {
-		t.Fatal("typed and generic requests did not share a cache slot")
+	before := e.Stats().Computations
+	vs := []int32{0, 77, 143}
+	got, _, err := e.ClusterOf(context.Background(), h,
+		algo.Params{"eps": "0.30", "seed": "11", "scale": ".05", "skip2": "false", "workers": "2"}, vs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Computations != 1 {
-		t.Fatalf("computations = %d, want 1", st.Computations)
+	if after := e.Stats().Computations; after != before {
+		t.Fatalf("ClusterOf after Run ran %d computations, want 0", after-before)
+	}
+	for i, v := range vs {
+		if got[i] != res.ClusterOf[v] {
+			t.Fatalf("vertex %d: cluster %d, Run says %d", v, got[i], res.ClusterOf[v])
+		}
 	}
 }
 
@@ -97,7 +101,7 @@ func TestDeadlineBoundedRequest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.ChangLi(ctx, h, p)
+	_, err := changli(ctx, e, h, p)
 	if err == nil {
 		t.Skip("machine fast enough to finish inside the deadline")
 	}
@@ -114,7 +118,7 @@ func TestDeadlineBoundedRequest(t *testing.T) {
 	// on a small graph.
 	h2 := e.Register(gen.Cycle(200))
 	p2 := ldd.Params{Epsilon: 0.3, Seed: 3, Scale: 0.05}
-	if _, err := e.ChangLi(context.Background(), h2, p2); err != nil {
+	if _, err := changli(context.Background(), e, h2, p2); err != nil {
 		t.Fatalf("engine unusable after deadline: %v", err)
 	}
 }
@@ -216,7 +220,7 @@ func TestEvictionAndDedupCountersExposed(t *testing.T) {
 	e := New(Options{Capacity: 1, Shards: 1})
 	h := e.Register(g)
 	for seed := uint64(0); seed < 3; seed++ {
-		if _, err := e.ChangLi(context.Background(), h, ldd.Params{Epsilon: 0.3, Seed: seed, Scale: 0.05}); err != nil {
+		if _, err := changli(context.Background(), e, h, ldd.Params{Epsilon: 0.3, Seed: seed, Scale: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}

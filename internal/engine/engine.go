@@ -24,6 +24,12 @@
 // computed against superseded snapshots age out of the sharded LRU
 // naturally instead of requiring invalidation sweeps.
 //
+// Run is the only compute path. The point queries sit on top of it:
+// ClusterOf indexes the result of Run("changli", p), so it shares cache
+// slots with a plain Run under the same parameters, and Balls searches the
+// resolved snapshot directly. Both return the snapshot their answer was
+// computed on.
+//
 // Under churn, a cache miss against a store-backed source does not always
 // recompute: with Options.RepairK > 0 the engine walks the snapshot's
 // ancestry (the store's delta log and fingerprint chain) up to RepairK
@@ -634,74 +640,46 @@ func (e *Engine) Run(ctx context.Context, src Source, name string, p algo.Params
 	return v.(*algo.Result), nil
 }
 
-// ChangLi returns the Theorem 1.1 decomposition of src's snapshot under p,
-// computing it at most once per (fingerprint, params). This is the typed
-// hot path of Run("changli", ...): it shares cache slots with the generic
-// path (algo.ChangLiKey == Spec.CacheKey by construction) while building
-// the key with strconv appends. The result is shared; treat it as
-// immutable.
-func (e *Engine) ChangLi(ctx context.Context, src Source, p ldd.Params) (*ldd.Decomposition, error) {
-	p.Workers = e.defaultWorkers(p.Workers)
-	sv := src.resolve()
-	key := algo.ChangLiKey(p)
-	if tr := obs.FromContext(ctx); tr != nil {
-		tr.SetRequest("changli", key, sv.fp.String())
-	}
-	v, err := e.do(ctx, cacheKey{fp: sv.fp, key: key}, func(ctx context.Context) (any, error) {
-		if r, ok := e.tryRepair(ctx, sv, key, func(ctx context.Context, old *algo.Result, delta ldd.EdgeDelta) (*algo.Result, error) {
-			return algo.RepairChangLi(ctx, sv.view(), old, p, delta)
-		}); ok {
-			return r, nil
-		}
-		r, err := algo.RunChangLi(ctx, sv.graph(), p)
-		if err != nil {
-			return nil, err
-		}
-		return stamp(r, sv.fp), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*algo.Result).Raw.(*ldd.Decomposition), nil
-}
-
-// ClusterOf answers a batch of cluster-of-vertex queries against the cached
-// ChangLi decomposition of src's current snapshot (computing it on first
-// use). The returned slice is caller-owned.
-func (e *Engine) ClusterOf(ctx context.Context, src Source, p ldd.Params, vs []int32) ([]int32, error) {
+// ClusterOf answers a batch of cluster-of-vertex queries against the
+// changli decomposition of src's current snapshot under p (the changli
+// spec's parameters), served by Run, so it shares cache slots with
+// Run("changli", p). It returns the caller-owned cluster ids and the
+// snapshot the decomposition was computed on.
+func (e *Engine) ClusterOf(ctx context.Context, src Source, p algo.Params, vs []int32) ([]int32, string, error) {
 	e.queries.Add(1)
-	d, err := e.ChangLi(ctx, src, p)
+	res, err := e.Run(ctx, src, "changli", p)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	out := make([]int32, len(vs))
 	for i, v := range vs {
-		if v < 0 || int(v) >= len(d.ClusterOf) {
-			return nil, fmt.Errorf("engine: vertex %d out of range [0, %d)", v, len(d.ClusterOf))
+		if v < 0 || int(v) >= len(res.ClusterOf) {
+			return nil, "", fmt.Errorf("engine: vertex %d out of range [0, %d)", v, len(res.ClusterOf))
 		}
-		out[i] = d.ClusterOf[v]
+		out[i] = res.ClusterOf[v]
 	}
-	return out, nil
+	return out, res.Snapshot, nil
 }
 
 // Balls answers a batch of ball queries N^radius(v) on src's current
 // snapshot, fanning out across the worker pool with one pooled traversal
 // workspace per worker. Store snapshots are searched directly on their
 // delta overlay (no CSR materialization). workers <= 0 means GOMAXPROCS.
-// The returned slices are caller-owned.
-func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, workers int) ([][]int32, error) {
+// It returns the caller-owned balls and the snapshot they were searched on.
+func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, workers int) ([][]int32, string, error) {
 	e.queries.Add(1)
 	sv := src.resolve()
 	n := sv.n()
 	for _, v := range vs {
 		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("engine: vertex %d out of range [0, %d)", v, n)
+			return nil, "", fmt.Errorf("engine: vertex %d out of range [0, %d)", v, n)
 		}
 	}
+	snapshot := sv.fp.String()
 	out := make([][]int32, len(vs))
 	workers = min(par.Workers(e.defaultWorkers(workers)), len(vs))
 	if workers == 0 {
-		return out, nil
+		return out, snapshot, nil
 	}
 	gv := sv.view()
 	pws := graph.AcquireParWorkspaces(workers)
@@ -711,7 +689,7 @@ func (e *Engine) Balls(ctx context.Context, src Source, vs []int32, radius, work
 	graph.ReleaseParWorkspaces(pws)
 	if err != nil {
 		e.cancellations.Add(1)
-		return nil, err
+		return nil, "", err
 	}
-	return out, nil
+	return out, snapshot, nil
 }

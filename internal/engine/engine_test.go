@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,33 @@ func testParams() ldd.Params {
 	return ldd.Params{Epsilon: 0.3, Seed: 11, Scale: 0.05}
 }
 
+// changliParams is the changli registry bag for p; workers and ntilde
+// appear only when set.
+func changliParams(p ldd.Params) algo.Params {
+	q := algo.Params{
+		"eps":   strconv.FormatFloat(p.Epsilon, 'g', -1, 64),
+		"seed":  strconv.FormatUint(p.Seed, 10),
+		"scale": strconv.FormatFloat(p.Scale, 'g', -1, 64),
+		"skip2": strconv.FormatBool(p.SkipPhase2),
+	}
+	if p.NTilde != 0 {
+		q["ntilde"] = strconv.Itoa(p.NTilde)
+	}
+	if p.Workers != 0 {
+		q["workers"] = strconv.Itoa(p.Workers)
+	}
+	return q
+}
+
+// changli serves the changli decomposition of src under p through Run.
+func changli(ctx context.Context, e *Engine, src Source, p ldd.Params) (*ldd.Decomposition, error) {
+	res, err := e.Run(ctx, src, "changli", changliParams(p))
+	if err != nil {
+		return nil, err
+	}
+	return res.Raw.(*ldd.Decomposition), nil
+}
+
 func TestSingleflight64Goroutines(t *testing.T) {
 	g := gen.GNP(600, 8.0/600, xrand.New(5))
 	e := New(Options{})
@@ -38,7 +66,7 @@ func TestSingleflight64Goroutines(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			results[i], errs[i] = e.ChangLi(bg, h, p)
+			results[i], errs[i] = changli(bg, e, h, p)
 		}(i)
 	}
 	start.Done()
@@ -68,7 +96,7 @@ func TestSingleflight64Goroutines(t *testing.T) {
 	direct := ldd.ChangLi(g, p)
 	pw := p
 	pw.Workers = 3
-	if got, err := e.ChangLi(bg, h, pw); err != nil || got != results[0] {
+	if got, err := changli(bg, e, h, pw); err != nil || got != results[0] {
 		t.Fatalf("Workers-only param change missed the cache: %v %v", got, err)
 	}
 	if len(direct.ClusterOf) != len(results[0].ClusterOf) {
@@ -86,12 +114,12 @@ func TestCacheHitDoesZeroWork(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Stats()
 	for i := 0; i < 100; i++ {
-		if _, err := e.ChangLi(bg, h, p); err != nil {
+		if _, err := changli(bg, e, h, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,10 +139,10 @@ func TestDistinctParamsAndAlgorithmsMiss(t *testing.T) {
 	p := testParams()
 	p2 := p
 	p2.Seed++
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ChangLi(bg, h, p2); err != nil {
+	if _, err := changli(bg, e, h, p2); err != nil {
 		t.Fatal(err)
 	}
 	sc := algo.Params{"lambda": "0.5", "seed": "2"}
@@ -129,8 +157,8 @@ func TestDistinctParamsAndAlgorithmsMiss(t *testing.T) {
 		t.Fatalf("4 distinct requests ran %d computations", st.Computations)
 	}
 	// All four now served from cache.
-	e.ChangLi(bg, h, p)
-	e.ChangLi(bg, h, p2)
+	changli(bg, e, h, p)
+	changli(bg, e, h, p2)
 	e.Run(bg, h, "sparsecover", sc)
 	e.Run(bg, h, "netdecomp", nd)
 	if st := e.Stats(); st.Computations != 4 {
@@ -148,7 +176,7 @@ func TestLRUEviction(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		pp := p
 		pp.Seed = seed
-		if _, err := e.ChangLi(bg, h, pp); err != nil {
+		if _, err := changli(bg, e, h, pp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +186,7 @@ func TestLRUEviction(t *testing.T) {
 	// seed 0 was evicted; re-requesting recomputes it.
 	pp := p
 	pp.Seed = 0
-	if _, err := e.ChangLi(bg, h, pp); err != nil {
+	if _, err := changli(bg, e, h, pp); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 4 {
@@ -166,7 +194,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// seed 2 is still resident (most recently used before the refill).
 	pp.Seed = 2
-	e.ChangLi(bg, h, pp)
+	changli(bg, e, h, pp)
 	if st := e.Stats(); st.Computations != 4 {
 		t.Fatalf("resident entry recomputed (computations = %d)", st.Computations)
 	}
@@ -201,8 +229,8 @@ func TestRegisterCollapsesEqualGraphs(t *testing.T) {
 		t.Fatal("equal-fingerprint graphs not collapsed to one instance")
 	}
 	p := testParams()
-	e.ChangLi(bg, h1, p)
-	e.ChangLi(bg, h2, p)
+	changli(bg, e, h1, p)
+	changli(bg, e, h2, p)
 	if st := e.Stats(); st.Computations != 1 {
 		t.Fatalf("cross-handle requests ran %d computations, want 1", st.Computations)
 	}
@@ -213,21 +241,24 @@ func TestClusterOfBatch(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	d, err := e.ChangLi(bg, h, p)
+	d, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vs := []int32{0, 5, 99, 42}
-	got, err := e.ClusterOf(bg, h, p, vs)
+	got, snapshot, err := e.ClusterOf(bg, h, changliParams(p), vs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snapshot != h.Fingerprint().String() {
+		t.Fatalf("snapshot %q, want %q", snapshot, h.Fingerprint())
 	}
 	for i, v := range vs {
 		if got[i] != d.ClusterOf[v] {
 			t.Fatalf("vertex %d: got cluster %d, want %d", v, got[i], d.ClusterOf[v])
 		}
 	}
-	if _, err := e.ClusterOf(bg, h, p, []int32{100}); err == nil {
+	if _, _, err := e.ClusterOf(bg, h, changliParams(p), []int32{100}); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
 	if st := e.Stats(); st.Computations != 1 {
@@ -241,7 +272,7 @@ func TestBallsBatch(t *testing.T) {
 	h := e.Register(g)
 	vs := []int32{0, 17, 123, 299, 17}
 	for _, workers := range []int{1, 4} {
-		got, err := e.Balls(bg, h, vs, 2, workers)
+		got, _, err := e.Balls(bg, h, vs, 2, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +295,11 @@ func TestBallsValidatesVertices(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	for _, v := range []int32{-1, 10} {
-		if _, err := e.Balls(bg, h, []int32{0, v}, 1, 2); err == nil {
+		if _, _, err := e.Balls(bg, h, []int32{0, v}, 1, 2); err == nil {
 			t.Fatalf("vertex %d accepted", v)
 		}
 	}
-	if got, err := e.Balls(bg, h, nil, 1, 0); err != nil || len(got) != 0 {
+	if got, _, err := e.Balls(bg, h, nil, 1, 0); err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v %v", got, err)
 	}
 }
@@ -278,7 +309,7 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 	e := New(Options{})
 	h := e.Register(g)
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	e.Unregister(h)
@@ -286,7 +317,7 @@ func TestUnregisterDropsGraphAndCache(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// The old handle still works; the result is recomputed and re-cached.
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Computations != 2 {

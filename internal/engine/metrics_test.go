@@ -18,12 +18,12 @@ func TestEngineMetricsPopulate(t *testing.T) {
 	h := e.Register(g)
 	p := benchParams()
 
-	if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+	if _, err := changli(context.Background(), e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	const hits = 50
 	for i := 0; i < hits; i++ {
-		if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+		if _, err := changli(context.Background(), e, h, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestEngineJoinWaitMetric(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.ChangLi(context.Background(), h, p); err != nil {
+			if _, err := changli(context.Background(), e, h, p); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -98,7 +98,7 @@ func TestEngineStampsTraceLabels(t *testing.T) {
 
 	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 4})
 	ctx, tr := tracer.Start(context.Background(), "test-run")
-	if _, err := e.ChangLi(ctx, h, p); err != nil {
+	if _, err := changli(ctx, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish(0)

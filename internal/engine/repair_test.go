@@ -29,13 +29,13 @@ func repairTestStore(t *testing.T, o Options) (*Engine, StoreHandle, *store.Stor
 func TestRepairHitAfterMutation(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{RepairK: 8})
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	if !st.AddEdge(1, 5) {
 		t.Fatal("AddEdge failed")
 	}
-	d, err := e.ChangLi(bg, h, p)
+	d, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRepairHitAfterMutation(t *testing.T) {
 	}
 	// The repaired result is cached under the new fingerprint: the next
 	// request is an exact hit.
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	if est = e.Stats(); est.Hits != 1 {
@@ -59,11 +59,11 @@ func TestRepairHitAfterMutation(t *testing.T) {
 func TestRepairDisabledByDefault(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{})
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	st.AddEdge(1, 5)
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	est := e.Stats()
@@ -78,7 +78,7 @@ func TestRepairDisabledByDefault(t *testing.T) {
 func TestRepairCancellingDeltaRestamps(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{RepairK: 8})
 	p := testParams()
-	d0, err := e.ChangLi(bg, h, p)
+	d0, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRepairCancellingDeltaRestamps(t *testing.T) {
 	if !st.AddEdge(2, 9) || !st.DeleteEdge(2, 9) {
 		t.Fatal("mutations failed")
 	}
-	d1, err := e.ChangLi(bg, h, p)
+	d1, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestRepairCancellingDeltaRestamps(t *testing.T) {
 func TestRepairBeyondWindowFallsBack(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{RepairK: 2})
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	// Three mutations put the cached ancestor outside the 2-delta window.
 	st.AddEdge(1, 5)
 	st.AddEdge(2, 6)
 	st.AddEdge(3, 7)
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	est := e.Stats()
@@ -124,7 +124,7 @@ func TestRepairBeyondWindowFallsBack(t *testing.T) {
 func TestRepairGenerationCap(t *testing.T) {
 	e, h, st := repairTestStore(t, Options{RepairK: 8, RepairMaxGen: 2})
 	p := testParams()
-	if _, err := e.ChangLi(bg, h, p); err != nil {
+	if _, err := changli(bg, e, h, p); err != nil {
 		t.Fatal(err)
 	}
 	pairs := [][2]int{{1, 5}, {2, 6}, {3, 7}, {4, 8}, {5, 9}}
@@ -132,7 +132,7 @@ func TestRepairGenerationCap(t *testing.T) {
 		if !st.AddEdge(m[0], m[1]) {
 			t.Fatalf("AddEdge%v failed", m)
 		}
-		if _, err := e.ChangLi(bg, h, p); err != nil {
+		if _, err := changli(bg, e, h, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestRepairConcurrentChurn(t *testing.T) {
 	for _, seed := range []uint64{11, 12, 13} {
 		q := p
 		q.Seed = seed
-		if _, err := e.ChangLi(bg, h, q); err != nil {
+		if _, err := changli(bg, e, h, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRepairConcurrentChurn(t *testing.T) {
 			for i := 0; writersDone.Load() < writers || i < len(seeds); i++ {
 				q := p
 				q.Seed = seeds[i%len(seeds)]
-				d, err := e.ChangLi(bg, h, q)
+				d, err := changli(bg, e, h, q)
 				if err != nil {
 					errCh <- err
 					return

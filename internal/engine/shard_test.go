@@ -315,7 +315,7 @@ func TestStoreSnapshotIsolationInFlight(t *testing.T) {
 	}
 }
 
-// TestStoreHandleServing drives the typed and batch paths through a store
+// TestStoreHandleServing drives Run and the batch queries through a store
 // handle: mutation changes the served fingerprint, old results age out via
 // LRU, and Balls runs on the overlay without materializing.
 func TestStoreHandleServing(t *testing.T) {
@@ -325,12 +325,12 @@ func TestStoreHandleServing(t *testing.T) {
 	h := e.RegisterStore(st)
 	p := testParams()
 
-	d1, err := e.ChangLi(bg, h, p)
+	d1, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unchanged store: second request is a pure cache hit.
-	if d2, err := e.ChangLi(bg, h, p); err != nil || d2 != d1 {
+	if d2, err := changli(bg, e, h, p); err != nil || d2 != d1 {
 		t.Fatalf("unchanged store missed the cache: %v", err)
 	}
 	// Mutation: same params, new snapshot, recompute.
@@ -339,7 +339,7 @@ func TestStoreHandleServing(t *testing.T) {
 			break
 		}
 	}
-	d3, err := e.ChangLi(bg, h, p)
+	d3, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestStoreHandleServing(t *testing.T) {
 	snap := st.Snapshot()
 	mat := snap.Graph()
 	vs := []int32{0, 9, 150}
-	got, err := e.Balls(bg, h, vs, 2, 2)
+	got, _, err := e.Balls(bg, h, vs, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,17 +369,48 @@ func TestStoreHandleServing(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.Balls(bg, h, []int32{int32(snap.N())}, 1, 1); err == nil {
+	if _, _, err := e.Balls(bg, h, []int32{int32(snap.N())}, 1, 1); err == nil {
 		t.Fatal("out-of-range vertex accepted on store path")
 	}
 
-	// ClusterOf through the store handle stays consistent with ChangLi.
-	cl, err := e.ClusterOf(bg, h, p, []int32{0, 42})
+	// ClusterOf through the store handle stays consistent with Run.
+	cl, _, err := e.ClusterOf(bg, h, changliParams(p), []int32{0, 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cl[0] != d3.ClusterOf[0] || cl[1] != d3.ClusterOf[42] {
 		t.Fatal("ClusterOf disagrees with the current-snapshot decomposition")
+	}
+}
+
+// TestQuerySnapshotMatchesStore pins the snapshot stamp of the point
+// queries: after every mutation, ClusterOf and Balls report the version
+// their answer was computed on, which is the store's current one.
+func TestQuerySnapshotMatchesStore(t *testing.T) {
+	st := store.New(gen.Cycle(40))
+	e := New(Options{})
+	h := e.RegisterStore(st)
+	p := changliParams(testParams())
+	check := func(step string) {
+		t.Helper()
+		want := st.Snapshot().Fingerprint().String()
+		if _, got, err := e.ClusterOf(bg, h, p, []int32{0, 7}); err != nil || got != want {
+			t.Fatalf("%s: ClusterOf snapshot %q (err %v), want %q", step, got, err, want)
+		}
+		if _, got, err := e.Balls(bg, h, []int32{3}, 2, 1); err != nil || got != want {
+			t.Fatalf("%s: Balls snapshot %q (err %v), want %q", step, got, err, want)
+		}
+	}
+	check("initial")
+	for i := 0; i < 4; i++ {
+		if !st.AddEdge(i, 20+i) {
+			t.Fatalf("AddEdge(%d,%d) rejected", i, 20+i)
+		}
+		check(fmt.Sprintf("add %d", i))
+		if !st.DeleteEdge(i, i+1) {
+			t.Fatalf("DeleteEdge(%d,%d) rejected", i, i+1)
+		}
+		check(fmt.Sprintf("delete %d", i))
 	}
 }
 
@@ -392,7 +423,7 @@ func TestStoreChurnAgesOutEntries(t *testing.T) {
 	h := e.RegisterStore(st)
 	p := testParams()
 	for i := 0; i < 8; i++ {
-		if _, err := e.ChangLi(bg, h, p); err != nil {
+		if _, err := changli(bg, e, h, p); err != nil {
 			t.Fatal(err)
 		}
 		if !st.AddEdge(i, 30+i) {

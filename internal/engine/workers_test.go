@@ -12,9 +12,9 @@ import (
 )
 
 // TestWorkersDefaultInjection pins the Options.Workers contract: the
-// engine-level default reaches both the typed and the generic request
-// paths, never changes results (parallel execution is bit-identical to
-// serial), and never splits cache slots.
+// engine-level default reaches every request, never changes results
+// (parallel execution is bit-identical to serial), and never splits cache
+// slots.
 func TestWorkersDefaultInjection(t *testing.T) {
 	g := gen.GNP(800, 10.0/800, xrand.New(7))
 	p := testParams()
@@ -26,8 +26,8 @@ func TestWorkersDefaultInjection(t *testing.T) {
 	}
 	h := e.Register(g)
 
-	// Typed path: the injected default must not perturb the output.
-	d, err := e.ChangLi(bg, h, p)
+	// The injected default must not perturb the output.
+	d, err := changli(bg, e, h, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func TestWorkersDefaultInjection(t *testing.T) {
 		}
 	}
 
-	// Generic path with no workers param: the injection happens on a
-	// cloned bag (the caller's map must stay untouched) and shares the
-	// cache slot with the typed request above.
+	// A bag spelled differently, with no workers param: the injection
+	// happens on a cloned bag (the caller's map must stay untouched) and
+	// shares the cache slot with the request above.
 	bag := algo.Params{"eps": "0.3", "seed": "11", "scale": "0.05"}
 	r, err := e.Run(bg, h, "changli", bag)
 	if err != nil {
@@ -49,14 +49,14 @@ func TestWorkersDefaultInjection(t *testing.T) {
 		t.Fatal("engine mutated the caller's params map")
 	}
 	if r.Raw.(*ldd.Decomposition) != d {
-		t.Fatal("generic and typed requests with injected workers split the cache")
+		t.Fatal("requests with injected workers split the cache")
 	}
 
 	// An explicit per-request worker count wins over the default and
 	// still lands in the same cache slot (workers is excluded from keys).
 	pw := p
 	pw.Workers = 1
-	if d1, err := e.ChangLi(bg, h, pw); err != nil || d1 != d {
+	if d1, err := changli(bg, e, h, pw); err != nil || d1 != d {
 		t.Fatalf("explicit Workers:1 missed the cache: %v %v", d1, err)
 	}
 	if st := e.Stats(); st.Computations != 1 {
@@ -82,7 +82,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 	e := New(Options{Workers: 4})
 	h := e.Register(g)
 
-	want, err := e.ChangLi(bg, h, testParams())
+	want, err := changli(bg, e, h, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				switch (i + it) % 3 {
 				case 0:
-					d, err := e.ChangLi(bg, h, testParams())
+					d, err := changli(bg, e, h, testParams())
 					if err == nil && d != want {
 						err = errDifferentInstance
 					}
@@ -119,7 +119,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 					// racing against the cache hits above.
 					p := testParams()
 					p.Seed = uint64(1000 + i*iters + it)
-					_, err := e.ChangLi(bg, h, p)
+					_, err := changli(bg, e, h, p)
 					errs[i] = err
 				}
 				if errs[i] != nil {

@@ -247,8 +247,9 @@ func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 			continue
 		}
 		solution[v] = true
-		for _, cj := range inst.ConstraintsOf(v) {
-			used[cj] += coeff(inst, int(cj), v)
+		coeffs := inst.CoeffsOf(v)
+		for k, cj := range inst.ConstraintsOf(v) {
+			used[cj] += coeffs[k]
 		}
 	}
 	// Remove ball i* (all of it, clustered or not).
@@ -373,16 +374,6 @@ func localSolve(inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solu
 	return out, val, exact
 }
 
-// coeff returns constraint j's coefficient on variable v (0 when absent).
-func coeff(inst *ilp.Instance, j, v int) float64 {
-	for _, t := range inst.Constraint(j).Terms {
-		if t.Var == v {
-			return t.Coeff
-		}
-	}
-	return 0
-}
-
 // patchUncovered is defensive insurance for covering runs: any constraint
 // still unmet is fixed by setting all its variables (always feasible for a
 // well-formed instance). It should never trigger; the experiments assert on
@@ -396,8 +387,9 @@ func patchUncovered(inst *ilp.Instance, solution ilp.Solution, used []float64) {
 		for _, t := range c.Terms {
 			if !solution[t.Var] {
 				solution[t.Var] = true
-				for _, cj := range inst.ConstraintsOf(t.Var) {
-					used[cj] += coeff(inst, int(cj), t.Var)
+				coeffs := inst.CoeffsOf(t.Var)
+				for k, cj := range inst.ConstraintsOf(t.Var) {
+					used[cj] += coeffs[k]
 				}
 			}
 		}

@@ -73,7 +73,7 @@ type Instance struct {
 	constraints []Constraint
 	// Variable v's terms, in constraint order: conIDs[conStart[v]:
 	// conStart[v+1]] holds the constraint ids and conCoeffs the matching
-	// Coeff values. A variable repeated in one constraint repeats its id.
+	// Coeff values.
 	conStart   []int32
 	conIDs     []int32
 	conCoeffs  []float64
@@ -123,9 +123,12 @@ func checkHeader(kind Kind, weights []int64) error {
 	return nil
 }
 
-// AddConstraint records a row. Nonpositive coefficients and out-of-range
-// variables invalidate the builder (the paper's formulation requires
-// A >= 0; zero coefficients should simply be omitted).
+// AddConstraint records a row, sorted by variable, with a repeated
+// variable's terms merged into one whose coefficient is their sum.
+// Nonpositive coefficients and out-of-range variables invalidate the
+// builder (the paper's formulation requires A >= 0; zero coefficients
+// should simply be omitted), and so does a merged coefficient that
+// overflows.
 func (b *Builder) AddConstraint(terms []Term, rhs float64) *Builder {
 	if b.err != nil {
 		return b
@@ -146,7 +149,22 @@ func (b *Builder) AddConstraint(terms []Term, rhs float64) *Builder {
 	}
 	start := len(b.terms)
 	b.terms = append(b.terms, terms...)
-	slices.SortFunc(b.terms[start:], func(x, y Term) int { return x.Var - y.Var })
+	row := b.terms[start:]
+	slices.SortFunc(row, func(x, y Term) int { return x.Var - y.Var })
+	k := 0
+	for i, t := range row {
+		if i > 0 && row[k-1].Var == t.Var {
+			row[k-1].Coeff += t.Coeff
+			if math.IsInf(row[k-1].Coeff, 0) {
+				b.err = fmt.Errorf("%w: coefficients on variable %d overflow", ErrBadInstance, t.Var)
+				return b
+			}
+			continue
+		}
+		row[k] = t
+		k++
+	}
+	b.terms = b.terms[:start+k]
 	b.rows = append(b.rows, rowEnd{len(b.terms), rhs})
 	return b
 }
@@ -172,8 +190,7 @@ func (b *Builder) Build() (*Instance, error) {
 		if b.kind == Covering && len(c.Terms) == 0 && c.B > 0 {
 			return nil, fmt.Errorf("%w: covering constraint %d has no variables but rhs %v", ErrBadInstance, ci, c.B)
 		}
-		// A two-term row on one variable (x + x) is not an edge.
-		if len(c.Terms) > 2 || c.B != 1 || (len(c.Terms) == 2 && c.Terms[0].Var == c.Terms[1].Var) {
+		if len(c.Terms) > 2 || c.B != 1 {
 			inst.rank2Unit = false
 		}
 		for _, t := range c.Terms {
@@ -190,16 +207,10 @@ func (b *Builder) Build() (*Instance, error) {
 	inst.conCoeffs = make([]float64, inst.conStart[n])
 	cursor := slices.Clone(inst.conStart[:n])
 	for ci, c := range inst.constraints {
-		var coeff float64
-		for i, t := range c.Terms {
-			// Terms are sorted by variable, so a repeated variable's run
-			// starts with the term Coeff finds.
-			if i == 0 || c.Terms[i-1].Var != t.Var {
-				coeff = t.Coeff
-			}
+		for _, t := range c.Terms {
 			k := cursor[t.Var]
 			inst.conIDs[k] = int32(ci)
-			inst.conCoeffs[k] = coeff
+			inst.conCoeffs[k] = t.Coeff
 			cursor[t.Var]++
 		}
 	}
@@ -307,7 +318,7 @@ func (inst *Instance) CoeffsOf(v int) []float64 {
 }
 
 // Coeff returns the coefficient a_{j,v} of variable v in constraint j, or 0
-// if v does not occur in it (the first term if it occurs twice).
+// if v does not occur in it.
 func (inst *Instance) Coeff(j, v int) float64 {
 	terms := inst.constraints[j].Terms
 	i, found := slices.BinarySearchFunc(terms, v, func(t Term, v int) int { return t.Var - v })

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -68,6 +69,11 @@ func TestBuildValidation(t *testing.T) {
 	b.AddConstraint([]Term{{5, 1}}, 1)
 	if _, err := b.Build(); !errors.Is(err, ErrBadInstance) {
 		t.Fatal("out-of-range variable accepted")
+	}
+	b = NewBuilder(Packing, []int64{1})
+	b.AddConstraint([]Term{{0, math.MaxFloat64}, {0, math.MaxFloat64}}, 1)
+	if _, err := b.Build(); !errors.Is(err, ErrBadInstance) {
+		t.Fatal("overflowing repeated coefficients accepted")
 	}
 	b = NewBuilder(Covering, []int64{1})
 	b.AddConstraint(nil, 2)
@@ -222,7 +228,11 @@ func TestCoeff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, want := range []float64{0, 2, 0, 0, 3, 0} {
+	// The repeated variable 4 is one term with the summed coefficient.
+	if got, want := inst.Constraint(0).Terms, []Term{{1, 2}, {4, 8}}; !slices.Equal(got, want) {
+		t.Fatalf("terms %v, want %v", got, want)
+	}
+	for v, want := range []float64{0, 2, 0, 0, 8, 0} {
 		if got := inst.Coeff(0, v); got != want {
 			t.Fatalf("Coeff(0, %d) = %v, want %v", v, got, want)
 		}
@@ -231,18 +241,27 @@ func TestCoeff(t *testing.T) {
 
 // TestCoeffsOfMatchesCoeff pins CoeffsOf to Coeff entry by entry on random
 // instances whose rows repeat variables with different coefficients, and
-// checks ConstraintsOf lists each constraint once per term, in order.
+// checks ConstraintsOf lists each constraint once, in order, and that a
+// repeated variable's coefficient is the sum of its terms.
 func TestCoeffsOfMatchesCoeff(t *testing.T) {
 	rng := xrand.New(17)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(12)
 		b := NewBuilder(Packing, make([]int64, n))
 		want := make([][]int32, n)
+		sums := make([]map[int32]float64, n)
+		for v := range sums {
+			sums[v] = map[int32]float64{}
+		}
 		for j := 0; j < rng.Intn(15); j++ {
 			terms := make([]Term, rng.Intn(2*n+1))
 			for i := range terms {
 				terms[i] = Term{Var: rng.Intn(n), Coeff: float64(1 + rng.Intn(5))}
-				want[terms[i].Var] = append(want[terms[i].Var], int32(j))
+				v := terms[i].Var
+				if _, seen := sums[v][int32(j)]; !seen {
+					want[v] = append(want[v], int32(j))
+				}
+				sums[v][int32(j)] += terms[i].Coeff
 			}
 			b.AddConstraint(terms, float64(rng.Intn(10)))
 		}
@@ -261,6 +280,9 @@ func TestCoeffsOfMatchesCoeff(t *testing.T) {
 			for k, cj := range cons {
 				if got, want := coeffs[k], inst.Coeff(int(cj), v); got != want {
 					t.Fatalf("trial %d: CoeffsOf(%d)[%d] = %v, Coeff(%d, %d) = %v", trial, v, k, got, cj, v, want)
+				}
+				if got, want := coeffs[k], sums[v][cj]; got != want {
+					t.Fatalf("trial %d: CoeffsOf(%d)[%d] = %v, want the term sum %v", trial, v, k, got, want)
 				}
 			}
 		}

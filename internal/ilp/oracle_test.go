@@ -2,6 +2,7 @@ package ilp_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -15,8 +16,9 @@ import (
 )
 
 // refBuilder is the per-row builder the flat ilp.Builder replaced: every
-// row is its own sorted term slice. It is the oracle for constraints, term
-// order and first error.
+// row is its own sorted term slice, with a repeated variable's
+// coefficients summed into one term. It is the oracle for constraints,
+// term order and first error.
 type refBuilder struct {
 	kind ilp.Kind
 	n    int
@@ -46,7 +48,7 @@ func (b *refBuilder) add(terms []ilp.Term, rhs float64) {
 		b.err = fmt.Errorf("%w: bad rhs %v", ilp.ErrBadInstance, rhs)
 		return
 	}
-	row := ilp.Constraint{Terms: make([]ilp.Term, 0, len(terms)), B: rhs}
+	sum := map[int]float64{}
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= b.n {
 			b.err = fmt.Errorf("%w: variable %d out of range", ilp.ErrBadInstance, t.Var)
@@ -56,9 +58,16 @@ func (b *refBuilder) add(terms []ilp.Term, rhs float64) {
 			b.err = fmt.Errorf("%w: nonpositive coefficient %v on variable %d", ilp.ErrBadInstance, t.Coeff, t.Var)
 			return
 		}
-		row.Terms = append(row.Terms, t)
+		sum[t.Var] += t.Coeff
 	}
-	slices.SortFunc(row.Terms, func(x, y ilp.Term) int { return x.Var - y.Var })
+	row := ilp.Constraint{Terms: make([]ilp.Term, 0, len(sum)), B: rhs}
+	for _, v := range slices.Sorted(maps.Keys(sum)) {
+		if math.IsInf(sum[v], 0) {
+			b.err = fmt.Errorf("%w: coefficients on variable %d overflow", ilp.ErrBadInstance, v)
+			return
+		}
+		row.Terms = append(row.Terms, ilp.Term{Var: v, Coeff: sum[v]})
+	}
 	b.rows = append(b.rows, row)
 }
 
@@ -97,16 +106,12 @@ func checkAgainstRef(t testing.TB, inst *ilp.Instance, err error, ref *refBuilde
 		if !slices.Equal(got.Terms, row.Terms) || got.B != row.B {
 			t.Fatalf("row %d = %v <> %v, want %v <> %v", j, got.Terms, got.B, row.Terms, row.B)
 		}
-		if len(row.Terms) > 2 || row.B != 1 || (len(row.Terms) == 2 && row.Terms[0].Var == row.Terms[1].Var) {
+		if len(row.Terms) > 2 || row.B != 1 {
 			rank2Unit = false
 		}
-		for i, term := range row.Terms {
-			first := i
-			for first > 0 && row.Terms[first-1].Var == term.Var {
-				first--
-			}
+		for _, term := range row.Terms {
 			cons[term.Var] = append(cons[term.Var], int32(j))
-			coeffs[term.Var] = append(coeffs[term.Var], row.Terms[first].Coeff)
+			coeffs[term.Var] = append(coeffs[term.Var], term.Coeff)
 			if term.Coeff != 1 {
 				rank2Unit = false
 			}

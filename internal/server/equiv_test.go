@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +65,8 @@ func normalize(t *testing.T, r *Result) []byte {
 // for every registry algorithm, the result served over HTTP is bit-identical
 // (modulo wall time) to a direct Engine.Run against a separately constructed
 // engine and store holding the same graph — including the Result.Snapshot
-// stamp, before and after mutations, and after compaction.
+// stamp, before and after mutations, and after compaction. The same holds
+// for the /query point queries.
 func TestHTTPEquivalence(t *testing.T) {
 	const (
 		family = "gnp"
@@ -118,9 +120,48 @@ func TestHTTPEquivalence(t *testing.T) {
 		}
 	}
 
+	// checkQuery pins /query to the direct engine: op "cluster" answers
+	// from Run("changli") under the request's parameters with the scale
+	// default filled in, op "ball" from Balls, and both stamp the snapshot
+	// their answer came from.
+	checkQuery := func(t *testing.T) {
+		t.Helper()
+		vs := []int32{0, 13, 44, n - 1}
+		cl, err := c.Query(ctx, info.ID, QueryRequest{Op: "cluster", Vertices: vs, Eps: 0.25, Seed: 3})
+		if err != nil {
+			t.Fatalf("HTTP cluster query: %v", err)
+		}
+		res, err := directEngine.Run(ctx, directHandle, "changli", algo.Params{"eps": "0.25", "scale": "0.05", "seed": "3"})
+		if err != nil {
+			t.Fatalf("direct run: %v", err)
+		}
+		want := make([]int32, len(vs))
+		for i, v := range vs {
+			want[i] = res.ClusterOf[v]
+		}
+		if !slices.Equal(cl.Clusters, want) || cl.Snapshot != res.Snapshot {
+			t.Fatalf("cluster query %v @ %s, direct %v @ %s", cl.Clusters, cl.Snapshot, want, res.Snapshot)
+		}
+		bl, err := c.Query(ctx, info.ID, QueryRequest{Op: "ball", Vertices: vs, Radius: 2})
+		if err != nil {
+			t.Fatalf("HTTP ball query: %v", err)
+		}
+		balls, snapshot, err := directEngine.Balls(ctx, directHandle, vs, 2, 0)
+		if err != nil {
+			t.Fatalf("direct balls: %v", err)
+		}
+		if !slices.EqualFunc(bl.Balls, balls, slices.Equal) || bl.Snapshot != snapshot {
+			t.Fatalf("ball query %v @ %s, direct %v @ %s", bl.Balls, bl.Snapshot, balls, snapshot)
+		}
+		if wantFP := directStore.Snapshot().Fingerprint().String(); snapshot != wantFP {
+			t.Fatalf("query snapshot %s, want %s", snapshot, wantFP)
+		}
+	}
+
 	for _, spec := range realSpecs(t) {
 		t.Run(spec.Name, func(t *testing.T) { check(t, spec, equivParams(spec)) })
 	}
+	t.Run("query", checkQuery)
 
 	// Mutations: the same edits through HTTP and directly must keep the two
 	// sides in lockstep — incremental fingerprint chain included — and the
@@ -146,6 +187,7 @@ func TestHTTPEquivalence(t *testing.T) {
 		}
 		spec, _ := algo.Get("changli")
 		check(t, spec, equivParams(spec))
+		checkQuery(t)
 	})
 
 	t.Run("after-compact", func(t *testing.T) {
@@ -157,6 +199,7 @@ func TestHTTPEquivalence(t *testing.T) {
 			spec, _ := algo.Get(name)
 			check(t, spec, equivParams(spec))
 		}
+		checkQuery(t)
 	})
 }
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graphio"
-	"repro/internal/ldd"
 )
 
 func (s *Server) routes() {
@@ -302,26 +301,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestCtx(r, s.opts.DefaultTimeout)
 	defer cancel()
-	snap := sg.st.Snapshot()
-	resp := QueryResponse{Snapshot: snap.Fingerprint().String()}
+	var resp QueryResponse
+	var err error
 	switch qr.Op {
 	case "cluster":
-		p := ldd.Params{Epsilon: qr.Eps, Scale: qr.Scale, Seed: qr.Seed, SkipPhase2: qr.Skip2}
-		if p.Epsilon == 0 {
-			p.Epsilon = 0.3
-		}
-		if p.Scale == 0 {
-			p.Scale = 0.05
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		clusters, err := s.e.ClusterOf(ctx, sg.h, p, qr.Vertices)
-		if err != nil {
-			writeError(w, runStatus(err), err.Error())
-			return
-		}
-		resp.Clusters = clusters
+		resp.Clusters, resp.Snapshot, err = s.e.ClusterOf(ctx, sg.h, qr.ClusterParams(), qr.Vertices)
 	case "ball":
 		radius := qr.Radius
 		if radius == 0 {
@@ -331,14 +315,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "negative radius")
 			return
 		}
-		balls, err := s.e.Balls(ctx, sg.h, qr.Vertices, radius, 0)
-		if err != nil {
-			writeError(w, runStatus(err), err.Error())
-			return
-		}
-		resp.Balls = balls
+		resp.Balls, resp.Snapshot, err = s.e.Balls(ctx, sg.h, qr.Vertices, radius, 0)
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown query op %q (want cluster or ball)", qr.Op))
+		return
+	}
+	if err != nil {
+		writeError(w, runStatus(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -279,6 +279,24 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterParamsKey pins the cache key of a cluster query's parameters,
+// defaults included, so /query op=cluster and /run changli under the same
+// parameters share one cache slot.
+func TestClusterParamsKey(t *testing.T) {
+	spec, _ := algo.Get("changli")
+	for _, c := range []struct {
+		q    QueryRequest
+		want string
+	}{
+		{QueryRequest{}, "changli|eps=0.3|ntilde=0|seed=1|scale=0.05|skip2=false|repair=false"},
+		{QueryRequest{Eps: 0.25, Scale: 0.002, Seed: 7, Skip2: true}, "changli|eps=0.25|ntilde=0|seed=7|scale=0.002|skip2=true|repair=false"},
+	} {
+		if got, err := spec.CacheKey(c.q.ClusterParams()); err != nil || got != c.want {
+			t.Fatalf("%+v: key %q (err %v), want %q", c.q, got, err, c.want)
+		}
+	}
+}
+
 func TestMutationEndpoints(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	ctx := context.Background()

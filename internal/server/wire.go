@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -199,12 +200,34 @@ type QueryRequest struct {
 	Skip2 bool    `json:"skip2,omitempty"`
 }
 
+// ClusterParams is the changli parameter bag behind op "cluster": the
+// request's eps, scale, seed and skip2, with the defaults for zero values.
+func (q QueryRequest) ClusterParams() algo.Params {
+	eps, scale, seed := q.Eps, q.Scale, q.Seed
+	if eps == 0 {
+		eps = 0.3
+	}
+	if scale == 0 {
+		scale = 0.05
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return algo.Params{
+		"eps":   strconv.FormatFloat(eps, 'g', -1, 64),
+		"scale": strconv.FormatFloat(scale, 'g', -1, 64),
+		"seed":  strconv.FormatUint(seed, 10),
+		"skip2": strconv.FormatBool(q.Skip2),
+	}
+}
+
 // QueryResponse carries the batch query results (one entry per requested
 // vertex).
 type QueryResponse struct {
 	Clusters []int32   `json:"clusters,omitempty"`
 	Balls    [][]int32 `json:"balls,omitempty"`
-	// Snapshot is the fingerprint of the store version the query resolved.
+	// Snapshot is the fingerprint of the store version the answer was
+	// computed on.
 	Snapshot string `json:"snapshot"`
 }
 

@@ -436,15 +436,9 @@ func packingBB(inst *ilp.Instance, vars []int32, done <-chan struct{}) (ilp.Solu
 		v := order[i]
 		// Branch x_v = 1 if capacities allow.
 		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
-		// A row that repeats v lists it once per term, in adjacent entries,
-		// and v's load on it is their sum.
-		fits, load := true, 0.0
+		fits := true
 		for k, cj := range cons {
-			if k == 0 || cons[k-1] != cj {
-				load = 0
-			}
-			load += coeffs[k]
-			if load > res[resIdx[cj]]+1e-9 {
+			if coeffs[k] > res[resIdx[cj]]+1e-9 {
 				fits = false
 				break
 			}
@@ -608,13 +602,9 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	var val int64
 	for _, v := range order {
 		cons, coeffs := inst.ConstraintsOf(int(v)), inst.CoeffsOf(int(v))
-		fits, load := true, 0.0
+		fits := true
 		for k, cj := range cons {
-			if k == 0 || cons[k-1] != cj {
-				load = 0 // see packingBB
-			}
-			load += coeffs[k]
-			if load > res[cj]+1e-9 {
+			if coeffs[k] > res[cj]+1e-9 {
 				fits = false
 				break
 			}

@@ -432,6 +432,26 @@ func TestRepeatedVariableRow(t *testing.T) {
 	}
 }
 
+// TestRepeatedVariableCoefficientsSum pins a row that repeats its variable
+// with different coefficients: 1·x0 + 3·x0 <= 3 is 4·x0 <= 3, so x0 must
+// stay 0 however much it weighs.
+func TestRepeatedVariableCoefficientsSum(t *testing.T) {
+	b := ilp.NewBuilder(ilp.Packing, []int64{5})
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}, {Var: 0, Coeff: 3}}, 3)
+	inst, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, val, m := PackingLocal(inst, allVars(1), Options{})
+	if ok, j := inst.Feasible(sol); !ok || val != 0 {
+		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
+	}
+	sol, val = GreedyPacking(inst, allVars(1))
+	if ok, j := inst.Feasible(sol); !ok || val != 0 {
+		t.Fatalf("greedy packing: %v value %d, feasible=%v (row %d)", sol, val, ok, j)
+	}
+}
+
 func TestCoveringBBRandomAgainstBrute(t *testing.T) {
 	rng := xrand.New(25)
 	for trial := 0; trial < 40; trial++ {
@@ -552,14 +572,12 @@ func refGreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	var val int64
 	for _, v := range order {
 		fits := true
-		load := map[int32]float64{} // a repeated variable's terms add up
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			r, ok := res[cj]
 			if !ok {
 				r = inst.Constraint(int(cj)).B
 			}
-			load[cj] += refCoeff(inst, cj, v)
-			if load[cj] > r+1e-9 {
+			if refCoeff(inst, cj, v) > r+1e-9 {
 				fits = false
 				break
 			}
