@@ -12,8 +12,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// cancelTestGraph is large enough that a paper-constants ChangLi run takes
-// well over a second, so a millisecond-scale cancel lands mid-computation.
+// cancelTestGraph is large enough that a paper-constants ChangLi run spans
+// many cancellation checks, so a deadline or cancel that fires a fraction
+// of a full run in lands mid-computation.
 func cancelTestGraph() *graph.Graph {
 	return gen.RandomRegular(20000, 4, xrand.New(7))
 }
@@ -91,22 +92,38 @@ func TestCancelMidDecompositionReturnsPromptly(t *testing.T) {
 
 // TestDeadlineBoundedRun proves the deadline path: a request with a tight
 // deadline returns context.DeadlineExceeded instead of holding the caller
-// for the full decomposition.
+// for the full decomposition. The deadline is calibrated against an
+// uncancelled run of the same request, so it lands mid-run however fast
+// the machine or the decomposition is; if the run still beats it, the
+// deadline is halved until the run must observe it.
 func TestDeadlineBoundedRun(t *testing.T) {
 	g := cancelTestGraph()
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
+	p := Params{"eps": "0.1", "seed": "3"}
 	start := time.Now()
-	_, err := Run(ctx, "changli", g, Params{"eps": "0.1", "seed": "3"})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Skip("machine fast enough to finish inside the deadline")
+	if _, err := Run(context.Background(), "changli", g, p); err != nil {
+		t.Fatalf("uncancelled run failed: %v", err)
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("deadline-bounded run held for %v", elapsed)
+	full := time.Since(start)
+	for budget := full / 4; ; budget /= 2 {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		start := time.Now()
+		_, err := Run(ctx, "changli", g, p)
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			if budget < time.Microsecond {
+				t.Fatalf("run ignored every deadline down to %v (full run %v)", budget, full)
+			}
+			continue
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("deadline-bounded run held for %v", elapsed)
+		}
+		t.Logf("deadline %v hit after %v (full run %v)", budget, elapsed, full)
+		return
 	}
 }
 
