@@ -37,40 +37,41 @@ type ParamDef struct {
 	NoCache bool
 }
 
-// canonical parses raw under the def's kind and reformats it canonically,
-// so "0.30", ".3", and "0.3" all key alike. An empty raw is a parse error
-// (the caller substitutes the default only when the key is absent, so
-// "eps=" fails here exactly like it fails in the runners' decoders).
-func (d ParamDef) canonical(raw string) (string, error) {
+// appendCanonical parses raw under the def's kind and appends its canonical
+// form to buf, so "0.30", ".3", and "0.3" all key alike. An empty raw is a
+// parse error (the caller substitutes the default only when the key is
+// absent, so "eps=" fails here exactly like it fails in the runners'
+// decoders).
+func (d ParamDef) appendCanonical(buf []byte, raw string) ([]byte, error) {
 	switch d.Kind {
 	case Float:
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			return "", fmt.Errorf("param %s: %w", d.Key, err)
+			return buf, fmt.Errorf("param %s: %w", d.Key, err)
 		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
+		return strconv.AppendFloat(buf, f, 'g', -1, 64), nil
 	case Int:
 		i, err := strconv.Atoi(raw)
 		if err != nil {
-			return "", fmt.Errorf("param %s: %w", d.Key, err)
+			return buf, fmt.Errorf("param %s: %w", d.Key, err)
 		}
-		return strconv.Itoa(i), nil
+		return strconv.AppendInt(buf, int64(i), 10), nil
 	case Uint:
 		u, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			return "", fmt.Errorf("param %s: %w", d.Key, err)
+			return buf, fmt.Errorf("param %s: %w", d.Key, err)
 		}
-		return strconv.FormatUint(u, 10), nil
+		return strconv.AppendUint(buf, u, 10), nil
 	case Bool:
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
-			return "", fmt.Errorf("param %s: %w", d.Key, err)
+			return buf, fmt.Errorf("param %s: %w", d.Key, err)
 		}
-		return strconv.FormatBool(b), nil
+		return strconv.AppendBool(buf, b), nil
 	case String:
-		return raw, nil
+		return append(buf, raw...), nil
 	default:
-		return "", fmt.Errorf("param %s: unknown kind %d", d.Key, int(d.Kind))
+		return buf, fmt.Errorf("param %s: unknown kind %d", d.Key, int(d.Kind))
 	}
 }
 

@@ -158,8 +158,11 @@ func (s *Spec) CacheKey(p Params) (string, error) {
 	if err := s.Validate(p); err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString(s.Name)
+	// Keys are short: a constant-capacity buffer stays on the stack, so
+	// the returned string is the only allocation (a longer key grows the
+	// buffer onto the heap).
+	b := make([]byte, 0, 256)
+	b = append(b, s.Name...)
 	for _, d := range s.Defs {
 		if d.NoCache {
 			continue
@@ -168,16 +171,15 @@ func (s *Spec) CacheKey(p Params) (string, error) {
 		if !present {
 			raw = d.Default
 		}
-		v, err := d.canonical(raw)
-		if err != nil {
+		b = append(b, '|')
+		b = append(b, d.Key...)
+		b = append(b, '=')
+		var err error
+		if b, err = d.appendCanonical(b, raw); err != nil {
 			return "", fmt.Errorf("algo %s: %w", s.Name, err)
 		}
-		b.WriteByte('|')
-		b.WriteString(d.Key)
-		b.WriteByte('=')
-		b.WriteString(v)
 	}
-	return b.String(), nil
+	return string(b), nil
 }
 
 // --- Registry --------------------------------------------------------------

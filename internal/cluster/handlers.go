@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -337,6 +338,9 @@ func (r *Router) handleRead(tail string) http.HandlerFunc {
 		if ct := res.contentType; ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
+		// The body is fully buffered, so relay it in one piece rather
+		// than re-chunked.
+		w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 		w.WriteHeader(res.status)
 		_, _ = w.Write(res.body)
 	}

@@ -92,34 +92,54 @@ func TestClusterOfSharesRunCache(t *testing.T) {
 
 // TestDeadlineBoundedRequest verifies a deadline-expired request returns
 // promptly with context.DeadlineExceeded, the error is not cached, and the
-// engine remains serviceable.
+// engine remains serviceable. The deadline is calibrated against one
+// uncancelled run of the same request, so it lands mid-run however fast the
+// machine is; if the run still beats it, the deadline is halved until the
+// run must observe it. Each attempt gets a fresh engine, since a finished
+// attempt caches its result and would answer the next one.
 func TestDeadlineBoundedRequest(t *testing.T) {
 	g := gen.RandomRegular(8000, 4, xrand.New(7))
-	e := New(Options{})
-	h := e.Register(g)
-	p := ldd.Params{Epsilon: 0.1, Seed: 3} // paper constants: seconds of work
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
+	p := ldd.Params{Epsilon: 0.1, Seed: 3} // paper constants: many cancellation checks
+	cal := New(Options{})
 	start := time.Now()
-	_, err := changli(ctx, e, h, p)
-	if err == nil {
-		t.Skip("machine fast enough to finish inside the deadline")
+	if _, err := changli(context.Background(), cal, cal.Register(g), p); err != nil {
+		t.Fatalf("uncancelled request failed: %v", err)
 	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("deadline-bounded request held for %v", elapsed)
-	}
-	if st := e.Stats(); st.Cancellations == 0 {
-		t.Fatal("cancellation not counted")
-	}
-	// The failure was not cached; a fresh unbounded request computes fine
-	// on a small graph.
-	h2 := e.Register(gen.Cycle(200))
-	p2 := ldd.Params{Epsilon: 0.3, Seed: 3, Scale: 0.05}
-	if _, err := changli(context.Background(), e, h2, p2); err != nil {
-		t.Fatalf("engine unusable after deadline: %v", err)
+	full := time.Since(start)
+	for budget := full / 4; ; budget /= 2 {
+		e := New(Options{})
+		h := e.Register(g)
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		start := time.Now()
+		_, err := changli(ctx, e, h, p)
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			if budget < time.Microsecond {
+				t.Fatalf("request ignored every deadline down to %v (full run %v)", budget, full)
+			}
+			continue
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("deadline-bounded request held for %v", elapsed)
+		}
+		if st := e.Stats(); st.Cancellations == 0 {
+			t.Fatal("cancellation not counted")
+		}
+		// The failure was not cached: the same request without a deadline
+		// computes afresh and succeeds.
+		before := e.Stats().Computations
+		if _, err := changli(context.Background(), e, h, p); err != nil {
+			t.Fatalf("engine unusable after deadline: %v", err)
+		}
+		if after := e.Stats().Computations; after != before+1 {
+			t.Fatalf("request after the deadline ran %d computations, want 1", after-before)
+		}
+		t.Logf("deadline %v hit after %v (full run %v)", budget, elapsed, full)
+		return
 	}
 }
 

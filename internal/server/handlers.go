@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/algo"
@@ -47,13 +49,51 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// bodyPool recycles response buffers: a result body is one id per vertex,
+// tens of KB on a 10k-vertex graph. A buffer that grew past maxPooledBody
+// is left to the collector, so one huge response does not pin its memory.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// writeJSON encodes v into a pooled buffer, then answers status with
+// Content-Length and the body in one Write. A value that cannot be encoded
+// (a NaN metric) is answered 500 with the error envelope instead, never a
+// 200 with an empty body. *Result goes through appendResult, everything
+// else through encoding/json; both end the body with a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	p := bodyPool.Get().(*[]byte)
+	body, err := appendJSON((*p)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = appendJSON(body[:0], errorBody{Error: "encoding response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	// Encoding failures after the header is written can only be logged to
-	// the connection itself; json.Encoder already surfaces them as a broken
-	// body.
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+	putBody(p, body)
+}
+
+// putBody returns a response buffer to the pool unless it grew too large.
+func putBody(p *[]byte, body []byte) {
+	if cap(body) <= maxPooledBody {
+		*p = body[:0]
+		bodyPool.Put(p)
+	}
+}
+
+// appendJSON appends what json.NewEncoder(w).Encode(v) writes.
+func appendJSON(buf []byte, v any) ([]byte, error) {
+	if r, ok := v.(*Result); ok {
+		return appendResult(buf, r)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, b...), '\n'), nil
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -387,8 +427,9 @@ const batchLineLimit = 1 << 20
 // handleBatch streams NDJSON: each input line is a RunRequest, each output
 // line a BatchLine, flushed as soon as its run finishes, so a slow client
 // sees results trickle in instead of buffering the whole batch. Request
-// errors are reported per line and do not abort the stream; a disconnected
-// client does (its context cancels the in-flight run).
+// errors, and results that cannot be encoded (status 500), are reported per
+// line and do not abort the stream; a disconnected client does (its context
+// cancels the in-flight run).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sg, ok := s.graphOr404(w, r)
 	if !ok {
@@ -401,9 +442,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	p := bodyPool.Get().(*[]byte)
+	buf := *p
+	defer func() { putBody(p, buf) }()
 	emit := func(line BatchLine) {
-		_ = enc.Encode(line)
+		var err error
+		if buf, err = appendBatchLine(buf[:0], &line); err != nil {
+			buf, _ = appendBatchLine(buf[:0], &BatchLine{
+				Index: line.Index, Error: "encoding result: " + err.Error(), Status: http.StatusInternalServerError,
+			})
+		}
+		_, _ = w.Write(buf)
 		if flusher != nil {
 			flusher.Flush()
 		}

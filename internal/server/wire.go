@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/algo"
 	"repro/internal/graphio"
@@ -19,6 +22,12 @@ import (
 // direct engine call (the end-to-end equivalence suite pins this, with only
 // ElapsedNS — wall time — excluded from the comparison). Raw is
 // deliberately absent: the typed payloads are in-process currency.
+//
+// The server writes a Result with appendResult, not encoding/json, so the
+// struct tags below serve only decoding (Client, tests). appendResult
+// writes exactly the bytes json.Encoder.Encode writes for these tags;
+// FuzzWireResult pins the tags and the encoder to each other, so a change
+// to either must change both.
 type Result struct {
 	Algorithm string `json:"algorithm"`
 	Key       string `json:"key"`
@@ -374,3 +383,266 @@ type DeltasResponse struct {
 	Resync      bool        `json:"resync,omitempty"`
 	Entries     []WireDelta `json:"entries,omitempty"`
 }
+
+// appendResult appends r as json.NewEncoder(w).Encode(r) writes it: the
+// object, in field order with the omitempty rules of Result's tags, and a
+// newline. A NaN or infinite metric is an error, as it is for encoding/json;
+// the returned buffer is then unspecified.
+func appendResult(buf []byte, r *Result) ([]byte, error) {
+	buf, err := appendResultObject(buf, r)
+	return append(buf, '\n'), err
+}
+
+// appendBatchLine appends l as json.NewEncoder(w).Encode(l) writes it.
+func appendBatchLine(buf []byte, l *BatchLine) ([]byte, error) {
+	buf = append(buf, `{"index":`...)
+	buf = strconv.AppendInt(buf, int64(l.Index), 10)
+	if l.Result != nil {
+		buf = append(buf, `,"result":`...)
+		var err error
+		if buf, err = appendResultObject(buf, l.Result); err != nil {
+			return buf, err
+		}
+	}
+	if l.Error != "" {
+		buf = append(buf, `,"error":`...)
+		buf = appendString(buf, l.Error)
+	}
+	if l.Status != 0 {
+		buf = append(buf, `,"status":`...)
+		buf = strconv.AppendInt(buf, int64(l.Status), 10)
+	}
+	return append(buf, "}\n"...), nil
+}
+
+func appendResultObject(buf []byte, r *Result) ([]byte, error) {
+	buf = append(buf, `{"algorithm":`...)
+	buf = appendString(buf, r.Algorithm)
+	buf = append(buf, `,"key":`...)
+	buf = appendString(buf, r.Key)
+	buf = append(buf, `,"kind":`...)
+	buf = appendString(buf, r.Kind)
+	if r.Snapshot != "" {
+		buf = append(buf, `,"snapshot":`...)
+		buf = appendString(buf, r.Snapshot)
+	}
+	if len(r.ClusterOf) > 0 {
+		buf = append(buf, `,"cluster_of":`...)
+		buf = appendInt32s(buf, r.ClusterOf)
+	}
+	if len(r.ColorOf) > 0 {
+		buf = append(buf, `,"color_of":`...)
+		buf = appendInt32s(buf, r.ColorOf)
+	}
+	if len(r.Clusters) > 0 {
+		buf = append(buf, `,"clusters":[`...)
+		for i, c := range r.Clusters {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if c == nil {
+				buf = append(buf, "null"...)
+			} else {
+				buf = appendInt32s(buf, c)
+			}
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `,"num_clusters":`...)
+	buf = strconv.AppendInt(buf, int64(r.NumClusters), 10)
+	if r.NumColors != 0 {
+		buf = append(buf, `,"num_colors":`...)
+		buf = strconv.AppendInt(buf, int64(r.NumColors), 10)
+	}
+	if r.Unclustered != 0 {
+		buf = append(buf, `,"unclustered":`...)
+		buf = strconv.AppendInt(buf, int64(r.Unclustered), 10)
+	}
+	if len(r.Solution) > 0 {
+		buf = append(buf, `,"solution":[`...)
+		for i, x := range r.Solution {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendBool(buf, x)
+		}
+		buf = append(buf, ']')
+	}
+	if r.Value != 0 {
+		buf = append(buf, `,"value":`...)
+		buf = strconv.AppendInt(buf, r.Value, 10)
+	}
+	if r.Exact {
+		buf = append(buf, `,"exact":true`...)
+	}
+	if r.Feasible {
+		buf = append(buf, `,"feasible":true`...)
+	}
+	buf = append(buf, `,"rounds":`...)
+	buf = strconv.AppendInt(buf, int64(r.Rounds), 10)
+	if len(r.Metrics) > 0 {
+		buf = append(buf, `,"metrics":{`...)
+		keys := make([]string, 0, 16)
+		for k := range r.Metrics {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendString(buf, k)
+			buf = append(buf, ':')
+			var err error
+			if buf, err = appendFloat(buf, r.Metrics[k]); err != nil {
+				return buf, fmt.Errorf("metric %q: %w", k, err)
+			}
+		}
+		buf = append(buf, '}')
+	}
+	if r.ElapsedNS != 0 {
+		buf = append(buf, `,"elapsed_ns":`...)
+		buf = strconv.AppendInt(buf, r.ElapsedNS, 10)
+	}
+	return append(buf, '}'), nil
+}
+
+// appendInt32s appends xs as a JSON array of decimal integers: the bytes
+// strconv.AppendInt writes, comma-separated. Results are id arrays with one
+// entry per vertex, so this is most of an encoding's time. Each block of
+// ids gets room for its longest form reserved once, and digits are written
+// by index, two at a time, with no per-id call or capacity check; that is
+// 2-3x faster than an AppendInt per id.
+func appendInt32s(buf []byte, xs []int32) []byte {
+	buf = append(buf, '[')
+	for len(xs) > 0 {
+		blk := xs[:min(len(xs), 256)]
+		xs = xs[len(blk):]
+		buf = slices.Grow(buf, len(blk)*len("-2147483648,"))
+		b, n := buf[:cap(buf)], len(buf)
+		for _, x := range blk {
+			u := uint32(x)
+			if x < 0 {
+				b[n] = '-'
+				n++
+				u = -u
+			}
+			if u < 10 {
+				b[n] = '0' + byte(u)
+				n++
+			} else {
+				var tmp [10]byte
+				j := len(tmp)
+				for u >= 100 {
+					r := u % 100
+					u /= 100
+					j -= 2
+					tmp[j], tmp[j+1] = digitPairs[2*r], digitPairs[2*r+1]
+				}
+				if u >= 10 {
+					j -= 2
+					tmp[j], tmp[j+1] = digitPairs[2*u], digitPairs[2*u+1]
+				} else {
+					j--
+					tmp[j] = '0' + byte(u)
+				}
+				n += copy(b[n:], tmp[j:])
+			}
+			b[n] = ','
+			n++
+		}
+		buf = buf[:n]
+	}
+	if buf[len(buf)-1] == ',' { // at least one id: the last comma closes
+		buf[len(buf)-1] = ']'
+		return buf
+	}
+	return append(buf, ']')
+}
+
+// digitPairs holds the two-digit decimal forms of 0 through 99.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendFloat appends f in encoding/json's float64 format: 'f' form, or 'e'
+// form with a one-digit exponent left unpadded outside [1e-6, 1e21).
+func appendFloat(buf []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return buf, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 becomes e-7
+		if n := len(buf); buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+			buf[n-2] = buf[n-1]
+			buf = buf[:n-1]
+		}
+	}
+	return buf, nil
+}
+
+// appendString appends s as encoding/json quotes it with HTML escaping on:
+// '"', '\\' and control bytes escaped (\b \f \n \r \t by name), '<', '>'
+// and '&' as \u003c-style escapes, U+2028 and U+2029 escaped, and each
+// invalid UTF-8 byte replaced by \ufffd.
+func appendString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				buf = append(buf, '\\', b)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+		} else if c == '\u2028' || c == '\u2029' {
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xf])
+		} else {
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
+}
+
+const hexDigits = "0123456789abcdef"
