@@ -11,6 +11,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"testing"
 
@@ -104,6 +105,24 @@ func BenchmarkAlgoSparseCover(b *testing.B) {
 	g := gen.Cycle(3000)
 	for i := 0; i < b.N; i++ {
 		_ = ldd.SparseCover(g, nil, ldd.ENParams{Lambda: 0.3, Seed: uint64(i)})
+	}
+}
+
+// BenchmarkAlgoSparseCoverMDSPrimal is one covering preparation cover: a
+// sparse cover at λ = ln(21/20) on the minimum dominating set primal of
+// GNP(1000, 8/999), the square of the graph. Its neighbourhoods overlap
+// heavily, so a block of equal label pops reaches many shared neighbours,
+// which BenchmarkAlgoSparseCover's cycle never does.
+func BenchmarkAlgoSparseCoverMDSPrimal(b *testing.B) {
+	inst, err := problems.Build(problems.MinDominatingSet, gen.GNP(1000, 8.0/999, xrand.New(7)), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := inst.Primal()
+	lambda := math.Log(21.0 / 20.0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ldd.SparseCover(g, nil, ldd.ENParams{Lambda: lambda, Seed: uint64(i)})
 	}
 }
 

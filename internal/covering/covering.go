@@ -9,6 +9,16 @@
 //     communication (primal) graph with λ = ln(21/20); every cluster C
 //     computes W(Q^local_C, C) and the value of its (8tR)-radius
 //     neighborhood, driving its sampling rate.
+//     A cover cluster lies in one connected component and lists its
+//     members in id order. So a cluster as large as its component is that
+//     component's id-ordered vertex list, and its ball is the same list
+//     (the ball search emits its seeds first, in order). Both of its
+//     estimates therefore come from one solve, shared by every such
+//     cluster of the component; each is still charged its own LOCAL
+//     rounds. Any smaller cluster's ball adds at least one vertex (the
+//     component is connected and the radius is at least 1), and the greedy
+//     fallback breaks ties by list position, so such clusters solve their
+//     own cluster and ball as before. Every output is bit-identical.
 //   - Phase 1: t = ⌈log log n + log(1/ε) + 8⌉ iterations (no Phase-2
 //     shortcut — bad vertices cannot be tolerated for covering);
 //     Grow-and-Carve-Covering (Algorithm 7) finds the odd layer pair
@@ -259,18 +269,27 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			}
 		}
 	}
+	// A cluster as large as its component is that component's id-ordered
+	// vertex list, and so is its ball: both estimates come from one solve
+	// per component (see the package doc).
+	cc := solve.NewComponents(g)
 	clusters := make([]prepCluster, len(members))
 	prepErrs := make([]error, len(members))
 	prepExact := make([]bool, len(members))
 	if err := par.ForEachCtx(ctx, workers, len(members), func(w, i int) {
-		wk := wks[w]
 		pc := prepCluster{members: members[i]}
+		if c := cc.Of(members[i][0]); len(members[i]) == len(cc.Members(c)) {
+			pc.wC, prepExact[i], prepErrs[i] = cc.Value(c, st.localValue)
+			pc.wSC = pc.wC
+			clusters[i] = pc
+			return
+		}
 		var ex1, ex2 bool
 		pc.wC, ex1, prepErrs[i] = st.localValue(members[i])
 		if prepErrs[i] != nil {
 			return
 		}
-		sc := graph.ParBallFromSet(wk.pw, g, members[i], d.estRadius, nil, 1)
+		sc := graph.ParBallFromSet(wks[w].pw, g, members[i], d.estRadius, nil, 1)
 		pc.wSC, ex2, prepErrs[i] = st.localValue(sc)
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc

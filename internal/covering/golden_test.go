@@ -5,7 +5,9 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/ilp"
 	"repro/internal/problems"
 	"repro/internal/xrand"
 )
@@ -49,6 +51,82 @@ func TestGoldenSolutions(t *testing.T) {
 		got := fmt.Sprintf("%016x value=%d exact=%v fixed=%d", h.Sum64(), r.Value, r.Exact, r.FixedWeight)
 		if got != c.want {
 			t.Errorf("case %d (%v n=%d): got %q, want %q", i, c.prob, c.n, got, c.want)
+		}
+	}
+}
+
+// mdsHash is the fingerprint the MDS golden tests compare: the solution
+// bits, value, rounds and exactness of one run.
+func mdsHash(r *Result) string {
+	h := fnv.New64a()
+	for _, set := range r.Solution {
+		if set {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	return fmt.Sprintf("%016x value=%d rounds=%d exact=%v", h.Sum64(), r.Value, r.Rounds, r.Exact)
+}
+
+// disjointUnion places the given graphs side by side, each shifted past
+// the previous ones.
+func disjointUnion(gs ...*graph.Graph) *graph.Graph {
+	var edges [][2]int
+	n := 0
+	for _, g := range gs {
+		off := n
+		g.Edges(func(u, v int) {
+			edges = append(edges, [2]int{off + u, off + v})
+		})
+		n += g.N()
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// TestGoldenMDSPreparationShare pins minimum dominating set runs in the
+// shape of the covering benchmark's requests (GNP(1000, 8/999), ε 0.25,
+// three preparation covers) at seeds 1–8, and on the disjoint union of two
+// such graphs, where preparation clusters equal to one of the two
+// components read that component's shared estimate. The hashes were
+// recorded before preparation clusters shared estimates and before the
+// label search stopped pushing duplicate labels.
+func TestGoldenMDSPreparationShare(t *testing.T) {
+	gnp := func(seed uint64) *graph.Graph { return gen.GNP(1000, 8.0/999, xrand.New(seed)) }
+	single := build(t, problems.MinDominatingSet, gnp(7))
+	union := build(t, problems.MinDominatingSet, disjointUnion(gnp(7), gnp(8)))
+	mixed := build(t, problems.MinDominatingSet, disjointUnion(gnp(7), gen.Cycle(4000)))
+	cases := []struct {
+		inst  *ilp.Instance
+		seed  uint64
+		scale float64
+		want  string
+	}{
+		{single, 1, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 2, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 3, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 4, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 5, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 6, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 7, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{single, 8, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
+		{union, 1, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
+		{union, 2, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
+		{union, 3, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
+		{mixed, 1, 1e-4, "06a72cfce0c12fb8 value=1513 rounds=4898 exact=false"},
+		{mixed, 2, 1e-4, "291a4e8bc9e713d4 value=1513 rounds=4898 exact=false"},
+		{mixed, 3, 1e-4, "413b42bc2994b3a1 value=1512 rounds=4898 exact=false"},
+	}
+	for i, c := range cases {
+		r, err := Solve(c.inst, Params{Epsilon: 0.25, Seed: c.seed, Scale: c.scale, PrepRuns: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, j := c.inst.Feasible(r.Solution); !ok {
+			t.Fatalf("case %d: infeasible at %d", i, j)
+		}
+		if got := mdsHash(r); got != c.want {
+			t.Errorf("case %d (n=%d seed %d): got %q, want %q", i, c.inst.NumVars(), c.seed, got, c.want)
 		}
 	}
 }

@@ -146,6 +146,16 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 	// equal-value run already put in source order.
 	fifo := ws.fifo[:0]
 	head, sorted := 0, 0
+	// pushed[w] == blk marks that w already holds a pending copy of the
+	// label the current block of accepted pops pushes (see the workspace
+	// doc); blk moves on whenever the accepted (value, source) changes.
+	pushed := ws.mark[:n]
+	for i := range pushed {
+		pushed[i] = -1
+	}
+	blk := int32(-1)
+	var blkValue float64
+	blkSource := int32(-1)
 	pops := 0
 	for next := 0; next < len(seeds) || head < len(fifo); {
 		// The counter lives inside the done branch so the uncancellable
@@ -196,6 +206,10 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			continue
 		}
 		out[v] = append(ls, label{source: it.source, value: it.value})
+		if it.source != blkSource || it.value != blkValue {
+			blk++
+			blkValue, blkSource = it.value, it.source
+		}
 		// Relax neighbors with value - 1. Values below -slack can never be
 		// within slack of any best label (best >= 0 because every alive
 		// vertex has its own label T_v >= 0).
@@ -213,9 +227,10 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			// window" both still hold at pop time. This keeps the FIFO
 			// short without changing a single accepted label.
 			lw := out[w]
-			if len(lw) >= keep || (len(lw) > 0 && nv < lw[0].value-slack) {
+			if pushed[w] == blk || len(lw) >= keep || (len(lw) > 0 && nv < lw[0].value-slack) {
 				continue
 			}
+			pushed[w] = blk
 			if len(fifo) == cap(fifo) && head >= len(fifo)/2 {
 				// Reuse the popped prefix instead of growing; the copy
 				// is at most the space it frees.

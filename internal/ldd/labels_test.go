@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -124,6 +125,77 @@ func sameLabels(got, want [][]label) (int, bool) {
 	return -1, true
 }
 
+// randomGraph draws G(n, p) from rng.
+func randomGraph(rng *xrand.RNG, n int, p float64) *graph.Graph {
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// square returns g², which joins every two vertices at distance at most 2:
+// the primal graph of minimum dominating set on g.
+func square(g *graph.Graph) *graph.Graph {
+	var edges [][2]int
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			edges = append(edges, [2]int{u, int(v)})
+			for _, w := range g.Neighbors(int(v)) {
+				edges = append(edges, [2]int{u, int(w)})
+			}
+		}
+	}
+	return graph.FromEdges(g.N(), edges)
+}
+
+// randomShifts draws n shifts of one kind: 0 integer, 1 quarter-step, 2
+// sub-1e-16 (T-1 rounds distinct shifts to the same value), 3 exponential.
+func randomShifts(rng *xrand.RNG, n, kind int) []float64 {
+	shifts := make([]float64, n)
+	for v := range shifts {
+		switch kind {
+		case 0:
+			shifts[v] = float64(rng.Intn(4))
+		case 1:
+			shifts[v] = float64(rng.Intn(16)) / 4
+		case 2:
+			shifts[v] = float64(rng.Intn(8)) * 1e-17
+		default:
+			shifts[v] = rng.Exp(0.7)
+		}
+	}
+	return shifts
+}
+
+// randomAlive keeps each vertex alive with probability 3/4.
+func randomAlive(rng *xrand.RNG, n int) []bool {
+	alive := make([]bool, n)
+	for v := range alive {
+		alive[v] = rng.Float64() < 0.75
+	}
+	return alive
+}
+
+// checkAgainstHeap fails the test when topLabels, on the shared workspace,
+// differs from the heap reference anywhere.
+func checkAgainstHeap(t testing.TB, g *graph.Graph, alive []bool, shifts []float64, keep int, slack float64, ws *Workspace) {
+	t.Helper()
+	want, _ := topLabelsHeap(g, alive, shifts, keep, slack)
+	got, ok := topLabels(g, alive, shifts, keep, slack, ws, nil)
+	if !ok {
+		t.Fatal("uncancellable search stopped")
+	}
+	if v, same := sameLabels(got, want); !same {
+		t.Fatalf("n=%d keep=%d slack=%v alive=%v shifts=%v: vertex %d got %v, want %v",
+			g.N(), keep, slack, alive != nil, shifts, v, got[v], want[v])
+	}
+}
+
 // TestTopLabelsMatchesHeap compares the full label lists of topLabels with
 // the heap reference on random graphs: integer, quarter-step and sub-1e-16
 // shifts (the last make T-1 round distinct shifts to the same value), with
@@ -132,52 +204,88 @@ func sameLabels(got, want [][]label) (int, bool) {
 func TestTopLabelsMatchesHeap(t *testing.T) {
 	rng := xrand.New(17)
 	ws := new(Workspace)
-	const trials = 3000
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(60)
-		p := rng.Float64() * 0.3
-		var edges [][2]int
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < p {
-					edges = append(edges, [2]int{u, v})
-				}
-			}
+		g := randomGraph(rng, n, rng.Float64()*0.3)
+		shifts := randomShifts(rng, n, trial%4)
+		var alive []bool
+		if trial%3 == 0 {
+			alive = randomAlive(rng, n)
 		}
-		g := graph.FromEdges(n, edges)
-		kind := trial % 4
+		keep := []int{1, 2, n}[rng.Intn(3)]
+		checkAgainstHeap(t, g, alive, shifts, keep, float64(rng.Intn(2)), ws)
+	}
+}
+
+// TestTopLabelsMatchesHeapDense runs the heap comparison on squares of
+// small random graphs, where neighbourhoods overlap so much that most
+// pushes of a block of equal pops reach a vertex another pop of the block
+// already pushed to: the case the push stamps skip. keep is 2 (the
+// Elkin–Neiman decision) or n (the sparse cover), and half the trials use
+// the rounding-tie shifts.
+func TestTopLabelsMatchesHeapDense(t *testing.T) {
+	rng := xrand.New(23)
+	ws := new(Workspace)
+	for trial := 0; trial < 1500; trial++ {
+		n := 1 + rng.Intn(50)
+		g := square(randomGraph(rng, n, 3/float64(n)))
+		kind := 2
+		if trial%2 == 1 {
+			kind = []int{0, 1, 3}[rng.Intn(3)]
+		}
+		shifts := randomShifts(rng, n, kind)
+		var alive []bool
+		if trial%4 == 0 {
+			alive = randomAlive(rng, n)
+		}
+		keep := []int{2, n}[rng.Intn(2)]
+		checkAgainstHeap(t, g, alive, shifts, keep, float64(rng.Intn(2)), ws)
+	}
+}
+
+// FuzzTopLabels decodes a small graph, its shifts (including ties of the
+// form k·1e-17), an alive mask, keep and slack from the input, and compares
+// topLabels with the heap reference.
+func FuzzTopLabels(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 0x80, 0x81, 0x83, 0xff, 0, 1, 0, 2})
+	f.Add([]byte{6, 0, 1, 4, 8, 0x82, 0x82, 2, 5, 0x3f, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5})
+	f.Add([]byte{8, 3, 0, 0x81, 0x81, 0x87, 0x80, 0x83, 0x85, 0x82, 0x86, 0xaa, 0, 1, 1, 2, 0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			x := int(data[0])
+			data = data[1:]
+			return x
+		}
+		n := 1 + next()%24
+		keep := []int{1, 2, n, 1 + n/2}[next()%4]
+		slack := float64(next() % 2)
 		shifts := make([]float64, n)
 		for v := range shifts {
-			switch kind {
-			case 0:
-				shifts[v] = float64(rng.Intn(4))
-			case 1:
-				shifts[v] = float64(rng.Intn(16)) / 4
-			case 2:
-				shifts[v] = float64(rng.Intn(8)) * 1e-17
-			default:
-				shifts[v] = rng.Exp(0.7)
+			// The top bit picks a rounding-tie shift k·1e-17; otherwise
+			// the shift is a multiple of 1/8 below 16.
+			if b := next(); b&0x80 != 0 {
+				shifts[v] = float64(b&7) * 1e-17
+			} else {
+				shifts[v] = float64(b) / 8
 			}
 		}
 		var alive []bool
-		if trial%3 == 0 {
+		if mask := next(); mask != 0 {
 			alive = make([]bool, n)
 			for v := range alive {
-				alive[v] = rng.Float64() < 0.75
+				alive[v] = mask>>(v%8)&1 == 1 || v >= 8 && next()%4 != 0
 			}
 		}
-		keep := []int{1, 2, n}[rng.Intn(3)]
-		slack := float64(rng.Intn(2))
-		want, _ := topLabelsHeap(g, alive, shifts, keep, slack)
-		got, ok := topLabels(g, alive, shifts, keep, slack, ws, nil)
-		if !ok {
-			t.Fatalf("trial %d: uncancellable search stopped", trial)
+		var edges [][2]int
+		for len(data) > 0 {
+			edges = append(edges, [2]int{next() % n, next() % n})
 		}
-		if v, same := sameLabels(got, want); !same {
-			t.Fatalf("trial %d (n=%d kind=%d keep=%d slack=%v alive=%v): vertex %d got %v, want %v",
-				trial, n, kind, keep, slack, alive != nil, v, got[v], want[v])
-		}
-	}
+		g := graph.FromEdges(n, edges)
+		checkAgainstHeap(t, g, alive, shifts, keep, slack, new(Workspace))
+	})
 }
 
 // TestTopLabelsRoundingTie pins the case a push-order FIFO gets wrong: two
@@ -208,8 +316,9 @@ func TestTopLabelsRoundingTie(t *testing.T) {
 // across its drains, stays below the number of labels the search pushes.
 // The graph is a grid, whose search runs for many hops, so most pushed
 // labels are popped long before the last ones are pushed. (On a
-// low-diameter graph the first flood alone keeps most pushes pending at
-// once, and any queue of them needs about that much room.)
+// low-diameter graph most pushes are still pending when the last one is
+// made, so this bound says little there; TestTopLabelsFIFOOnDensePrimal
+// bounds the FIFO by the vertex count instead.)
 func TestTopLabelsWarmZeroAlloc(t *testing.T) {
 	g := gen.Grid(40, 50)
 	shifts := make([]float64, g.N())
@@ -225,5 +334,22 @@ func TestTopLabelsWarmZeroAlloc(t *testing.T) {
 	t.Logf("FIFO capacity %d, %d labels pushed", cap(ws.fifo), pushes)
 	if c := cap(ws.fifo); c > pushes {
 		t.Fatalf("FIFO capacity %d exceeds the %d labels pushed", c, pushes)
+	}
+}
+
+// TestTopLabelsFIFOOnDensePrimal bounds the FIFO of one sparse cover in
+// the covering solver's preparation (λ = ln(21/20)) on the minimum
+// dominating set primal of GNP(1000, 8/999), which is the square of the
+// graph. Without the push stamps nearly every push there is a duplicate,
+// and the FIFO grew to about 57 items per vertex. With them every vertex
+// holds at most one pending copy of a block's label.
+func TestTopLabelsFIFOOnDensePrimal(t *testing.T) {
+	g := square(gen.GNP(1000, 8.0/999, xrand.New(7)))
+	ws := new(Workspace)
+	SparseCoverWS(g, nil, ENParams{Lambda: math.Log(21.0 / 20.0), Seed: 1}, ws)
+	n := g.N()
+	t.Logf("FIFO capacity %d for %d vertices", cap(ws.fifo), n)
+	if c := cap(ws.fifo); c > 4*n {
+		t.Fatalf("FIFO capacity %d exceeds 4n = %d", c, 4*n)
 	}
 }

@@ -123,7 +123,7 @@ func sparseCoverWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done
 		Rounds:   int(math.Ceil(maxT)),
 	}
 	// Dense source -> cluster id map (sources are vertex ids).
-	clusterID := ws.clusterID[:n]
+	clusterID := ws.mark[:n]
 	for i := range clusterID {
 		clusterID[i] = -1
 	}

@@ -13,9 +13,10 @@ type Workspace struct {
 	seeds  []labelItem
 	fifo   []labelItem
 	labels [][]label
-	// clusterID maps source vertex -> dense cluster id for SparseCover
-	// (reset to -1 per call).
-	clusterID []int32
+	// mark is per-vertex int32 scratch with two successive uses: topLabels'
+	// push stamps during the search, then SparseCover's source -> dense
+	// cluster id map. Each use resets it to -1 first.
+	mark []int32
 }
 
 // reserve sizes the per-vertex buffers for an n-vertex graph.
@@ -26,8 +27,8 @@ func (ws *Workspace) reserve(n int) {
 	for len(ws.labels) < n {
 		ws.labels = append(ws.labels, nil)
 	}
-	if cap(ws.clusterID) < n {
-		ws.clusterID = make([]int32, n)
+	if cap(ws.mark) < n {
+		ws.mark = make([]int32, n)
 	}
 }
 
@@ -83,3 +84,16 @@ func ReleaseWorkspaces(wss []*Workspace) {
 // Each pop takes the earlier of the two stream heads. The FIFO reuses its
 // storage: it resets when it drains and compacts instead of growing when
 // most of it has been popped.
+//
+// Each pending label is pushed at most once. One (value, source) pair is
+// popped as one contiguous block: a source's successive values differ, so
+// the pair names a single distance from the source, and the order is total
+// on pairs. Every accepted pop of a block pushes the same (value-1,
+// source) to its neighbours, so a neighbour shared inside the block would
+// get identical FIFO items, and the first copy's fate (accepted, or
+// rejected for a full list, the slack window or a duplicate source) would
+// decide every later copy's: lists only grow and their best value never
+// changes. topLabels stamps mark[w] with the block number when it pushes
+// to w and skips w while the stamp matches. Removing those copies changes
+// no accepted label and leaves the other items in order. The stamp is
+// mark, which SparseCover only reuses after the search.

@@ -16,9 +16,11 @@
 //     instead. The result is bit-identical: the packing value depends only
 //     on the vertex set (tree DP, König and branch-and-bound return the
 //     optimum, and greedy packing orders by weight, then id), and each
-//     cluster is still charged its own LOCAL rounds. Covering cannot share
-//     its estimates this way: greedy covering breaks ties by position in
-//     the cluster list, so its value depends on S_C's BFS order.
+//     cluster is still charged its own LOCAL rounds. Covering shares
+//     less: greedy covering breaks ties by position in the vertex list, so
+//     its value depends on S_C's BFS order, and only a cluster that is a
+//     whole component (whose ball is then its own id-ordered list) reads a
+//     shared solve (see the covering package doc).
 //   - Phase 1: t = ⌈log(20/ε)⌉ iterations; clusters sample themselves with
 //     probability 2^i·W_C/W_SC and run Grow-and-Carve-Packing (Algorithm
 //     4): delete the layer triple with the smallest local-solution weight,
@@ -32,9 +34,7 @@ package packing
 import (
 	"context"
 	"math"
-	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ilp"
@@ -201,8 +201,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// whole graph, so every cluster lies in its source's component, and
 	// when the estimate radius reaches that component's size the ball is
 	// the whole component: it is not searched.
-	cc := componentsOf(g)
-	compEst := make([]componentEstimate, len(cc.start)-1)
+	cc := solve.NewComponents(g)
+	componentValue := func(verts []int32) (int64, bool, error) {
+		_, w, ex := solveLocal(inst, verts, p.Solve)
+		return w, ex, nil
+	}
 	var members [][]int32
 	for _, en := range ens {
 		for _, m := range en.Clusters() {
@@ -217,16 +220,16 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		pc := prepCluster{members: members[i]}
 		var ex1, ex2 bool
 		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve)
-		c := cc.of[members[i][0]]
-		whole := d.estRadius >= len(cc.members(c))
+		c := cc.Of(members[i][0])
+		whole := d.estRadius >= len(cc.Members(c))
 		if !whole {
 			sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
-			if whole = cc.isComponent(sc); !whole {
+			if whole = cc.IsComponent(sc); !whole {
 				_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
 			}
 		}
 		if whole {
-			pc.wSC, ex2 = compEst[c].get(inst, cc.members(c), p.Solve)
+			pc.wSC, ex2, _ = cc.Value(c, componentValue)
 		}
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
@@ -383,70 +386,6 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		Deleted:       deleted,
 		NumComponents: comps,
 	}, nil
-}
-
-// components lists the vertices of each connected component of a graph,
-// in id order.
-type components struct {
-	of    []int32 // component id of each vertex
-	start []int   // component c is verts[start[c]:start[c+1]]
-	verts []int32
-}
-
-func componentsOf(g *graph.Graph) components {
-	of, count := g.ComponentsAlive(nil)
-	start := make([]int, count+1)
-	for _, c := range of {
-		start[c+1]++
-	}
-	for c := 0; c < count; c++ {
-		start[c+1] += start[c]
-	}
-	verts := make([]int32, len(of))
-	fill := slices.Clone(start[:count])
-	for v, c := range of {
-		verts[fill[c]] = int32(v)
-		fill[c]++
-	}
-	return components{of: of, start: start, verts: verts}
-}
-
-// members returns component c's vertices in id order.
-func (cs components) members(c int32) []int32 {
-	return cs.verts[cs.start[c]:cs.start[c+1]]
-}
-
-// isComponent reports whether a non-empty duplicate-free vertex set is
-// exactly one connected component.
-func (cs components) isComponent(set []int32) bool {
-	c := cs.of[set[0]]
-	if len(set) != len(cs.members(c)) {
-		return false
-	}
-	for _, v := range set {
-		if cs.of[v] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// componentEstimate is W(P^local_K, K) for one connected component K,
-// solved by the first preparation cluster whose ball is K.
-type componentEstimate struct {
-	once  sync.Once
-	w     int64
-	exact bool
-}
-
-// get returns the component's estimate, solving it from the component's
-// vertices in id order on the first call, so the value cannot depend on
-// which cluster reached the component first.
-func (e *componentEstimate) get(inst *ilp.Instance, verts []int32, opt solve.Options) (int64, bool) {
-	e.once.Do(func() {
-		_, e.w, e.exact = solveLocal(inst, verts, opt)
-	})
-	return e.w, e.exact
 }
 
 // solveLocal wraps solve.PackingLocal.

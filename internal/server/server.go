@@ -264,9 +264,6 @@ func (s *Server) AddStore(st *store.Store) (string, engine.StoreHandle) {
 // SetReplaying flips the boot-time readiness latch (see Server.replaying).
 func (s *Server) SetReplaying(v bool) { s.replaying.Store(v) }
 
-// Replaying reports whether the server is still recovering state.
-func (s *Server) Replaying() bool { return s.replaying.Load() }
-
 // graphByID resolves a served graph.
 func (s *Server) graphByID(id string) (*servedGraph, bool) {
 	s.mu.Lock()
@@ -296,12 +293,6 @@ func (s *Server) graphList() []*servedGraph {
 		out = append(out, sg)
 	}
 	return out
-}
-
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool {
-	_, d := s.gate.stats()
-	return d
 }
 
 // Drain stops admitting new /v1 requests (they get 503) and waits until

@@ -45,15 +45,6 @@ func (e *EpochGapError) Error() string {
 	return fmt.Sprintf("store: replication epoch gap: store at %d, delta stamped %d", e.Have, e.Want)
 }
 
-// DeltaWindow returns the epoch range covered by the pending delta log:
-// deltas with epochs in (start, end] are exportable. start == end means the
-// window is empty (freshly created or just compacted).
-func (s *Store) DeltaWindow() (start, end uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch - uint64(len(s.log)), s.epoch
-}
-
 // DeltasSince exports the delta entries with epochs in (since, Epoch()],
 // pairing each delta with its chain fingerprint. ok is false when the
 // cursor falls outside the current window — either Compact folded the
