@@ -6,8 +6,8 @@
 # serial gate compares) by default, or any pattern over the root package,
 # ./internal/engine, ./internal/graph and ./internal/server (experiments
 # BenchmarkE*, serving-layer BenchmarkEngine*, traversal kernels
-# BenchmarkPar*, HTTP loopback BenchmarkServer*), with -benchmem and writes the parsed results to
-# BENCH_<rev>.json (one object per benchmark: name,
+# BenchmarkPar*, HTTP loopback BenchmarkServer*), with -benchmem and
+# writes the parsed results to BENCH_<rev>.json (one object per benchmark: name,
 # iterations, ns/op, B/op, allocs/op, plus any custom ReportMetric
 # columns — the engine benchmarks report sampled hit-latency tails as
 # p99-ns/p50-ns, which land in the JSON as p99_ns/p50_ns per run).
@@ -25,7 +25,7 @@
 #       sweep in one file: each benchmark runs at -cpu 1 and -cpu 4
 #       (the -cpu 4 rows get a -4 suffix, the -cpu 1 rows none), so one
 #       capture shows the scaling;
-#       cmd/benchdiff compares the -1 rows against a serial baseline
+#       cmd/benchdiff compares the -cpu 1 rows against a serial baseline
 #       and warns when two baselines were taken under different
 #       GOMAXPROCS
 set -euo pipefail
