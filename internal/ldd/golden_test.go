@@ -106,3 +106,88 @@ func TestGoldenDecompositions(t *testing.T) {
 		}
 	}
 }
+
+// goldenWeights are seeded vertex weights in 0..8, zeros included, so the
+// weighted run both skips zero-weight centres and weighs its cut layers.
+func goldenWeights(n int) []int64 {
+	rng := xrand.New(17)
+	w := make([]int64, n)
+	for v := range w {
+		w[v] = int64(rng.Intn(9))
+	}
+	return w
+}
+
+// TestGoldenChangLi pins ChangLi (with and without Phase 2), the weighted
+// variant (seeded and nil weights) and Blackbox (both bases) on the golden
+// inputs. Scales 0.05 and 0.002 give one cluster per component on both
+// inputs. The grid's diameter (128) admits real carves at scale 0.0002, so
+// its carve-scale rows depend on every sampling stream; the GNP's (about 6)
+// admits none at any scale, and its mid-scale n_v estimate costs O(n·m), so
+// its weighted rows run at 0.05. Every worker count must reproduce the
+// hashes.
+func TestGoldenChangLi(t *testing.T) {
+	want := map[string]string{
+		"blackbox/gnp/en=false":          "971e4fd3f392dabf clusters=3 rounds=27735",
+		"blackbox/gnp/en=true":           "6d394a62a6f7d3ef clusters=3 rounds=141",
+		"blackbox/grid/en=false":         "78c4b7d38825e46d clusters=1 rounds=51542",
+		"blackbox/grid/en=true":          "89a5c5f8a7580db3 clusters=115 rounds=548",
+		"changli/gnp/0.002/skip=false":   "971e4fd3f392dabf clusters=3 rounds=4096",
+		"changli/gnp/0.002/skip=true":    "971e4fd3f392dabf clusters=3 rounds=8356",
+		"changli/gnp/0.05/skip=false":    "971e4fd3f392dabf clusters=3 rounds=24028",
+		"changli/gnp/0.05/skip=true":     "971e4fd3f392dabf clusters=3 rounds=61501",
+		"changli/grid/0.0002/skip=false": "8ef3c81910a91999 clusters=86 rounds=1409",
+		"changli/grid/0.0002/skip=true":  "78c4b7d38825e46d clusters=1 rounds=2118",
+		"changli/grid/0.002/skip=false":  "78c4b7d38825e46d clusters=1 rounds=3999",
+		"changli/grid/0.002/skip=true":   "78c4b7d38825e46d clusters=1 rounds=7488",
+		"changli/grid/0.05/skip=false":   "78c4b7d38825e46d clusters=1 rounds=22836",
+		"changli/grid/0.05/skip=true":    "78c4b7d38825e46d clusters=1 rounds=59553",
+		"weighted/gnp/nil":               "971e4fd3f392dabf clusters=3 rounds=24028",
+		"weighted/gnp/seeded":            "971e4fd3f392dabf clusters=3 rounds=24028",
+		"weighted/grid/nil":              "8ef3c81910a91999 clusters=86 rounds=1409",
+		"weighted/grid/seeded":           "fdf4e9243722dcc7 clusters=128 rounds=1409",
+	}
+	carveScale := map[string]float64{"gnp": 0.05, "grid": 0.0002}
+	got := make(map[string]string)
+	for _, in := range goldenInputs() {
+		w := goldenWeights(in.g.N())
+		for _, workers := range []int{1, 4} {
+			record := func(key string, d *Decomposition) {
+				val := fmt.Sprintf("%016x clusters=%d rounds=%d", hashInt32s(d.ClusterOf), d.NumClusters, d.Rounds)
+				if prev, ok := got[key]; ok && prev != val {
+					t.Fatalf("%s: workers %d gave %q, workers 1 gave %q", key, workers, val, prev)
+				}
+				got[key] = val
+			}
+			scales := []float64{0.05, 0.002}
+			if s := carveScale[in.name]; s < 0.002 {
+				scales = append(scales, s)
+			}
+			for _, scale := range scales {
+				for _, skip := range []bool{false, true} {
+					p := Params{Epsilon: 0.3, Seed: 3, Scale: scale, SkipPhase2: skip, Workers: workers}
+					record(fmt.Sprintf("changli/%s/%g/skip=%v", in.name, scale, skip), ChangLi(in.g, p))
+				}
+			}
+			p := Params{Epsilon: 0.3, Seed: 3, Scale: carveScale[in.name], Workers: workers}
+			record("weighted/"+in.name+"/seeded", ChangLiWeighted(in.g, w, p))
+			record("weighted/"+in.name+"/nil", ChangLiWeighted(in.g, nil, p))
+		}
+		// Blackbox has no worker knob. Its power graph G^k has k = ⌈2/ε⌉;
+		// on the GNP input G^4 is nearly complete, so it runs at ε = 1.
+		eps := 0.5
+		if in.name == "gnp" {
+			eps = 1
+		}
+		for _, en := range []bool{false, true} {
+			d := Blackbox(in.g, BlackboxParams{Epsilon: eps, Seed: 4, Scale: 0.05, UseElkinNeimanBase: en})
+			got[fmt.Sprintf("blackbox/%s/en=%v", in.name, en)] = fmt.Sprintf("%016x clusters=%d rounds=%d",
+				hashInt32s(d.ClusterOf), d.NumClusters, d.Rounds)
+		}
+	}
+	for key, w := range want {
+		if got[key] != w {
+			t.Errorf("%s: got %q, want %q", key, got[key], w)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/xrand"
 )
@@ -42,6 +43,48 @@ func TestGoldenSolutions(t *testing.T) {
 		got := fmt.Sprintf("%016x value=%d exact=%v", h.Sum64(), r.Value, r.Exact)
 		if got != c.want {
 			t.Errorf("case %d (n=%d): got %q, want %q", i, c.n, got, c.want)
+		}
+	}
+}
+
+// TestGoldenAlternative pins SolveAlternative (the Section 4 alternative
+// approach through the weighted decomposition) on seeded inputs: the
+// solution bits, value and rounds. The cycle and grid rows run at scales
+// where the weighted decomposition carves real clusters. Every worker
+// count must reproduce them.
+func TestGoldenAlternative(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		p     Params
+		tRuns int
+		want  string
+	}{
+		{"gnp", gen.GNP(1000, 8.0/999, xrand.New(1)), Params{Epsilon: 0.25, Seed: 1}, 6, "d5ead4855e59c83d value=282 rounds=350373"},
+		{"cycle", gen.Cycle(2000), Params{Epsilon: 0.3, Seed: 2, Scale: 0.002}, 8, "8951df3dae6b647f value=996 rounds=3743"},
+		{"grid", gen.Grid(40, 50), Params{Epsilon: 0.3, Seed: 3, Scale: 0.0002}, 8, "939eb397bb2e6d7e value=997 rounds=1412"},
+	}
+	for _, c := range cases {
+		inst := misOn(t, c.g)
+		for _, workers := range []int{1, 4} {
+			p := c.p
+			p.Workers = workers
+			r := SolveAlternative(inst, p, c.tRuns)
+			if ok, j := inst.Feasible(r.Solution); !ok {
+				t.Fatalf("%s: infeasible at %d", c.name, j)
+			}
+			h := fnv.New64a()
+			for _, set := range r.Solution {
+				if set {
+					h.Write([]byte{1})
+				} else {
+					h.Write([]byte{0})
+				}
+			}
+			got := fmt.Sprintf("%016x value=%d rounds=%d", h.Sum64(), r.Value, r.Rounds)
+			if got != c.want {
+				t.Errorf("%s (workers %d): got %q, want %q", c.name, workers, got, c.want)
+			}
 		}
 	}
 }
