@@ -154,13 +154,21 @@ func TestCancelSweepAllFamilies(t *testing.T) {
 		graphFor := big
 		p := Params{}
 		switch name {
-		case "packing", "covering", "gkm", "solve":
+		case "packing", "covering", "gkm":
 			// ILP instance build is itself O(n); mid-size keeps the sweep fast
 			// while leaving enough work to cancel into.
 			graphFor = gen.RandomRegular(3000, 4, xrand.New(9))
 			if name == "gkm" {
 				p = Params{"scale": "0.4"}
 			}
+		case "solve":
+			// Only the branch-and-bound search polls the context: a
+			// whole-graph greedy solve runs to completion in well under a
+			// millisecond, often before the cancel is scheduled. MIS on a
+			// 34-vertex 4-regular graph is exact-searched for tens of
+			// milliseconds.
+			graphFor = gen.RandomRegular(34, 4, xrand.New(9))
+			p = Params{"maxexact": "34"}
 		case "en", "mpx", "sparsecover", "netdecomp":
 			p = Params{"lambda": "0.05"}
 		case "blackbox":

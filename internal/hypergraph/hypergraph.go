@@ -24,7 +24,6 @@ import (
 type H struct {
 	n      int
 	edges  [][]int32 // sorted vertex lists per hyperedge
-	vEdges [][]int32 // hyperedge ids incident to each vertex
 	primal *graph.Graph
 }
 
@@ -56,15 +55,10 @@ func (b *Builder) AddEdge(vertices ...int) int {
 
 // Build finalizes the hypergraph and its primal graph.
 func (b *Builder) Build() *H {
-	h := &H{
-		n:      b.n,
-		edges:  b.edges,
-		vEdges: make([][]int32, b.n),
-	}
+	h := &H{n: b.n, edges: b.edges}
 	gb := graph.NewBuilder(b.n)
-	for ei, e := range b.edges {
+	for _, e := range b.edges {
 		for i, u := range e {
-			h.vEdges[u] = append(h.vEdges[u], int32(ei))
 			for _, v := range e[i+1:] {
 				gb.AddEdge(int(u), int(v))
 			}
@@ -84,9 +78,6 @@ func (h *H) M() int { return len(h.edges) }
 // internal storage and must not be modified.
 func (h *H) Edge(e int) []int32 { return h.edges[e] }
 
-// IncidentEdges returns the hyperedges containing vertex v.
-func (h *H) IncidentEdges(v int) []int32 { return h.vEdges[v] }
-
 // Primal returns the primal (communication) graph: an edge between every
 // pair of vertices that share a hyperedge.
 func (h *H) Primal() *graph.Graph { return h.primal }
@@ -100,28 +91,6 @@ func (h *H) Rank() int {
 		}
 	}
 	return r
-}
-
-// MaxDegree returns the maximum number of hyperedges incident to a vertex.
-func (h *H) MaxDegree() int {
-	d := 0
-	for _, ve := range h.vEdges {
-		if len(ve) > d {
-			d = len(ve)
-		}
-	}
-	return d
-}
-
-// EdgeInside reports whether every vertex of hyperedge e lies in the set
-// marked by inSet.
-func (h *H) EdgeInside(e int, inSet []bool) bool {
-	for _, v := range h.edges[e] {
-		if !inSet[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // String implements fmt.Stringer.

@@ -21,9 +21,6 @@ func TestBasicBuild(t *testing.T) {
 	if h.Rank() != 3 {
 		t.Fatalf("rank = %d", h.Rank())
 	}
-	if h.MaxDegree() != 2 { // vertex 2 is in two edges
-		t.Fatalf("max degree = %d", h.MaxDegree())
-	}
 }
 
 func TestEdgeNormalization(t *testing.T) {
@@ -42,20 +39,6 @@ func TestEdgeNormalization(t *testing.T) {
 	}
 }
 
-func TestIncidence(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(1, 3)
-	h := b.Build()
-	if got := h.IncidentEdges(1); len(got) != 3 {
-		t.Fatalf("incidence of 1 = %v", got)
-	}
-	if got := h.IncidentEdges(0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("incidence of 0 = %v", got)
-	}
-}
-
 func TestPrimalGraph(t *testing.T) {
 	b := NewBuilder(5)
 	b.AddEdge(0, 1, 2) // clique {0,1,2}
@@ -70,20 +53,6 @@ func TestPrimalGraph(t *testing.T) {
 	}
 	if p.HasEdge(2, 3) {
 		t.Fatal("primal has phantom edge")
-	}
-}
-
-func TestEdgeInside(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1, 2)
-	h := b.Build()
-	in := []bool{true, true, true, false}
-	if !h.EdgeInside(0, in) {
-		t.Fatal("edge should be inside")
-	}
-	in[1] = false
-	if h.EdgeInside(0, in) {
-		t.Fatal("edge should not be inside")
 	}
 }
 

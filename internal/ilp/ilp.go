@@ -290,16 +290,6 @@ func (inst *Instance) NumConstraints() int { return len(inst.constraints) }
 // Weight returns the objective weight of variable v.
 func (inst *Instance) Weight(v int) int64 { return inst.weights[v] }
 
-// TotalWeight returns the sum of all variable weights (the paper assumes
-// this is polynomial in n).
-func (inst *Instance) TotalWeight() int64 {
-	var s int64
-	for _, w := range inst.weights {
-		s += w
-	}
-	return s
-}
-
 // Constraint returns constraint j. The struct aliases internal storage.
 func (inst *Instance) Constraint(j int) Constraint { return inst.constraints[j] }
 
@@ -406,18 +396,6 @@ func (inst *Instance) Value(s Solution) int64 {
 	var total int64
 	for v, set := range s {
 		if set {
-			total += inst.weights[v]
-		}
-	}
-	return total
-}
-
-// WeightOf returns W(s, S) = sum over v in subset of w_v * s(v), the
-// paper's restricted-weight notation.
-func (inst *Instance) WeightOf(s Solution, subset []int32) int64 {
-	var total int64
-	for _, v := range subset {
-		if s[v] {
 			total += inst.weights[v]
 		}
 	}

@@ -144,13 +144,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 			layers := graph.ParBallLayersFromSet(gws, g, seedSet, grow, alive, 1)
 			rc.Charge(grow)
 			// Find the thinnest layer among 1..grow; carve below it.
-			jStar, best := -1, -1
-			for j := 1; j < len(layers); j++ {
-				if best == -1 || len(layers[j]) < best {
-					best = len(layers[j])
-					jStar = j
-				}
-			}
+			jStar := sparsestLayer(layers, 1, grow, nil)
 			if jStar == -1 {
 				jStar = len(layers) // component exhausted: keep everything
 			}

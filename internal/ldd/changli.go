@@ -12,9 +12,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// phase3Label salts the Phase-3 Elkin–Neiman seed so it is independent of
-// the per-vertex sampling streams.
-const phase3Label = 0x9a5e3
+// sampleSalt+i labels the per-vertex sampling streams of carve iteration
+// i, and phase3Label salts the Phase-3 Elkin–Neiman seed so it is
+// independent of them. The weighted variant (weighted.go) has its own pair.
+const (
+	sampleSalt  = 0xca10
+	phase3Label = 0x9a5e3
+)
 
 // noopPhase is the end-func for iterations that are not being traced.
 var noopPhase = func() {}
@@ -104,23 +108,30 @@ func derive(n int, p Params) Derived {
 	return d
 }
 
-// ballSizes computes n_v = |N^radius(v)| in the alive-induced subgraph. When
-// the radius reaches the whole component, the component size is used, which
-// avoids the O(n·m) blowup at paper-scale radii. The per-vertex ball
-// queries are independent and fan out across the worker pool, each worker
-// running the one-worker kernel on its own traversal workspace; cancelling
-// ctx stops the fan-out between tasks.
-func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, workers int) ([]int, error) {
+// ballSizes computes n_v = W(N^radius(v)) in the alive-induced subgraph:
+// the ball's vertex count, or its total weight under w when w is non-nil.
+// When the radius reaches the whole component, the component's count or
+// weight is used, which avoids the O(n·m) blowup at paper-scale radii. The
+// per-vertex ball queries are independent and fan out across the worker
+// pool, each worker running the one-worker kernel on its own traversal
+// workspace; cancelling ctx stops the fan-out between tasks.
+func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius int, w []int64, workers int) ([]int64, error) {
 	n := g.N()
-	sizes := make([]int, n)
+	sizes := make([]int64, n)
 	workers = par.Workers(workers)
 	pw := graph.AcquireParWorkspace()
 	defer graph.ReleaseParWorkspace(pw)
 	comp, count := graph.ParComponents(pw, g, alive, workers)
 	compSize := make([]int, count)
+	compWeight := make([]int64, count)
 	for v := 0; v < n; v++ {
-		if comp[v] >= 0 {
-			compSize[comp[v]]++
+		if c := comp[v]; c >= 0 {
+			compSize[c]++
+			if w == nil {
+				compWeight[c]++
+			} else {
+				compWeight[c] += w[v]
+			}
 		}
 	}
 	pws := graph.AcquireParWorkspaces(workers)
@@ -128,17 +139,17 @@ func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius, worker
 	// Per-vertex costs are heavily skewed (component shortcut vs real
 	// ball): chunked grabbing keeps the scheduling overhead off the cheap
 	// vertices without giving up the balance.
-	err := par.ForEachChunkCtx(ctx, workers, n, 32, func(w, v int) {
+	err := par.ForEachChunkCtx(ctx, workers, n, 32, func(wk, v int) {
 		if alive != nil && !alive[v] {
 			return
 		}
 		// A radius at least the component size always covers the component.
 		c := comp[v]
 		if radius >= compSize[c] {
-			sizes[v] = compSize[c]
+			sizes[v] = compWeight[c]
 			return
 		}
-		sizes[v] = len(graph.ParBall(pws[w], g, v, radius, alive, 1))
+		sizes[v] = weightOf(graph.ParBall(pws[wk], g, v, radius, alive, 1), w)
 	})
 	if err != nil {
 		return nil, err
@@ -163,6 +174,16 @@ func ChangLi(g *graph.Graph, p Params) *Decomposition {
 // returns ctx.Err() promptly, releases its pooled workspaces, and leaves
 // no goroutines behind.
 func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, error) {
+	return changLi(ctx, g, nil, p, sampleSalt, phase3Label)
+}
+
+// changLi is the Phase 1–3 body shared by ChangLiCtx and
+// ChangLiWeightedCtx. With nil weights every vertex weighs one; otherwise
+// the weights enter the three weight-sensitive choices: the n_v estimate
+// (ballSizes), the sampling rate below, and the cut layer (GrowCarve).
+// salt+i labels iteration i's per-vertex sampling streams and p3Label
+// splits the Phase-3 seed, so each entry point keeps its own randomness.
+func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3Label uint64) (*Decomposition, error) {
 	n := g.N()
 	d := derive(n, p)
 	eps := p.Epsilon
@@ -193,7 +214,7 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	rc.Charge(min(d.EstimateRadius, n))
 	rc.EndPhase()
 	endEstimate := tr.StartPhase("estimate")
-	nv, err := ballSizes(ctx, g, alive, d.EstimateRadius, p.Workers)
+	nv, err := ballSizes(ctx, g, alive, d.EstimateRadius, w, p.Workers)
 	endEstimate()
 	if err != nil {
 		return nil, err
@@ -224,19 +245,26 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 		// them first, then fan the carves out and merge in vertex order.
 		centres = centres[:0]
 		for v := 0; v < n; v++ {
-			if !alive[v] {
+			wv := 1.0
+			if w != nil {
+				wv = float64(w[v])
+			}
+			if !alive[v] || wv <= 0 {
 				continue
 			}
-			// Sampling probability p_{v,i} = 2^i ln(ñ) / n_v, with the extra
-			// ln(20/ε) boost in Phase 2 (Section 3.1.3).
-			prob := math.Exp2(float64(i)) * d.LnTilde / float64(max(nv[v], 1))
+			// Sampling probability p_{v,i} = 2^i w(v) ln(ñ) / n_v, with the
+			// extra ln(20/ε) boost in Phase 2 (Section 3.1.3). Weighted, n_v is
+			// the ball weight, so the rate is the per-unit-weight analogue of
+			// the unweighted one (w(v) = 1 reproduces it exactly). Zero-weight
+			// vertices are never sampled.
+			prob := math.Exp2(float64(i)) * wv * d.LnTilde / math.Max(float64(nv[v]), 1)
 			if isPhase2 {
 				prob *= math.Log(20 / eps)
 			}
 			if prob > 1 {
 				prob = 1
 			}
-			if xrand.Stream(p.Seed, v, uint64(0xca10+i)).Bernoulli(prob) {
+			if xrand.Stream(p.Seed, v, salt+uint64(i)).Bernoulli(prob) {
 				centres = append(centres, int32(v))
 			}
 		}
@@ -248,8 +276,8 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 		if workers > 1 && len(centres) < workers {
 			fanOut, carveWorkers = 1, workers
 		}
-		if err := par.ForEachCtx(ctx, fanOut, len(centres), func(w, j int) {
-			outcomes[j] = GrowCarve(g, int(centres[j]), interval[0], interval[1], alive, pws[w], carveWorkers)
+		if err := par.ForEachCtx(ctx, fanOut, len(centres), func(wk, j int) {
+			outcomes[j] = GrowCarve(g, int(centres[j]), interval[0], interval[1], alive, w, pws[wk], carveWorkers)
 		}); err != nil {
 			endCarve()
 			return nil, err
@@ -260,7 +288,7 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 			}
 		}
 		rc.EndPhase()
-		applyCarves(outcomes, alive, removed, deletedMark)
+		ApplyCarves(outcomes, alive, removed, deletedMark)
 		endCarve()
 	}
 
@@ -269,7 +297,7 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	en, err := ElkinNeimanCtx(ctx, g, alive, ENParams{
 		Lambda:  eps / 10,
 		NTilde:  d.NTilde,
-		Seed:    xrand.New(p.Seed).Split(phase3Label).Uint64(),
+		Seed:    xrand.New(p.Seed).Split(p3Label).Uint64(),
 		Workers: p.Workers,
 	})
 	endP3()
@@ -279,7 +307,7 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 	rc.Charge(en.Rounds)
 
 	// Assemble: carve clusters are the connected components of the removed
-	// set (see applyCarves for why they are mutually non-adjacent and
+	// set (see ApplyCarves for why they are mutually non-adjacent and
 	// non-adjacent to the residual); Phase-3 clusters follow with offset
 	// ids; everything else is unclustered.
 	endAssemble := tr.StartPhase("assemble")

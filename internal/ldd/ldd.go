@@ -10,9 +10,16 @@
 //   - SparseCover: the Lemma C.2 variant that covers every hyperedge and
 //     bounds each vertex's cluster multiplicity by a geometric random
 //     variable — the substrate of the covering algorithm;
-//   - GrowCarve: the ball-growing-and-carving subroutine (Algorithm 1);
+//   - GrowCarve: the ball-growing-and-carving subroutine (Algorithm 1),
+//     and ApplyCarves, the merge of one iteration's carves that packing
+//     shares;
 //   - ChangLi: the paper's main Theorem 1.1 algorithm (Phases 1–3), whose
 //     ε-fraction bound on unclustered vertices holds with high probability;
+//   - ChangLiWeighted: the Section 4 weighted variant, which bounds the
+//     deleted weight instead. It is ChangLi with vertex weights: one body
+//     (changLi) runs both, and the weights enter only the n_v estimate
+//     (ballSizes), the sampling rate and the cut layer (sparsestLayer,
+//     which Blackbox's carve also uses);
 //   - Blackbox: the Section 1.6 boost of Coiteux-Roy et al. that improves
 //     the log³(1/ε) round factor to log(1/ε);
 //   - RepairDiameter: the weak-to-ideal diameter cleanup step;

@@ -222,7 +222,7 @@ func TestGrowCarveOnPath(t *testing.T) {
 	for i := range alive {
 		alive[i] = true
 	}
-	oc := GrowCarve(g, 0, 5, 10, alive, new(graph.ParWorkspace), 1)
+	oc := GrowCarve(g, 0, 5, 10, alive, nil, new(graph.ParWorkspace), 1)
 	if oc == nil {
 		t.Fatal("nil outcome for alive centre")
 	}
@@ -248,7 +248,7 @@ func TestGrowCarvePicksSparsestLayer(t *testing.T) {
 	for i := range alive {
 		alive[i] = true
 	}
-	oc := GrowCarve(g, 1, 1, 2, alive, new(graph.ParWorkspace), 1) // from leaf 1: layer1={0} size 1, layer2=rest size 18
+	oc := GrowCarve(g, 1, 1, 2, alive, nil, new(graph.ParWorkspace), 1) // from leaf 1: layer1={0} size 1, layer2=rest size 18
 	if oc.JStar != 1 {
 		t.Fatalf("jStar = %d, want 1 (sparsest layer)", oc.JStar)
 	}
@@ -263,7 +263,7 @@ func TestGrowCarveExhaustedComponent(t *testing.T) {
 	for i := range alive {
 		alive[i] = true
 	}
-	oc := GrowCarve(g, 2, 10, 20, alive, new(graph.ParWorkspace), 1)
+	oc := GrowCarve(g, 2, 10, 20, alive, nil, new(graph.ParWorkspace), 1)
 	if len(oc.Deleted) != 0 {
 		t.Fatal("exhausted component should delete nothing")
 	}
@@ -275,7 +275,7 @@ func TestGrowCarveExhaustedComponent(t *testing.T) {
 func TestGrowCarveDeadCentre(t *testing.T) {
 	g := gen.Path(5)
 	alive := make([]bool, 5)
-	if GrowCarve(g, 2, 1, 2, alive, new(graph.ParWorkspace), 1) != nil {
+	if GrowCarve(g, 2, 1, 2, alive, nil, new(graph.ParWorkspace), 1) != nil {
 		t.Fatal("dead centre should return nil")
 	}
 }

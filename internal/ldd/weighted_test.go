@@ -13,9 +13,14 @@ func TestWeightedNilFallsBack(t *testing.T) {
 	p := Params{Epsilon: 0.3, Seed: 1}
 	dw := ChangLiWeighted(g, nil, p)
 	du := ChangLi(g, p)
+	if dw.NumClusters != du.NumClusters || dw.Rounds != du.Rounds {
+		t.Fatalf("nil-weight run diverged from unweighted: %d/%d clusters, %d/%d rounds",
+			dw.NumClusters, du.NumClusters, dw.Rounds, du.Rounds)
+	}
 	for v := range dw.ClusterOf {
-		if (dw.ClusterOf[v] == Unclustered) != (du.ClusterOf[v] == Unclustered) {
-			t.Fatal("nil-weight run diverged from unweighted")
+		if dw.ClusterOf[v] != du.ClusterOf[v] {
+			t.Fatalf("nil-weight run diverged from unweighted at vertex %d: %d vs %d",
+				v, dw.ClusterOf[v], du.ClusterOf[v])
 		}
 	}
 }
@@ -95,7 +100,7 @@ func TestWeightedCarvePicksLightestLayer(t *testing.T) {
 	for i := range alive {
 		alive[i] = true
 	}
-	oc := weightedCarve(g, 1, 1, 2, alive, w, new(graph.ParWorkspace))
+	oc := GrowCarve(g, 1, 1, 2, alive, w, new(graph.ParWorkspace), 1)
 	if oc.JStar != 2 {
 		t.Fatalf("jStar = %d, want 2 (the light layer)", oc.JStar)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/ldd"
 	"repro/internal/solve"
 )
 
@@ -33,11 +34,11 @@ func TestGrowCarvePackingWindow(t *testing.T) {
 	if oc == nil {
 		t.Fatal("nil outcome")
 	}
-	if len(oc.deleted) != 1 || oc.deleted[0] != 8 {
-		t.Fatalf("deleted = %v, want [8]", oc.deleted)
+	if len(oc.Deleted) != 1 || oc.Deleted[0] != 8 {
+		t.Fatalf("deleted = %v, want [8]", oc.Deleted)
 	}
-	if len(oc.removed) != 8 {
-		t.Fatalf("removed %d vertices, want 8 (radius 7)", len(oc.removed))
+	if len(oc.Removed) != 8 {
+		t.Fatalf("removed %d vertices, want 8 (radius 7)", len(oc.Removed))
 	}
 }
 
@@ -48,11 +49,11 @@ func TestGrowCarvePackingExhausted(t *testing.T) {
 	inst := misOn(t, g)
 	alive := allAlive(5)
 	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace))
-	if len(oc.deleted) != 0 {
-		t.Fatalf("deleted = %v, want none", oc.deleted)
+	if len(oc.Deleted) != 0 {
+		t.Fatalf("deleted = %v, want none", oc.Deleted)
 	}
-	if len(oc.removed) != 5 {
-		t.Fatalf("removed %d, want the whole component", len(oc.removed))
+	if len(oc.Removed) != 5 {
+		t.Fatalf("removed %d, want the whole component", len(oc.Removed))
 	}
 }
 
@@ -70,11 +71,12 @@ func TestApplyCarvesDeletePriority(t *testing.T) {
 	alive := allAlive(6)
 	removed := make([]bool, 6)
 	deletedMark := make([]bool, 6)
-	outcomes := []*carveOutcome{
-		{removed: []int32{0, 1, 2}, deleted: []int32{3}},
-		{removed: []int32{3, 4}, deleted: []int32{1}}, // conflicts: 3 deleted by first, 1 by second
+	outcomes := []*ldd.CarveOutcome{
+		{Removed: []int32{0, 1, 2}, Deleted: []int32{3}},
+		{Removed: []int32{3, 4}, Deleted: []int32{1}}, // conflicts: 3 deleted by first, 1 by second
+		nil, // an unsampled carve
 	}
-	applyCarves(outcomes, alive, removed, deletedMark)
+	ldd.ApplyCarves(outcomes, alive, removed, deletedMark)
 	if removed[3] || removed[1] {
 		t.Fatal("deletion must win over removal")
 	}

@@ -23,8 +23,10 @@
 //     shared solve (see the covering package doc).
 //   - Phase 1: t = ⌈log(20/ε)⌉ iterations; clusters sample themselves with
 //     probability 2^i·W_C/W_SC and run Grow-and-Carve-Packing (Algorithm
-//     4): delete the layer triple with the smallest local-solution weight,
-//     carve the interior.
+//     4): delete the middle layer of the triple with the smallest
+//     local-solution weight, carve the interior. The carves of one
+//     iteration merge by ldd's rule (ldd.ApplyCarves: a vertex deleted by
+//     any carve is deleted).
 //   - Phase 2: one boosted iteration with rate multiplied by ln(20/ε).
 //   - Phase 3: Elkin–Neiman with λ = ε/10 on the residual; then every final
 //     component solves its local packing problem exactly and the union is
@@ -291,7 +293,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 				sampled = append(sampled, int32(ci))
 			}
 		}
-		outcomes := make([]*carveOutcome, len(sampled))
+		outcomes := make([]*ldd.CarveOutcome, len(sampled))
 		carveExact := make([]bool, len(sampled))
 		if err := par.ForEachCtx(ctx, workers, len(sampled), func(w, j int) {
 			pc := clusters[sampled[j]]
@@ -307,7 +309,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			}
 		}
 		rc.EndPhase()
-		applyCarves(outcomes, alive, removed, deletedMark)
+		ldd.ApplyCarves(outcomes, alive, removed, deletedMark)
 		endCarve()
 	}
 
@@ -394,31 +396,22 @@ func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options) (ilp.Sol
 	return sol, val, m.Exact()
 }
 
-// carveOutcome mirrors ldd.CarveOutcome for the cluster-seeded variant.
-type carveOutcome struct {
-	deleted []int32
-	removed []int32
-}
-
 // growCarvePacking implements Algorithm 4 for a cluster seed set: gather
 // layers to radius b-1, compute the local packing solution of the ball,
 // pick j* ≡ a (mod 3) in [a, b-1] minimizing the solution weight on the
-// triple S_{j*} ∪ S_{j*+1} ∪ S_{j*+2}, delete S_{j*+1}, remove N^{j*}.
+// triple S_{j*} ∪ S_{j*+1} ∪ S_{j*+2}, delete S_{j*+1}, remove N^{j*}. In
+// the returned outcome the cut layer JStar is j*+1, the deleted one.
 // The gather runs on the caller's workspace; concurrent calls against the
 // same alive snapshot are safe when each uses its own workspace.
 func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int,
-	alive []bool, opt solve.Options, ws *graph.ParWorkspace) (*carveOutcome, bool) {
+	alive []bool, opt solve.Options, ws *graph.ParWorkspace) (*ldd.CarveOutcome, bool) {
 
 	layers := graph.ParBallLayersFromSet(ws, g, seed, b-1, alive, 1)
 	if layers == nil {
 		return nil, true
 	}
 	if len(layers) <= a {
-		var rem []int32
-		for _, l := range layers {
-			rem = append(rem, l...)
-		}
-		return &carveOutcome{removed: rem}, true
+		return wholeBall(layers), true
 	}
 	total := 0
 	for _, l := range layers {
@@ -451,50 +444,23 @@ func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int
 	}
 	if jStar == -1 {
 		// Window collapsed (ball barely exceeds a): remove up to the end.
-		var rem []int32
-		for _, l := range layers {
-			rem = append(rem, l...)
-		}
-		return &carveOutcome{removed: rem}, ex
+		return wholeBall(layers), ex
 	}
-	oc := &carveOutcome{}
+	oc := &ldd.CarveOutcome{JStar: jStar + 1}
 	for j := 0; j <= jStar && j < len(layers); j++ {
-		oc.removed = append(oc.removed, layers[j]...)
+		oc.Removed = append(oc.Removed, layers[j]...)
 	}
 	if jStar+1 < len(layers) {
-		oc.deleted = append(oc.deleted, layers[jStar+1]...)
+		oc.Deleted = append(oc.Deleted, layers[jStar+1]...)
 	}
 	return oc, ex
 }
 
-// applyCarves mirrors ldd's merge semantics (delete wins over remove);
-// nil outcomes (unsampled or dead-seed carves) are skipped.
-func applyCarves(outcomes []*carveOutcome, alive, removed, deletedMark []bool) {
-	for _, oc := range outcomes {
-		if oc == nil {
-			continue
-		}
-		for _, v := range oc.deleted {
-			if alive[v] {
-				deletedMark[v] = true
-			}
-		}
+// wholeBall removes every gathered layer and deletes nothing.
+func wholeBall(layers [][]int32) *ldd.CarveOutcome {
+	var rem []int32
+	for _, l := range layers {
+		rem = append(rem, l...)
 	}
-	for _, oc := range outcomes {
-		if oc == nil {
-			continue
-		}
-		for _, v := range oc.removed {
-			if !alive[v] || deletedMark[v] {
-				continue
-			}
-			alive[v] = false
-			removed[v] = true
-		}
-	}
-	for v := range deletedMark {
-		if deletedMark[v] && alive[v] {
-			alive[v] = false
-		}
-	}
+	return &ldd.CarveOutcome{Removed: rem, JStar: len(layers)}
 }

@@ -129,19 +129,6 @@ func (r *RNG) Geometric(p float64) int {
 	return int(x)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes the elements of the slice in place.
 func Shuffle[T any](r *RNG, s []T) {
 	for i := len(s) - 1; i > 0; i-- {

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -230,46 +229,6 @@ func TestGeometricTail(t *testing.T) {
 	frac := float64(count) / n
 	if math.Abs(frac-1.0/16) > 0.005 {
 		t.Fatalf("tail frequency %v, want ~%v", frac, 1.0/16)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(67)
-	if err := quick.Check(func(seed uint64) bool {
-		rr := New(seed)
-		p := rr.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-	_ = r
-}
-
-func TestPermUniform(t *testing.T) {
-	// Position of element 0 should be uniform over 5 slots.
-	r := New(71)
-	counts := make([]int, 5)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		p := r.Perm(5)
-		for idx, v := range p {
-			if v == 0 {
-				counts[idx]++
-			}
-		}
-	}
-	for idx, c := range counts {
-		frac := float64(c) / n
-		if math.Abs(frac-0.2) > 0.02 {
-			t.Fatalf("slot %d frequency %v", idx, frac)
-		}
 	}
 }
 
