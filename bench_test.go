@@ -306,7 +306,9 @@ func BenchmarkExtensionAlternativePacking(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = packing.SolveAlternative(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i)}, 6)
+		if _, err := packing.SolveAlternative(context.Background(), inst, packing.Params{Epsilon: 0.25, Seed: uint64(i)}, 6); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

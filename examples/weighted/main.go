@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,7 +58,10 @@ func main() {
 		log.Fatal(err)
 	}
 	main1 := packing.Solve(inst, packing.Params{Epsilon: eps, Seed: 8, PrepRuns: 3})
-	alt := packing.SolveAlternative(inst, packing.Params{Epsilon: eps, Seed: 8}, 8)
+	alt, err := packing.SolveAlternative(context.Background(), inst, packing.Params{Epsilon: eps, Seed: 8}, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nMIS on C300 (optimum %d):\n", opt)
 	fmt.Printf("  main Theorem 1.2 pipeline:   value=%d (ratio %.3f)\n",
 		main1.Value, float64(main1.Value)/float64(opt))

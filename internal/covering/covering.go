@@ -41,7 +41,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/ldd"
 	"repro/internal/local"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/solve"
 	"repro/internal/xrand"
@@ -216,10 +215,9 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	d := derive(n, p)
 	eps := clampEps(p.Epsilon)
 	rootRNG := xrand.New(p.Seed)
-	var rc local.RoundCounter
-	// Phase timings go only into the trace carried by ctx (nil for
-	// untraced runs); the Result is bit-identical either way.
-	tr := obs.FromContext(ctx)
+	// Phase timings go only into the trace carried by ctx; the Result is
+	// bit-identical either way.
+	ph := local.NewPhases(ctx)
 
 	st := &state{
 		inst:     inst,
@@ -245,7 +243,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	wks := newWorkers(workers)
 	defer releaseWorkers(wks)
 
-	endPrep := tr.StartPhase("preparation")
+	ph.Start("preparation")
 	lambdaPrep := math.Log(21.0 / 20.0)
 	prepSeeds := make([]uint64, d.prepRuns)
 	for run := range prepSeeds {
@@ -296,9 +294,8 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}); err != nil {
 		return nil, err
 	}
-	rc.StartPhase()
 	for _, cov := range covs {
-		rc.Charge(cov.Rounds)
+		ph.Charge(cov.Rounds)
 	}
 	for i := range clusters {
 		if prepErrs[i] != nil {
@@ -307,10 +304,8 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if !prepExact[i] {
 			st.exact = false
 		}
-		rc.Charge(min(d.estRadius, n))
+		ph.Charge(min(d.estRadius, n))
 	}
-	rc.EndPhase()
-	endPrep()
 
 	// --- Phase 1: t carving iterations -------------------------------------
 	// Unlike the decomposition's Phase 1, each carve here fixes variables
@@ -322,11 +317,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			return nil, err
 		}
 		interval := d.intervals[i-1]
-		endCarve := func() {}
-		if tr != nil {
-			endCarve = tr.StartPhase("carve-" + strconv.Itoa(i))
-		}
-		rc.StartPhase()
+		ph.Start("carve-" + strconv.Itoa(i))
 		for ci := range clusters {
 			pc := clusters[ci]
 			if pc.wSC <= 0 || pc.wC <= 0 {
@@ -340,23 +331,20 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				endCarve()
 				return nil, err
 			}
 			if err := st.growCarveCovering(pc.members, interval[0], interval[1], wks[0]); err != nil {
-				endCarve()
 				return nil, err
 			}
-			rc.Charge(interval[1])
+			ph.Charge(interval[1])
 		}
-		rc.EndPhase()
-		endCarve()
 	}
 	fixedWeight := inst.Value(st.solution)
 
 	// --- Phase 2: sparse cover + per-region local solves --------------------
-	endP2 := tr.StartPhase("phase2-solves")
-	defer endP2()
+	// Two phases: the cover is built first, then every region solves in
+	// parallel, each gathering through its cover cluster.
+	ph.Start("phase2-cover")
 	lambdaFinal := math.Log1p(eps / 5)
 	cov, err := ldd.SparseCoverCtx(ctx, g, st.alive, ldd.ENParams{
 		Lambda: lambdaFinal,
@@ -366,7 +354,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	rc.Charge(cov.Rounds)
+	ph.Charge(cov.Rounds)
 
 	// Regions: residual sparse-cover clusters plus removed components. All
 	// local solves run against the Phase-1 residual demands and are OR-ed
@@ -385,6 +373,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// The per-region local solves all run against the same Phase-1
 	// residual snapshot, so they fan out across the pool; the fixes are
 	// applied afterwards in region order.
+	ph.Start("phase2-solves")
 	usedSnapshot := append([]float64(nil), st.used...)
 	chosen := make([][]int32, len(regions))
 	regionErrs := make([]error, len(regions))
@@ -394,7 +383,6 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}); err != nil {
 		return nil, err
 	}
-	rc.StartPhase()
 	for i := range regions {
 		if regionErrs[i] != nil {
 			return nil, regionErrs[i]
@@ -402,9 +390,8 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if !regionExact[i] {
 			st.exact = false
 		}
-		rc.Charge(cov.Rounds)
+		ph.Charge(cov.Rounds)
 	}
-	rc.EndPhase()
 	for _, picks := range chosen {
 		for _, v := range picks {
 			st.fix(v)
@@ -414,7 +401,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	return &Result{
 		Solution:    st.solution,
 		Value:       inst.Value(st.solution),
-		Rounds:      rc.Total(),
+		Rounds:      ph.Total(),
 		Exact:       st.exact,
 		FixedWeight: fixedWeight,
 		NumRegions:  len(regions),

@@ -122,23 +122,3 @@ func VerifyISLP(g *graph.Graph, s Solution) bool {
 	})
 	return ok
 }
-
-// CrownReduction applies the Nemhauser–Trotter persistency property: in
-// some optimal *integral* vertex cover, every LP-1 vertex is included and
-// every LP-0 vertex excluded; only the LP-half vertices remain undecided.
-// It returns (forcedIn, forcedOut, undecided) vertex lists — the classic
-// kernelization for vertex cover, exposed for the solver experiments.
-func CrownReduction(g *graph.Graph) (forcedIn, forcedOut, undecided []int32) {
-	sol, _ := VertexCoverLP(g)
-	for v, x := range sol.X {
-		switch x {
-		case 2:
-			forcedIn = append(forcedIn, int32(v))
-		case 0:
-			forcedOut = append(forcedOut, int32(v))
-		default:
-			undecided = append(undecided, int32(v))
-		}
-	}
-	return forcedIn, forcedOut, undecided
-}

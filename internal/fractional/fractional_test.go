@@ -82,37 +82,12 @@ func TestLPBoundsSandwich(t *testing.T) {
 	}
 }
 
-func TestCrownReductionPersistency(t *testing.T) {
-	// The LP-1/LP-0 classification must be consistent with some optimal
-	// integral cover: check via brute force that forcing the LP-1 vertices
-	// in and LP-0 out still allows an optimal cover.
-	rng := xrand.New(7)
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(8)
-		g := gen.GNP(n, 0.3, rng)
-		forcedIn, forcedOut, undecided := CrownReduction(g)
-		opt := bruteVC(g)
-		best := bruteVCWithForcing(g, forcedIn, forcedOut)
-		if best != opt {
-			t.Fatalf("trial %d: forcing broke optimality: %d vs %d (in=%v out=%v und=%v)",
-				trial, best, opt, forcedIn, forcedOut, undecided)
-		}
-	}
-}
-
 func TestStarLP(t *testing.T) {
 	// Star: LP optimum is integral (bipartite): center alone.
 	g := gen.Star(8)
 	_, tau := VertexCoverLP(g)
 	if tau.Float() != 1 {
 		t.Fatalf("tau*(star) = %v", tau.Float())
-	}
-	forcedIn, forcedOut, und := CrownReduction(g)
-	if len(forcedIn) != 1 || forcedIn[0] != 0 {
-		t.Fatalf("crown should force the center: %v", forcedIn)
-	}
-	if len(forcedOut) != 7 || len(und) != 0 {
-		t.Fatalf("crown classification: out=%v und=%v", forcedOut, und)
 	}
 }
 
@@ -153,36 +128,6 @@ func bruteVC(g *graph.Graph) int {
 	n := g.N()
 	best := n
 	for mask := 0; mask < 1<<n; mask++ {
-		ok := true
-		g.Edges(func(u, v int) {
-			if mask&(1<<u) == 0 && mask&(1<<v) == 0 {
-				ok = false
-			}
-		})
-		if ok {
-			if c := popcount(mask); c < best {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-func bruteVCWithForcing(g *graph.Graph, forcedIn, forcedOut []int32) int {
-	n := g.N()
-	mustIn := 0
-	mustOut := 0
-	for _, v := range forcedIn {
-		mustIn |= 1 << v
-	}
-	for _, v := range forcedOut {
-		mustOut |= 1 << v
-	}
-	best := 1 << 20
-	for mask := 0; mask < 1<<n; mask++ {
-		if mask&mustIn != mustIn || mask&mustOut != 0 {
-			continue
-		}
 		ok := true
 		g.Edges(func(u, v int) {
 			if mask&(1<<u) == 0 && mask&(1<<v) == 0 {

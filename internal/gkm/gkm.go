@@ -29,6 +29,7 @@ package gkm
 import (
 	"context"
 	"math"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/ilp"
@@ -113,18 +114,19 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 		nTilde = n
 	}
 	k := p.horizon(nTilde)
-	var rc local.RoundCounter
+	ph := local.NewPhases(ctx)
 	ws := graph.AcquireParWorkspace()
 	defer graph.ReleaseParWorkspace(ws)
 
 	// Step 2: network decomposition of G^{2k}. Building the power graph is
 	// free locally; the decomposition itself costs rounds_nd * 2k in G.
+	ph.Start("netdecomp")
 	power := g.PowerWithWorkspace(ws, 2*k)
 	nd, err := netdecomp.DecomposeCtx(ctx, power, netdecomp.Params{NTilde: nTilde, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
-	rc.Charge(nd.Rounds * 2 * k)
+	ph.Charge(nd.Rounds * 2 * k)
 
 	alive := make([]bool, n)
 	for i := range alive {
@@ -140,13 +142,13 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 	clusters := nd.Clusters()
 	byColor := nd.ClustersByColor()
 	var scratch gkmScratch
-	for _, clusterIDs := range byColor {
+	for c, clusterIDs := range byColor {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Same-color clusters are > 2k apart in G; their k-radius carving
 		// regions are disjoint, so they run in parallel: one phase.
-		rc.StartPhase()
+		ph.Start("color-" + strconv.Itoa(c))
 		for _, cid := range clusterIDs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -154,7 +156,7 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 			cluster := clusters[cid]
 			// The cluster leader gathers N^k(cluster) and simulates the
 			// sequential carving for the centres inside the cluster.
-			rc.Charge(k * 2)
+			ph.Charge(k * 2)
 			for _, centre := range cluster {
 				if !alive[centre] {
 					continue
@@ -165,7 +167,6 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 				}
 			}
 		}
-		rc.EndPhase()
 	}
 	// Covering: isolated leftovers (alive vertices whose constraints are
 	// still unmet) cannot remain — every vertex was in some cluster and was
@@ -178,7 +179,7 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 	return &Result{
 		Solution: solution,
 		Value:    inst.Value(solution),
-		Rounds:   rc.Total(),
+		Rounds:   ph.Total(),
 		Exact:    exact,
 		Colors:   nd.NumColors,
 		Horizon:  k,

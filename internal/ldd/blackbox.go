@@ -76,7 +76,10 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		clusterOf[i] = Unclustered
 	}
 	nextID := int32(0)
-	var rc local.RoundCounter
+	// Each repetition is three phases: simulating the power graph, the base
+	// decomposition on it (whose own phases nest inside "base" in a trace),
+	// and the parallel ball-grow-and-carve.
+	ph := local.NewPhases(ctx)
 	rootRNG := xrand.New(p.Seed)
 
 	gws := graph.AcquireParWorkspace()
@@ -97,6 +100,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		if len(aliveList) == 0 {
 			break
 		}
+		ph.Start("power")
 		// sub aliases the workspace's Induced buffers; it is consumed by
 		// PowerWithWorkspace (which only touches the traversal buffers)
 		// before any other Induced call can clobber it. back is copied
@@ -104,9 +108,10 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		sub, backAlias := g.InducedWithWorkspace(gws, aliveList)
 		back = append(back[:0], backAlias...)
 		power := sub.PowerWithWorkspace(gws, k)
-		rc.Charge(k) // simulating one power-graph round costs k rounds
+		ph.Charge(k) // simulating one power-graph round costs k rounds
 
 		// Base (1/2, O(log n)) decomposition on the power graph.
+		ph.Start("base")
 		seed := rootRNG.Split(uint64(rep) + 0xb1ac).Uint64()
 		var base *Decomposition
 		var err error
@@ -118,7 +123,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		if err != nil {
 			return nil, err
 		}
-		rc.Charge(base.Rounds * k) // power-graph rounds simulated in G
+		ph.Charge(base.Rounds * k) // power-graph rounds simulated in G
 
 		// Ball-grow each base cluster ⌊k/2⌋ hops in G (clusters are > k
 		// apart in G, so the grown balls stay disjoint) and carve.
@@ -126,7 +131,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		if grow < 1 {
 			grow = 1
 		}
-		rc.StartPhase()
+		ph.Start("grow-carve")
 		carved := 0
 		for _, cluster := range base.Clusters() {
 			if done != nil {
@@ -142,7 +147,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 				seedSet = append(seedSet, back[v])
 			}
 			layers := graph.ParBallLayersFromSet(gws, g, seedSet, grow, alive, 1)
-			rc.Charge(grow)
+			ph.Charge(grow)
 			// Find the thinnest layer among 1..grow; carve below it.
 			jStar := sparsestLayer(layers, 1, grow, nil)
 			if jStar == -1 {
@@ -165,12 +170,11 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 				}
 			}
 		}
-		rc.EndPhase()
 		if carved == 0 {
 			break // nothing progresses (e.g. base clustered nothing)
 		}
 	}
 	// Whatever is still alive after the repetitions is deleted.
 	num := relabel(clusterOf)
-	return &Decomposition{ClusterOf: clusterOf, NumClusters: num, Rounds: rc.Total()}, nil
+	return &Decomposition{ClusterOf: clusterOf, NumClusters: num, Rounds: ph.Total()}, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/local"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/xrand"
 )
@@ -19,9 +18,6 @@ const (
 	sampleSalt  = 0xca10
 	phase3Label = 0x9a5e3
 )
-
-// noopPhase is the end-func for iterations that are not being traced.
-var noopPhase = func() {}
 
 // Params configures the Chang–Li Theorem 1.1 decomposition.
 type Params struct {
@@ -190,13 +186,12 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 	if eps <= 0 {
 		eps = 0.5
 	}
-	// Trace phases mirror the paper's structure: the Θ(log ñ) preparation
+	// The phases mirror the paper's structure: the Θ(log ñ) preparation
 	// (n_v estimation), one phase per carve iteration, the Phase-3
-	// Elkin–Neiman pass, and assembly. Timings live only in the trace
+	// Elkin–Neiman pass, and assembly. Their timings live only in the trace
 	// carried by ctx — the Decomposition itself stays bit-identical whether
-	// or not a trace is attached. tr is nil (and every stamp is a no-op)
-	// for untraced runs.
-	tr := obs.FromContext(ctx)
+	// or not a trace is attached.
+	ph := local.NewPhases(ctx)
 
 	alive := make([]bool, n)
 	for i := range alive {
@@ -205,17 +200,12 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 	removed := make([]bool, n)
 	deletedMark := make([]bool, n)
 
-	var rc local.RoundCounter
-
 	// n_v estimation: one gather of radius 4tR (chargeable as part of the
 	// first phase's gathering in a real implementation; we charge it
 	// explicitly).
-	rc.StartPhase()
-	rc.Charge(min(d.EstimateRadius, n))
-	rc.EndPhase()
-	endEstimate := tr.StartPhase("estimate")
+	ph.Start("estimate")
+	ph.Charge(min(d.EstimateRadius, n))
 	nv, err := ballSizes(ctx, g, alive, d.EstimateRadius, w, p.Workers)
-	endEstimate()
 	if err != nil {
 		return nil, err
 	}
@@ -231,15 +221,11 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 	for i := 1; i <= iterations; i++ {
 		interval := d.Intervals[i-1]
 		isPhase2 := !p.SkipPhase2 && i == d.T+1
-		endCarve := noopPhase
-		if tr != nil {
-			name := "carve-" + strconv.Itoa(i)
-			if isPhase2 {
-				name = "phase2-carve"
-			}
-			endCarve = tr.StartPhase(name)
+		if isPhase2 {
+			ph.Start("phase2-carve")
+		} else {
+			ph.Start("carve-" + strconv.Itoa(i))
 		}
-		rc.StartPhase()
 		// The centres of one iteration all carve against the same snapshot
 		// of the residual graph, so their executions are independent: sample
 		// them first, then fan the carves out and merge in vertex order.
@@ -279,39 +265,34 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 		if err := par.ForEachCtx(ctx, fanOut, len(centres), func(wk, j int) {
 			outcomes[j] = GrowCarve(g, int(centres[j]), interval[0], interval[1], alive, w, pws[wk], carveWorkers)
 		}); err != nil {
-			endCarve()
 			return nil, err
 		}
 		for _, oc := range outcomes {
 			if oc != nil {
-				rc.Charge(interval[1])
+				ph.Charge(interval[1])
 			}
 		}
-		rc.EndPhase()
 		ApplyCarves(outcomes, alive, removed, deletedMark)
-		endCarve()
 	}
 
 	// Phase 3: Elkin–Neiman with λ = ε/10 on the residual graph.
-	endP3 := tr.StartPhase("phase3-en")
+	ph.Start("phase3-en")
 	en, err := ElkinNeimanCtx(ctx, g, alive, ENParams{
 		Lambda:  eps / 10,
 		NTilde:  d.NTilde,
 		Seed:    xrand.New(p.Seed).Split(p3Label).Uint64(),
 		Workers: p.Workers,
 	})
-	endP3()
 	if err != nil {
 		return nil, err
 	}
-	rc.Charge(en.Rounds)
+	ph.Charge(en.Rounds)
 
 	// Assemble: carve clusters are the connected components of the removed
 	// set (see ApplyCarves for why they are mutually non-adjacent and
 	// non-adjacent to the residual); Phase-3 clusters follow with offset
 	// ids; everything else is unclustered.
-	endAssemble := tr.StartPhase("assemble")
-	defer endAssemble()
+	ph.Start("assemble")
 	clusterOf := make([]int32, n)
 	for v := range clusterOf {
 		clusterOf[v] = Unclustered
@@ -331,6 +312,6 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 	return &Decomposition{
 		ClusterOf:   clusterOf,
 		NumClusters: num,
-		Rounds:      rc.Total(),
+		Rounds:      ph.Total(),
 	}, nil
 }

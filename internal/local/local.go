@@ -19,13 +19,16 @@
 // its centralized counterpart.
 //
 // For the ball-gathering algorithms (grow-and-carve and friends) the
-// package also provides RoundCounter, the standard accounting device for
-// LOCAL algorithms expressed as "gather N^k(v), then decide locally": a
-// k-radius gather costs k rounds, parallel gathers in the same phase cost
-// the maximum radius, and the counter accumulates phase costs.
+// package also provides Phases, the standard accounting device for LOCAL
+// algorithms expressed as "gather N^k(v), then decide locally": a k-radius
+// gather costs k rounds, parallel gathers in the same phase cost the
+// maximum radius, and a run costs the sum of its phases. Phases also
+// stamps each phase, with its rounds, into the obs.Trace the run's context
+// carries, so a trace shows each paper phase's rounds next to its time.
 package local
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -33,6 +36,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // Message is an opaque payload exchanged between neighbors. Implementations
@@ -228,52 +232,51 @@ func Run(cfg Config) (Stats, error) {
 	return stats, nil
 }
 
-// RoundCounter is the accounting device for LOCAL algorithms expressed in
+// Phases is the round-accounting scope of one LOCAL algorithm run in
 // gather-and-decide style. A phase groups operations that run in parallel
-// across the network: its cost is the maximum radius charged within it.
-// Total returns the sum of completed phase costs.
-type RoundCounter struct {
-	total   int
+// across the network: its cost is the maximum charged within it, and the
+// run costs the sum of its phases. A sequential step is a phase of its
+// own with one charge. When the context the scope was made from carries an
+// obs.Trace, every phase is also a trace phase of the same name that
+// records its rounds; untraced, the scope only adds.
+type Phases struct {
+	tr      *obs.Trace
+	idx     int // trace handle of the open phase; -1 when not traced
 	current int
-	open    bool
+	total   int
 }
 
-// StartPhase begins a new parallel phase, closing any open one.
-func (rc *RoundCounter) StartPhase() {
-	rc.EndPhase()
-	rc.open = true
-	rc.current = 0
+// NewPhases returns an empty scope that traces into ctx's trace, if any.
+func NewPhases(ctx context.Context) Phases {
+	return Phases{tr: obs.FromContext(ctx), idx: -1}
 }
 
-// Charge records that some vertex performed a k-radius gather (or k rounds
-// of communication) in the current phase. Outside a phase, the charge is
-// sequential and added directly.
-func (rc *RoundCounter) Charge(k int) {
-	if k < 0 {
-		return
-	}
-	if rc.open {
-		if k > rc.current {
-			rc.current = k
-		}
-	} else {
-		rc.total += k
+// Start closes the open phase, adding its cost to the total, and opens the
+// phase name.
+func (ph *Phases) Start(name string) {
+	ph.end()
+	ph.idx = ph.tr.OpenPhase(name)
+}
+
+// Charge records that some vertex performed a k-radius gather (or k
+// rounds of communication) in the open phase. Negative charges are
+// ignored.
+func (ph *Phases) Charge(k int) {
+	if k > ph.current {
+		ph.current = k
 	}
 }
 
-// EndPhase closes the current phase, adding its cost to the total.
-func (rc *RoundCounter) EndPhase() {
-	if rc.open {
-		rc.total += rc.current
-		rc.open = false
-		rc.current = 0
-	}
+// Total closes the open phase and returns the accumulated round count.
+func (ph *Phases) Total() int {
+	ph.end()
+	return ph.total
 }
 
-// Total returns the accumulated round count (closing any open phase).
-func (rc *RoundCounter) Total() int {
-	rc.EndPhase()
-	return rc.total
+func (ph *Phases) end() {
+	ph.total += ph.current
+	ph.tr.ClosePhase(ph.idx, ph.current)
+	ph.current, ph.idx = 0, -1
 }
 
 func min(a, b int) int {

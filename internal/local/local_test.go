@@ -1,11 +1,13 @@
 package local
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/obs"
 )
 
 // floodMachine implements distributed BFS from a root: the root announces
@@ -238,41 +240,64 @@ func TestSilentWaitingIsAllowed(t *testing.T) {
 }
 
 func TestRoundCounterPhases(t *testing.T) {
-	var rc RoundCounter
-	rc.StartPhase()
-	rc.Charge(5)
-	rc.Charge(3)
-	rc.Charge(9) // parallel: max = 9
-	rc.EndPhase()
-	rc.StartPhase()
-	rc.Charge(2)
-	rc.EndPhase()
-	if got := rc.Total(); got != 11 {
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	ctx, tr := tracer.Start(context.Background(), "run")
+	ph := NewPhases(ctx)
+	ph.Start("gather")
+	ph.Charge(5)
+	ph.Charge(3)
+	ph.Charge(9) // parallel: max = 9
+	ph.Start("decide")
+	ph.Charge(2)
+	ph.Start("idle")
+	if got := ph.Total(); got != 11 {
 		t.Fatalf("total = %d, want 11", got)
+	}
+	tr.Finish(0)
+	// Every phase is stamped into the trace with its own rounds; a phase
+	// that charged nothing records zero.
+	s := tracer.Recent(1)[0]
+	if len(s.Phases) != 3 {
+		t.Fatalf("phases: %+v", s.Phases)
+	}
+	for i, want := range []struct {
+		name   string
+		rounds int
+	}{{"gather", 9}, {"decide", 2}, {"idle", 0}} {
+		if got := s.Phases[i]; got.Name != want.name || got.Rounds != want.rounds {
+			t.Fatalf("phase %d = %+v, want %s with %d rounds", i, got, want.name, want.rounds)
+		}
 	}
 }
 
 func TestRoundCounterSequentialCharges(t *testing.T) {
-	var rc RoundCounter
-	rc.Charge(4)
-	rc.Charge(6) // outside a phase: additive
-	if got := rc.Total(); got != 10 {
+	// A sequential step is a phase with one charge: the charges add.
+	ph := NewPhases(context.Background())
+	ph.Start("first")
+	ph.Charge(4)
+	ph.Start("second")
+	ph.Charge(6)
+	if got := ph.Total(); got != 10 {
 		t.Fatalf("total = %d, want 10", got)
 	}
 }
 
 func TestRoundCounterAutoClose(t *testing.T) {
-	var rc RoundCounter
-	rc.StartPhase()
-	rc.Charge(7)
-	rc.StartPhase() // implicitly closes the previous phase
-	rc.Charge(2)
-	if got := rc.Total(); got != 9 {
+	ph := NewPhases(context.Background())
+	ph.Start("a")
+	ph.Charge(7)
+	ph.Start("b") // closes a
+	ph.Charge(2)
+	if got := ph.Total(); got != 9 { // closes b
 		t.Fatalf("total = %d, want 9", got)
 	}
-	rc2 := RoundCounter{}
-	rc2.Charge(-5) // negative charges ignored
-	if rc2.Total() != 0 {
+	if got := ph.Total(); got != 9 {
+		t.Fatalf("second Total = %d, want 9: a closed phase must not count twice", got)
+	}
+	ph2 := NewPhases(context.Background())
+	ph2.Start("neg")
+	ph2.Charge(-5) // negative charges ignored
+	if ph2.Total() != 0 {
 		t.Fatal("negative charge counted")
 	}
 }

@@ -4,8 +4,7 @@
 // maximum independent set. These are the ground-truth oracles for the
 // approximation-ratio experiments: on bipartite inputs the distributed
 // algorithms can be scored against an exact optimum at n = 10^4+ instead of
-// the tiny instances an exponential solver would allow. The package also
-// provides a greedy maximal matching used as a baseline.
+// the tiny instances an exponential solver would allow.
 package matching
 
 import (
@@ -156,24 +155,6 @@ func BipartiteAuto(g *graph.Graph) *Result {
 		return nil
 	}
 	return Bipartite(g, side)
-}
-
-// GreedyMaximal returns a maximal matching built by a greedy pass over the
-// edges (a 1/2-approximate maximum matching on any graph). order can be nil
-// for the natural edge order.
-func GreedyMaximal(g *graph.Graph) (mate []int32, size int) {
-	mate = make([]int32, g.N())
-	for i := range mate {
-		mate[i] = -1
-	}
-	g.Edges(func(u, v int) {
-		if mate[u] == -1 && mate[v] == -1 {
-			mate[u] = int32(v)
-			mate[v] = int32(u)
-			size++
-		}
-	})
-	return mate, size
 }
 
 // VerifyMatching reports whether mate encodes a valid matching of g.

@@ -161,27 +161,6 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyMaximal(t *testing.T) {
-	g := gen.Cycle(9)
-	mate, size := GreedyMaximal(g)
-	if !VerifyMatching(g, mate) {
-		t.Fatal("greedy matching invalid")
-	}
-	if size < 3 { // maximal matching of C9 has >= ceil(9/3) = 3 edges
-		t.Fatalf("greedy size = %d", size)
-	}
-	// Maximality: no edge has both endpoints free.
-	free := make([]bool, g.N())
-	for v := range free {
-		free[v] = mate[v] == -1
-	}
-	g.Edges(func(u, v int) {
-		if free[u] && free[v] {
-			t.Fatalf("greedy not maximal at edge %d-%d", u, v)
-		}
-	})
-}
-
 func TestVerifyMatchingRejectsBad(t *testing.T) {
 	g := gen.Path(4)
 	mate := []int32{1, 0, -1, -1}

@@ -117,6 +117,10 @@ func AppendEvent(buf []byte, ev Event) []byte {
 		buf = strconv.AppendInt(buf, int64(ph.Offset), 10)
 		buf = append(buf, `,"dur_ns":`...)
 		buf = strconv.AppendInt(buf, int64(ph.Dur), 10)
+		if ph.Rounds != 0 {
+			buf = append(buf, `,"rounds":`...)
+			buf = strconv.AppendInt(buf, int64(ph.Rounds), 10)
+		}
 		buf = append(buf, '}')
 	}
 	return append(buf, `]}`...)

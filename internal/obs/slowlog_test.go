@@ -30,7 +30,7 @@ func TestAppendEventRoundTrip(t *testing.T) {
 		TotalNS:   1_234_567,
 		Phases: []Phase{
 			{Name: "estimate", Offset: 10, Dur: 100},
-			{Name: "carve-1", Offset: 120, Dur: 900},
+			{Name: "carve-1", Offset: 120, Dur: 900, Rounds: 37},
 		},
 	}
 	out := AppendEvent(nil, ev)
@@ -48,6 +48,12 @@ func TestAppendEventRoundTrip(t *testing.T) {
 	p0 := phases[0].(map[string]any)
 	if p0["name"] != "estimate" || p0["start_ns"].(float64) != 10 || p0["dur_ns"].(float64) != 100 {
 		t.Fatalf("phase 0: %v", p0)
+	}
+	if _, ok := p0["rounds"]; ok {
+		t.Fatalf("phase 0 charged no rounds but encodes them: %v", p0)
+	}
+	if p1 := phases[1].(map[string]any); p1["rounds"].(float64) != 37 {
+		t.Fatalf("phase 1 rounds: %v", p1)
 	}
 	if ts, _ := m["ts"].(string); !strings.HasPrefix(ts, "2026-08-08T12:00:00.123456789") {
 		t.Fatalf("ts = %v", m["ts"])
@@ -133,11 +139,11 @@ func (s *safeBuffer) String() string {
 // never panic and must always emit exactly one valid JSON object whose
 // string fields round-trip (modulo U+FFFD replacement of invalid UTF-8).
 func FuzzSlowLogEncoder(f *testing.F) {
-	f.Add("run", "changli", "k|v=1", "fp", int64(123), 200, "phase")
-	f.Add("", "", "", "", int64(-1), -7, "")
-	f.Add("quote\"", "back\\slash", "new\nline", "\x00\x01", int64(1<<62), 999, "€�")
-	f.Add(string([]byte{0xff, 0x80, 0x41}), "ok", "k", "s", int64(0), 0, string([]byte{0xc3, 0x28}))
-	f.Fuzz(func(t *testing.T, name, algo, key, snap string, total int64, status int, phase string) {
+	f.Add("run", "changli", "k|v=1", "fp", int64(123), 200, "phase", 42)
+	f.Add("", "", "", "", int64(-1), -7, "", 0)
+	f.Add("quote\"", "back\\slash", "new\nline", "\x00\x01", int64(1<<62), 999, "€�", -3)
+	f.Add(string([]byte{0xff, 0x80, 0x41}), "ok", "k", "s", int64(0), 0, string([]byte{0xc3, 0x28}), 1<<40)
+	f.Fuzz(func(t *testing.T, name, algo, key, snap string, total int64, status int, phase string, rounds int) {
 		ev := Event{
 			UnixNanos: total, // arbitrary timestamp
 			TraceID:   uint64(status),
@@ -147,7 +153,7 @@ func FuzzSlowLogEncoder(f *testing.F) {
 			Snapshot:  snap,
 			Status:    status,
 			TotalNS:   total,
-			Phases:    []Phase{{Name: phase, Offset: time.Duration(total), Dur: time.Duration(status)}},
+			Phases:    []Phase{{Name: phase, Offset: time.Duration(total), Dur: time.Duration(status), Rounds: rounds}},
 		}
 		out := AppendEvent(nil, ev)
 		var m map[string]any
@@ -159,6 +165,20 @@ func FuzzSlowLogEncoder(f *testing.F) {
 		}
 		if got, _ := m["name"].(string); utf8ValidOrReplaced(name) != got {
 			t.Fatalf("name round-trip: %q -> %q", name, got)
+		}
+		// The phase decodes back into the Phase it came from: rounds is
+		// omitted when zero, as encoding/json's omitempty would.
+		var back struct{ Phases []Phase }
+		if err := json.Unmarshal(out, &back); err != nil || len(back.Phases) != 1 {
+			t.Fatalf("phases do not decode: %v %q", err, out)
+		}
+		want := ev.Phases[0]
+		want.Name = utf8ValidOrReplaced(phase)
+		if back.Phases[0] != want {
+			t.Fatalf("phase round-trip: %+v -> %+v", want, back.Phases[0])
+		}
+		if _, ok := m["phases"].([]any)[0].(map[string]any)["rounds"]; ok != (rounds != 0) {
+			t.Fatalf("rounds %d present=%v: %q", rounds, ok, out)
 		}
 	})
 }

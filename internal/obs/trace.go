@@ -12,11 +12,15 @@ import (
 const maxPhasesPerTrace = 256
 
 // Phase is one named, timed span inside a trace. Offset is measured from
-// the trace start; Dur is zero until the phase is closed.
+// the trace start; Dur is zero until the phase is closed. Rounds is the
+// number of LOCAL rounds the algorithm charged to the phase (see
+// local.Phases); it is zero, and omitted from the JSON, for phases that
+// charge none, such as the engine's.
 type Phase struct {
 	Name   string        `json:"name"`
 	Offset time.Duration `json:"start_ns"`
 	Dur    time.Duration `json:"dur_ns"`
+	Rounds int           `json:"rounds,omitempty"`
 }
 
 // Trace is one request's span record: a request ID, coarse labels
@@ -59,38 +63,48 @@ func FromContext(ctx context.Context) *Trace {
 
 var noopEnd = func() {}
 
-// StartPhase opens a named phase on the trace in ctx and returns the
-// closer. When ctx carries no trace it returns a shared no-op.
+// StartPhase opens a named phase on the trace in ctx and returns its
+// closer; it is for phases that charge no LOCAL rounds. When ctx carries
+// no trace it returns a shared no-op. Phases may overlap (concurrent
+// shards each opening their own) and may be left unclosed on error paths
+// — an unclosed phase simply reports Dur 0.
 func StartPhase(ctx context.Context, name string) func() {
 	tr := FromContext(ctx)
-	if tr == nil {
+	idx := tr.OpenPhase(name)
+	if idx < 0 {
 		return noopEnd
 	}
-	return tr.StartPhase(name)
+	return func() { tr.ClosePhase(idx, 0) }
 }
 
-// StartPhase opens a named phase and returns a func that closes it. Phases
-// may overlap (concurrent shards each opening their own) and may be left
-// unclosed on error paths — an unclosed phase simply reports Dur 0.
-func (tr *Trace) StartPhase(name string) func() {
+// OpenPhase opens a named phase and returns the handle ClosePhase takes.
+// It returns -1, a handle ClosePhase ignores, when tr is nil or the trace
+// already holds its cap of phases.
+func (tr *Trace) OpenPhase(name string) int {
 	if tr == nil {
-		return noopEnd
+		return -1
 	}
 	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	if len(tr.phases) >= maxPhasesPerTrace {
 		tr.dropped++
-		tr.mu.Unlock()
-		return noopEnd
+		return -1
 	}
-	idx := len(tr.phases)
 	tr.phases = append(tr.phases, Phase{Name: name, Offset: time.Since(tr.Start)})
-	tr.mu.Unlock()
-	return func() {
-		tr.mu.Lock()
-		ph := &tr.phases[idx]
-		ph.Dur = time.Since(tr.Start) - ph.Offset
-		tr.mu.Unlock()
+	return len(tr.phases) - 1
+}
+
+// ClosePhase closes the phase idx that OpenPhase returned, stamping its
+// duration and the LOCAL rounds charged to it.
+func (tr *Trace) ClosePhase(idx, rounds int) {
+	if tr == nil || idx < 0 {
+		return
 	}
+	tr.mu.Lock()
+	ph := &tr.phases[idx]
+	ph.Dur = time.Since(tr.Start) - ph.Offset
+	ph.Rounds = rounds
+	tr.mu.Unlock()
 }
 
 // SetRequest attaches the work labels: algorithm name, canonical cache

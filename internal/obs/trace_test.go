@@ -17,9 +17,9 @@ func TestTracePhasesAndLabels(t *testing.T) {
 	end := StartPhase(ctx, "estimate")
 	time.Sleep(2 * time.Millisecond)
 	end()
-	end2 := tr.StartPhase("carve-1")
+	idx := tr.OpenPhase("carve-1")
 	time.Sleep(time.Millisecond)
-	end2()
+	tr.ClosePhase(idx, 12)
 	tr.Finish(200)
 	tr.Finish(500) // idempotent: second call must not re-record
 
@@ -37,7 +37,8 @@ func TestTracePhasesAndLabels(t *testing.T) {
 	if s.Status != 200 {
 		t.Fatalf("status = %d want 200 (Finish must be idempotent)", s.Status)
 	}
-	if len(s.Phases) != 2 || s.Phases[0].Name != "estimate" || s.Phases[1].Name != "carve-1" {
+	if len(s.Phases) != 2 || s.Phases[0].Name != "estimate" || s.Phases[1].Name != "carve-1" ||
+		s.Phases[0].Rounds != 0 || s.Phases[1].Rounds != 12 {
 		t.Fatalf("phases: %+v", s.Phases)
 	}
 	if s.Phases[0].Dur <= 0 || s.Phases[1].Offset <= s.Phases[0].Offset {
@@ -55,8 +56,7 @@ func TestTracePhasesAndLabels(t *testing.T) {
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.SetRequest("a", "b", "c")
-	end := tr.StartPhase("x")
-	end()
+	tr.ClosePhase(tr.OpenPhase("x"), 3)
 	tr.Finish(0)
 	if got := FromContext(context.Background()); got != nil {
 		t.Fatal("background context must carry no trace")
@@ -87,9 +87,9 @@ func TestRingBounded(t *testing.T) {
 
 func TestPhaseCapDropsExcess(t *testing.T) {
 	tracer := NewTracer(TracerOptions{RingSize: 1})
-	_, tr := tracer.Start(context.Background(), "op")
+	ctx, tr := tracer.Start(context.Background(), "op")
 	for i := 0; i < maxPhasesPerTrace+10; i++ {
-		tr.StartPhase("p")()
+		StartPhase(ctx, "p")()
 	}
 	tr.Finish(0)
 	s := tracer.Recent(1)[0]

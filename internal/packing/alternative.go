@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/ilp"
@@ -28,8 +29,9 @@ import (
 //
 // TRuns overrides the number of parallel decompositions (zero = the
 // theory's ⌈ε⁻² ln ñ⌉ capped at 64 for laptop practicality; the cap is
-// reported via Result.Exact semantics as usual).
-func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
+// reported via Result.Exact semantics as usual). The decompositions run on
+// p.Workers workers, and a cancelled ctx stops the run with ctx.Err().
+func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns int) (*Result, error) {
 	g := inst.Primal()
 	n := g.N()
 	eps := clampEps(p.Epsilon)
@@ -47,19 +49,23 @@ func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
 		tRuns = 1
 	}
 	rootRNG := xrand.New(p.Seed)
-	var rc local.RoundCounter
+	ph := local.NewPhases(ctx)
 	exact := true
 
 	// Step 1+2: parallel decompositions and the membership-count weights.
 	wPrime := make([]int64, n)
-	rc.StartPhase()
+	ph.Start("decompositions")
 	for run := 0; run < tRuns; run++ {
-		en := ldd.ElkinNeiman(g, nil, ldd.ENParams{
-			Lambda: eps,
-			NTilde: nTilde,
-			Seed:   rootRNG.Split(uint64(run) + 0xa17).Uint64(),
+		en, err := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{
+			Lambda:  eps,
+			NTilde:  nTilde,
+			Seed:    rootRNG.Split(uint64(run) + 0xa17).Uint64(),
+			Workers: p.Workers,
 		})
-		rc.Charge(en.Rounds)
+		if err != nil {
+			return nil, err
+		}
+		ph.Charge(en.Rounds)
 		for _, cluster := range en.Clusters() {
 			sol, _, ex := solveLocal(inst, cluster, p.Solve)
 			exact = exact && ex
@@ -70,23 +76,32 @@ func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
 			}
 		}
 	}
-	rc.EndPhase()
 
-	// Step 3: weighted decomposition against the proxy weights.
-	dec := ldd.ChangLiWeighted(g, wPrime, ldd.Params{
+	// Step 3: weighted decomposition against the proxy weights; its own
+	// phases nest inside this one in a trace.
+	ph.Start("weighted-ldd")
+	dec, err := ldd.ChangLiWeightedCtx(ctx, g, wPrime, ldd.Params{
 		Epsilon: eps,
 		NTilde:  nTilde,
 		Seed:    rootRNG.Split(0xa1f).Uint64(),
 		Scale:   p.Scale,
+		Workers: p.Workers,
 	})
-	rc.Charge(dec.Rounds)
+	if err != nil {
+		return nil, err
+	}
+	ph.Charge(dec.Rounds)
 
 	// Step 4: per-cluster exact solves, zero extension.
+	ph.Start("local-solves")
 	solution := inst.NewSolution()
 	comps := 0
 	for _, cluster := range dec.Clusters() {
 		if len(cluster) == 0 {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		comps++
 		sol, _, ex := solveLocal(inst, cluster, p.Solve)
@@ -101,11 +116,11 @@ func SolveAlternative(inst *ilp.Instance, p Params, tRuns int) *Result {
 	return &Result{
 		Solution:      solution,
 		Value:         inst.Value(solution),
-		Rounds:        rc.Total(),
+		Rounds:        ph.Total(),
 		Exact:         exact,
 		Deleted:       deleted,
 		NumComponents: comps,
-	}
+	}, nil
 }
 
 // membershipCounts exposes step 2's proxy weights for tests.

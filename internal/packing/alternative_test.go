@@ -1,9 +1,12 @@
 package packing
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/graph/gen"
+	"repro/internal/ilp"
 	"repro/internal/problems"
 	"repro/internal/solve"
 )
@@ -14,7 +17,7 @@ func TestAlternativeMISOnCycle(t *testing.T) {
 	eps := 0.25
 	opt, _ := problems.ExactOptimum(problems.MIS, g)
 	for seed := uint64(0); seed < 3; seed++ {
-		r := SolveAlternative(inst, Params{Epsilon: eps, Seed: seed}, 8)
+		r := solveAlt(t, inst, Params{Epsilon: eps, Seed: seed}, 8)
 		if ok, j := inst.Feasible(r.Solution); !ok {
 			t.Fatalf("seed %d: infeasible at %d", seed, j)
 		}
@@ -32,7 +35,7 @@ func TestAlternativeMISOnTree(t *testing.T) {
 	g := gen.CompleteDAryTree(2, 6)
 	inst := misOn(t, g)
 	opt, _ := problems.ExactOptimum(problems.MIS, g)
-	r := SolveAlternative(inst, Params{Epsilon: 0.2, Seed: 1}, 6)
+	r := solveAlt(t, inst, Params{Epsilon: 0.2, Seed: 1}, 6)
 	if !problems.Verify(problems.MIS, g, r.Solution) {
 		t.Fatal("not independent")
 	}
@@ -46,7 +49,7 @@ func TestAlternativeDefaultsTRuns(t *testing.T) {
 	inst := misOn(t, g)
 	// tRuns = 0 must pick the theory default (capped); it must not crash or
 	// spin.
-	r := SolveAlternative(inst, Params{Epsilon: 0.3, Seed: 2}, 0)
+	r := solveAlt(t, inst, Params{Epsilon: 0.3, Seed: 2}, 0)
 	if r.Value <= 0 {
 		t.Fatalf("empty solution: %+v", r)
 	}
@@ -73,9 +76,28 @@ func TestMembershipCountsCorrelateWithOptimum(t *testing.T) {
 func TestAlternativeDeterministic(t *testing.T) {
 	g := gen.Cycle(80)
 	inst := misOn(t, g)
-	r1 := SolveAlternative(inst, Params{Epsilon: 0.3, Seed: 9}, 4)
-	r2 := SolveAlternative(inst, Params{Epsilon: 0.3, Seed: 9}, 4)
+	r1 := solveAlt(t, inst, Params{Epsilon: 0.3, Seed: 9}, 4)
+	r2 := solveAlt(t, inst, Params{Epsilon: 0.3, Seed: 9}, 4)
 	if r1.Value != r2.Value || r1.Rounds != r2.Rounds {
 		t.Fatal("nondeterministic")
 	}
+}
+
+func TestAlternativeCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	inst := misOn(t, gen.Cycle(200))
+	if _, err := SolveAlternative(ctx, inst, Params{Epsilon: 0.3, Seed: 1}, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// solveAlt runs SolveAlternative without a deadline; it cannot fail.
+func solveAlt(t *testing.T, inst *ilp.Instance, p Params, tRuns int) *Result {
+	t.Helper()
+	r, err := SolveAlternative(context.Background(), inst, p, tRuns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

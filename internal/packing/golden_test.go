@@ -69,7 +69,7 @@ func TestGoldenAlternative(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := c.p
 			p.Workers = workers
-			r := SolveAlternative(inst, p, c.tRuns)
+			r := solveAlt(t, inst, p, c.tRuns)
 			if ok, j := inst.Feasible(r.Solution); !ok {
 				t.Fatalf("%s: infeasible at %d", c.name, j)
 			}

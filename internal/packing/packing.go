@@ -42,7 +42,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/ldd"
 	"repro/internal/local"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/solve"
 	"repro/internal/xrand"
@@ -166,11 +165,10 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	d := derive(n, p)
 	eps := clampEps(p.Epsilon)
 	rootRNG := xrand.New(p.Seed)
-	var rc local.RoundCounter
+	// Phase timings go only into the trace carried by ctx; the Result is
+	// bit-identical either way.
+	ph := local.NewPhases(ctx)
 	exact := true
-	// Phase timings go only into the trace carried by ctx (nil for
-	// untraced runs); the Result is bit-identical either way.
-	tr := obs.FromContext(ctx)
 
 	// --- Preparation -----------------------------------------------------
 	// The Θ(log ñ) decompositions are independent (per-run seed splits),
@@ -183,7 +181,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	pws := graph.AcquireParWorkspaces(workers)
 	defer graph.ReleaseParWorkspaces(pws)
 
-	endPrep := tr.StartPhase("preparation")
+	ph.Start("preparation")
 	prepSeeds := make([]uint64, d.prepRuns)
 	for run := range prepSeeds {
 		prepSeeds[run] = rootRNG.Split(uint64(run) + 0x9e9).Uint64()
@@ -238,16 +236,13 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}); err != nil {
 		return nil, err
 	}
-	rc.StartPhase()
 	for _, en := range ens {
-		rc.Charge(en.Rounds)
+		ph.Charge(en.Rounds)
 	}
 	for i := range clusters {
 		exact = exact && prepExact[i]
-		rc.Charge(min(d.estRadius, n))
+		ph.Charge(min(d.estRadius, n))
 	}
-	rc.EndPhase()
-	endPrep()
 
 	// --- Phases 1 and 2 ---------------------------------------------------
 	alive := make([]bool, n)
@@ -264,15 +259,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		}
 		interval := d.intervals[i-1]
 		isPhase2 := i == d.t+1
-		endCarve := func() {}
-		if tr != nil {
-			name := "carve-" + strconv.Itoa(i)
-			if isPhase2 {
-				name = "phase2-carve"
-			}
-			endCarve = tr.StartPhase(name)
+		if isPhase2 {
+			ph.Start("phase2-carve")
+		} else {
+			ph.Start("carve-" + strconv.Itoa(i))
 		}
-		rc.StartPhase()
 		// All carves of one iteration run against the same alive snapshot,
 		// so they are independent: sample the clusters first, then fan the
 		// carves out and merge in cluster order.
@@ -305,34 +296,30 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		for j := range sampled {
 			exact = exact && carveExact[j]
 			if outcomes[j] != nil {
-				rc.Charge(interval[1])
+				ph.Charge(interval[1])
 			}
 		}
-		rc.EndPhase()
 		ldd.ApplyCarves(outcomes, alive, removed, deletedMark)
-		endCarve()
 	}
 
 	// --- Phase 3 -----------------------------------------------------------
-	endP3 := tr.StartPhase("phase3-en")
+	ph.Start("phase3-en")
 	en, err := ldd.ElkinNeimanCtx(ctx, g, alive, ldd.ENParams{
 		Lambda: eps / 10,
 		NTilde: d.nTilde,
 		Seed:   rootRNG.Split(0x3a5e).Uint64(),
 	})
-	endP3()
 	if err != nil {
 		return nil, err
 	}
-	rc.Charge(en.Rounds)
+	ph.Charge(en.Rounds)
 
 	// --- Final local solves -------------------------------------------------
 	// Regions: connected components of the carve-removed set, plus Phase-3
 	// clusters. All are mutually non-adjacent; deleted vertices are 0. The
 	// per-region solves are independent (each reads only the instance) and
 	// fan out across the pool; the solutions are OR-ed in region order.
-	endSolves := tr.StartPhase("local-solves")
-	defer endSolves()
+	ph.Start("local-solves")
 	solution := inst.NewSolution()
 	comps := 0
 	comp, count := g.ComponentsAlive(removed)
@@ -354,12 +341,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}); err != nil {
 		return nil, err
 	}
-	rc.StartPhase()
 	for i, r := range regions {
 		if i < numRemoved {
-			rc.Charge(d.intervals[0][1]) // local gather bounded by the carve radius
+			ph.Charge(d.intervals[0][1]) // local gather bounded by the carve radius
 		} else {
-			rc.Charge(en.Rounds)
+			ph.Charge(en.Rounds)
 		}
 		if len(r) == 0 {
 			continue
@@ -372,7 +358,6 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			}
 		}
 	}
-	rc.EndPhase()
 
 	deleted := 0
 	for v := 0; v < n; v++ {
@@ -383,7 +368,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	return &Result{
 		Solution:      solution,
 		Value:         inst.Value(solution),
-		Rounds:        rc.Total(),
+		Rounds:        ph.Total(),
 		Exact:         exact,
 		Deleted:       deleted,
 		NumComponents: comps,

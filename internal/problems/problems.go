@@ -254,17 +254,3 @@ func ExactOptimum(p Problem, g *graph.Graph) (int64, error) {
 	}
 	return 0, fmt.Errorf("%w: no exact method for %v on this graph", ErrUnsupported, p)
 }
-
-// CutValue returns the number of edges crossing the bipartition encoded by
-// sol (sol[v] = side of v) — the MaxCut objective. MaxCut is not a packing
-// ILP in variables-per-vertex form, but its lower bound (Theorem B.7) and
-// the local-solve machinery are exercised through this measurement.
-func CutValue(g *graph.Graph, sol ilp.Solution) int64 {
-	var cut int64
-	g.Edges(func(u, v int) {
-		if sol[u] != sol[v] {
-			cut++
-		}
-	})
-	return cut
-}

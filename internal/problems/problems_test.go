@@ -200,24 +200,6 @@ func TestExactOptimumKnownValues(t *testing.T) {
 	}
 }
 
-func TestCutValue(t *testing.T) {
-	g := gen.Cycle(6)
-	sol := make(ilp.Solution, 6)
-	for i := 0; i < 6; i += 2 {
-		sol[i] = true // alternating: all 6 edges cut
-	}
-	if c := CutValue(g, sol); c != 6 {
-		t.Fatalf("cut = %d, want 6", c)
-	}
-	// All on one side: zero cut.
-	for i := range sol {
-		sol[i] = false
-	}
-	if c := CutValue(g, sol); c != 0 {
-		t.Fatalf("empty cut = %d", c)
-	}
-}
-
 func TestWeightedBuild(t *testing.T) {
 	g := gen.Path(3)
 	w := []int64{5, 1, 5}

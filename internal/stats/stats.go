@@ -1,9 +1,8 @@
 // Package stats provides the statistical utilities used by the experiment
 // harness and by the tests that empirically verify the paper's
 // concentration lemmas (Appendix A): summary statistics over trial runs,
-// the Chernoff bounds of Lemma A.1, the geometric-sum tail of Lemma A.2,
-// and empirical tail comparison helpers for the bounded-dependence variants
-// (Lemmas A.3–A.6).
+// the Chernoff upper-tail bound of Lemma A.1, the geometric-sum tail of
+// Lemma A.2, and failure-rate estimates with their confidence intervals.
 package stats
 
 import (
@@ -81,15 +80,6 @@ func ChernoffUpper(mu, delta float64) float64 {
 	return math.Exp(-delta * delta * mu / (2 + delta))
 }
 
-// ChernoffLower is the Lemma A.1 lower-tail bound:
-// Pr[X < (1-delta) mu] <= exp(-delta² mu / 2), for 0 <= delta <= 1.
-func ChernoffLower(mu, delta float64) float64 {
-	if delta < 0 || delta > 1 || mu <= 0 {
-		return 1
-	}
-	return math.Exp(-delta * delta * mu / 2)
-}
-
 // GeometricSumTail is the Lemma A.2 bound for a sum X of n independent
 // Geometric(p) variables with mean mu = n/p:
 // Pr[X > mu + delta·n] <= exp(-p² delta n / 6), for delta > 1/p - 1.
@@ -98,21 +88,6 @@ func GeometricSumTail(n int, p, delta float64) float64 {
 		return 1
 	}
 	return math.Exp(-p * p * delta * float64(n) / 6)
-}
-
-// EmpiricalTail returns the fraction of samples strictly exceeding the
-// threshold.
-func EmpiricalTail(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	count := 0
-	for _, x := range xs {
-		if x > threshold {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
 }
 
 // FailureRate returns the fraction of trials where pred holds — used by the
