@@ -66,6 +66,19 @@ func BenchmarkAlgoElkinNeiman(b *testing.B) {
 	}
 }
 
+// BenchmarkAlgoElkinNeimanGNP is one packing preparation decomposition:
+// Elkin–Neiman at λ 0.5 on GNP(10000, 8/9999), serial, on a warm
+// workspace, as the packing solver's preparation runs it.
+func BenchmarkAlgoElkinNeimanGNP(b *testing.B) {
+	g := gen.GNP(10000, 8.0/9999, xrand.New(7))
+	ws := new(ldd.Workspace)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ldd.ElkinNeimanWS(g, nil, ldd.ENParams{Lambda: 0.5, Seed: uint64(i), Workers: 1}, ws)
+	}
+}
+
 func BenchmarkAlgoChangLiPaperConstants(b *testing.B) {
 	g := gen.Grid(30, 30)
 	for i := 0; i < b.N; i++ {

@@ -607,7 +607,7 @@ func run(args []string, w io.Writer) error {
 			if *trace != "" {
 				r = work[i]
 			} else {
-				r = synthesize(rng, nv, sp, *churn, neighborsOf)
+				r = synthesize(&rng, nv, sp, *churn, neighborsOf)
 			}
 			if r.write() {
 				if n := writes.Add(1); *compactEvery > 0 && n%uint64(*compactEvery) == 0 {
@@ -957,7 +957,7 @@ func driveHTTP(w io.Writer, cfg httpDriveConfig) error {
 			if cfg.trace != "" {
 				r = work[i]
 			} else {
-				r = synthesize(rng, n, sp, cfg.churn, neighborsOf)
+				r = synthesize(&rng, n, sp, cfg.churn, neighborsOf)
 			}
 			if r.write() {
 				if nw := writes.Add(1); cfg.compactEvery > 0 && nw%uint64(cfg.compactEvery) == 0 {

@@ -405,7 +405,8 @@ func RepairGen(res *Result) float64 {
 func SyntheticWeights(n int, wseed uint64, wmax int) []int64 {
 	w := make([]int64, n)
 	for v := range w {
-		w[v] = 1 + int64(xrand.Stream(wseed, v, weightLabel).Intn(wmax))
+		rng := xrand.Stream(wseed, v, weightLabel)
+		w[v] = 1 + int64(rng.Intn(wmax))
 	}
 	return w
 }

@@ -327,7 +327,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			if prob > 1 {
 				prob = 1
 			}
-			if !xrand.Stream(p.Seed, ci, uint64(coverLabel+i)).Bernoulli(prob) {
+			if rng := xrand.Stream(p.Seed, ci, uint64(coverLabel+i)); !rng.Bernoulli(prob) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {

@@ -250,7 +250,7 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 			if prob > 1 {
 				prob = 1
 			}
-			if xrand.Stream(p.Seed, v, salt+uint64(i)).Bernoulli(prob) {
+			if rng := xrand.Stream(p.Seed, v, salt+uint64(i)); rng.Bernoulli(prob) {
 				centres = append(centres, int32(v))
 			}
 		}

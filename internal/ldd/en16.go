@@ -44,7 +44,8 @@ func enShiftsInto(dst []float64, n int, p ENParams) float64 {
 	}
 	maxT := 4 * lnTilde(nTilde) / p.Lambda
 	draw := func(v int) {
-		t := xrand.Stream(p.Seed, v, enShiftLabel).Exp(p.Lambda)
+		rng := xrand.Stream(p.Seed, v, enShiftLabel)
+		t := rng.Exp(p.Lambda)
 		if t >= maxT {
 			t = 0
 		}
@@ -130,8 +131,10 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 	n := g.N()
 	ws.reserve(n)
 	out := ws.labels[:n]
+	st := ws.vertex[:n]
 	for v := range out {
 		out[v] = out[v][:0]
+		st[v] = vertexLabels{stamp: -1}
 	}
 	seeds := ws.seeds[:0]
 	for v := 0; v < n; v++ {
@@ -140,19 +143,15 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 		}
 		seeds = append(seeds, labelItem{value: shifts[v], source: int32(v), vertex: int32(v)})
 	}
-	slices.SortFunc(seeds, compareLabels)
 	ws.seeds = seeds
+	seeds = ws.sortSeeds()
 	// fifo[head:] holds the pending pushed labels; fifo[head:sorted] is an
 	// equal-value run already put in source order.
 	fifo := ws.fifo[:0]
 	head, sorted := 0, 0
-	// pushed[w] == blk marks that w already holds a pending copy of the
+	// st[w].stamp == blk marks that w already holds a pending copy of the
 	// label the current block of accepted pops pushes (see the workspace
 	// doc); blk moves on whenever the accepted (value, source) changes.
-	pushed := ws.mark[:n]
-	for i := range pushed {
-		pushed[i] = -1
-	}
 	blk := int32(-1)
 	var blkValue float64
 	blkSource := int32(-1)
@@ -189,12 +188,13 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			next++
 		}
 		v := it.vertex
-		ls := out[v]
-		// Discard if v already has this source or `keep` better labels, or
-		// if the label is out of the slack window of v's best label.
-		if len(ls) > 0 && it.value < ls[0].value-slack {
+		sv := &st[v]
+		// Discard if v already has `keep` labels or this source, or if the
+		// label is out of the slack window of v's best label.
+		if int(sv.count) >= keep || (sv.count > 0 && it.value < sv.best-slack) {
 			continue
 		}
+		ls := out[v]
 		dup := false
 		for _, l := range ls {
 			if l.source == it.source {
@@ -202,10 +202,14 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 				break
 			}
 		}
-		if dup || len(ls) >= keep {
+		if dup {
 			continue
 		}
 		out[v] = append(ls, label{source: it.source, value: it.value})
+		if sv.count == 0 {
+			sv.best = it.value
+		}
+		sv.count++
 		if it.source != blkSource || it.value != blkValue {
 			blk++
 			blkValue, blkSource = it.value, it.source
@@ -226,11 +230,11 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			// never changes, so "already full" and "below the slack
 			// window" both still hold at pop time. This keeps the FIFO
 			// short without changing a single accepted label.
-			lw := out[w]
-			if pushed[w] == blk || len(lw) >= keep || (len(lw) > 0 && nv < lw[0].value-slack) {
+			sw := &st[w]
+			if sw.stamp == blk || int(sw.count) >= keep || (sw.count > 0 && nv < sw.best-slack) {
 				continue
 			}
-			pushed[w] = blk
+			sw.stamp = blk
 			if len(fifo) == cap(fifo) && head >= len(fifo)/2 {
 				// Reuse the popped prefix instead of growing; the copy
 				// is at most the space it frees.
@@ -243,6 +247,70 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 	}
 	ws.fifo = fifo
 	return out, true
+}
+
+// seedKey maps a label value to a radix key that falls as the value rises,
+// so ascending keys are compareLabels' value order. -0 and +0 share a key,
+// as they compare equal; ±Inf and subnormals fall in place because the
+// IEEE bit patterns of same-signed values order like their magnitudes.
+func seedKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b == 1<<63 {
+		b = 0 // -0
+	}
+	// Negative values keep their bits (a larger magnitude is a larger
+	// key); non-negative ones flip all but the sign bit.
+	return b ^ (^uint64(int64(b)>>63) >> 1)
+}
+
+// sortSeeds puts ws.seeds, built in source order, in compareLabels order
+// with a stable LSD radix sort on seedKey, one byte a pass; a byte on which
+// every key agrees is skipped. Stability keeps equal values in source
+// order, which is compareLabels' tie-break. It returns the sorted seeds,
+// which it leaves in ws.seeds.
+func (ws *Workspace) sortSeeds() []labelItem {
+	src := ws.seeds
+	n := len(src)
+	if n < 2 {
+		return src
+	}
+	if cap(ws.seedTmp) < n {
+		ws.seedTmp = make([]labelItem, n)
+	}
+	dst := ws.seedTmp[:n]
+	var count [8][256]int32
+	for _, it := range src {
+		k := seedKey(it.value)
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	first := seedKey(src[0].value)
+	for d := range count {
+		shift := 8 * uint(d)
+		c := &count[d]
+		if c[byte(first>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		for _, it := range src {
+			b := byte(seedKey(it.value) >> shift)
+			dst[c[b]] = it
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	ws.seeds, ws.seedTmp = src, dst
+	return src
 }
 
 // sortRun puts the equal-value run starting at fifo[head] in source order

@@ -2,6 +2,7 @@ package ldd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -153,8 +154,13 @@ func square(g *graph.Graph) *graph.Graph {
 	return graph.FromEdges(g.N(), edges)
 }
 
+// signedZeroShifts are the shifts of randomShifts' kind 4: -0 (which an
+// exponential draw can return) next to +0, two subnormals and two integers.
+var signedZeroShifts = []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-310, 1, 2}
+
 // randomShifts draws n shifts of one kind: 0 integer, 1 quarter-step, 2
-// sub-1e-16 (T-1 rounds distinct shifts to the same value), 3 exponential.
+// sub-1e-16 (T-1 rounds distinct shifts to the same value), 3 exponential,
+// 4 signed zeros and subnormals.
 func randomShifts(rng *xrand.RNG, n, kind int) []float64 {
 	shifts := make([]float64, n)
 	for v := range shifts {
@@ -165,6 +171,8 @@ func randomShifts(rng *xrand.RNG, n, kind int) []float64 {
 			shifts[v] = float64(rng.Intn(16)) / 4
 		case 2:
 			shifts[v] = float64(rng.Intn(8)) * 1e-17
+		case 4:
+			shifts[v] = signedZeroShifts[rng.Intn(len(signedZeroShifts))]
 		default:
 			shifts[v] = rng.Exp(0.7)
 		}
@@ -198,22 +206,29 @@ func checkAgainstHeap(t testing.TB, g *graph.Graph, alive []bool, shifts []float
 
 // TestTopLabelsMatchesHeap compares the full label lists of topLabels with
 // the heap reference on random graphs: integer, quarter-step and sub-1e-16
-// shifts (the last make T-1 round distinct shifts to the same value), with
-// and without alive masks, keep 1, 2 and n, slack 0 and 1. One workspace
-// serves every case, so stale state from a larger graph would show.
+// shifts (the last make T-1 round distinct shifts to the same value),
+// exponential draws, and signed zeros with subnormals, with and without
+// alive masks, keep 1, 2 and n, slack 0 and 1. One workspace serves every
+// case, so stale state from a larger graph would show. The last cases run
+// on GNP(3000, 6/2999), so the seed sort also sees thousands of keys.
 func TestTopLabelsMatchesHeap(t *testing.T) {
 	rng := xrand.New(17)
 	ws := new(Workspace)
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(60)
 		g := randomGraph(rng, n, rng.Float64()*0.3)
-		shifts := randomShifts(rng, n, trial%4)
+		shifts := randomShifts(rng, n, trial%5)
 		var alive []bool
 		if trial%3 == 0 {
 			alive = randomAlive(rng, n)
 		}
 		keep := []int{1, 2, n}[rng.Intn(3)]
 		checkAgainstHeap(t, g, alive, shifts, keep, float64(rng.Intn(2)), ws)
+	}
+	g := gen.GNP(3000, 6.0/2999, xrand.New(5))
+	for kind := 0; kind < 5; kind++ {
+		checkAgainstHeap(t, g, nil, randomShifts(rng, g.N(), kind), 2, 1, ws)
+		checkAgainstHeap(t, g, randomAlive(rng, g.N()), randomShifts(rng, g.N(), kind), 1, 0, ws)
 	}
 }
 
@@ -231,7 +246,7 @@ func TestTopLabelsMatchesHeapDense(t *testing.T) {
 		g := square(randomGraph(rng, n, 3/float64(n)))
 		kind := 2
 		if trial%2 == 1 {
-			kind = []int{0, 1, 3}[rng.Intn(3)]
+			kind = []int{0, 1, 3, 4}[rng.Intn(4)]
 		}
 		shifts := randomShifts(rng, n, kind)
 		var alive []bool
@@ -244,10 +259,12 @@ func TestTopLabelsMatchesHeapDense(t *testing.T) {
 }
 
 // FuzzTopLabels decodes a small graph, its shifts (including ties of the
-// form k·1e-17), an alive mask, keep and slack from the input, and compares
-// topLabels with the heap reference.
+// form k·1e-17, -0 and subnormals), an alive mask, keep and slack from the
+// input, and compares topLabels with the heap reference.
 func FuzzTopLabels(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0x80, 0x81, 0x83, 0xff, 0, 1, 0, 2})
+	// Shifts -0, +0, -0, 1/8 and the smallest subnormal on a path.
+	f.Add([]byte{5, 1, 1, 0xc0, 0x00, 0xc0, 0x01, 0xc2, 0, 0, 1, 1, 2, 2, 3, 3, 4})
 	f.Add([]byte{6, 0, 1, 4, 8, 0x82, 0x82, 2, 5, 0x3f, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5})
 	f.Add([]byte{8, 3, 0, 0x81, 0x81, 0x87, 0x80, 0x83, 0x85, 0x82, 0x86, 0xaa, 0, 1, 1, 2, 0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -264,9 +281,12 @@ func FuzzTopLabels(f *testing.F) {
 		slack := float64(next() % 2)
 		shifts := make([]float64, n)
 		for v := range shifts {
-			// The top bit picks a rounding-tie shift k·1e-17; otherwise
+			// The top two bits pick one of signedZeroShifts (0xc0 is -0);
+			// the top bit alone a rounding-tie shift k·1e-17; otherwise
 			// the shift is a multiple of 1/8 below 16.
-			if b := next(); b&0x80 != 0 {
+			if b := next(); b&0xc0 == 0xc0 {
+				shifts[v] = signedZeroShifts[b%len(signedZeroShifts)]
+			} else if b&0x80 != 0 {
 				shifts[v] = float64(b&7) * 1e-17
 			} else {
 				shifts[v] = float64(b) / 8
@@ -286,6 +306,71 @@ func FuzzTopLabels(f *testing.F) {
 		g := graph.FromEdges(n, edges)
 		checkAgainstHeap(t, g, alive, shifts, keep, slack, new(Workspace))
 	})
+}
+
+// TestSortSeedsMatchesCompareLabels checks the radix seed order against a
+// comparison sort by compareLabels: -0 next to +0 in both orders (they
+// compare equal, so source breaks the tie), equal values with different
+// sources, +Inf, subnormals and negative values, lengths 0, 1 and 2, and
+// several thousand keys, some all equal. One workspace serves every case.
+func TestSortSeedsMatchesCompareLabels(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	tiny := math.SmallestNonzeroFloat64
+	cases := [][]float64{
+		{},
+		{negZero},
+		{1, 2},
+		{2, 1},
+		{negZero, 0},
+		{0, negZero},
+		{0, negZero, 0, negZero, tiny, negZero},
+		{3, 1, 3, 3, 1, 0, 3},
+		{inf, 1, inf, math.MaxFloat64, 0, inf},
+		{tiny, 2 * tiny, 1e-310, math.SmallestNonzeroFloat64 * 3, 0, negZero, 1e-300},
+		{-1, 0, negZero, -tiny, math.Inf(-1), 1, -math.MaxFloat64, inf},
+	}
+	rng := xrand.New(41)
+	mixed := make([]float64, 5000)
+	for i := range mixed {
+		switch rng.Intn(4) {
+		case 0:
+			mixed[i] = rng.Exp(0.5)
+		case 1:
+			mixed[i] = float64(rng.Intn(6))
+		case 2:
+			mixed[i] = signedZeroShifts[rng.Intn(len(signedZeroShifts))]
+		default:
+			mixed[i] = []float64{inf, 1e-310, math.MaxFloat64}[rng.Intn(3)]
+		}
+	}
+	equal := make([]float64, 3000)
+	for i := range equal {
+		equal[i] = 2.5
+	}
+	draws := make([]float64, 4000)
+	enShiftsInto(draws, len(draws), ENParams{Lambda: 0.5, Seed: 3, Workers: 1})
+	cases = append(cases, mixed, equal, draws)
+
+	ws := new(Workspace)
+	for i, values := range cases {
+		ws.seeds = ws.seeds[:0]
+		for v, x := range values {
+			ws.seeds = append(ws.seeds, labelItem{value: x, source: int32(v), vertex: int32(v)})
+		}
+		want := slices.Clone(ws.seeds)
+		slices.SortFunc(want, compareLabels)
+		got := ws.sortSeeds()
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d seeds out of %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].source != want[j].source || got[j].vertex != want[j].vertex ||
+				math.Float64bits(got[j].value) != math.Float64bits(want[j].value) {
+				t.Fatalf("case %d: position %d holds %+v, want %+v", i, j, got[j], want[j])
+			}
+		}
+	}
 }
 
 // TestTopLabelsRoundingTie pins the case a push-order FIFO gets wrong: two

@@ -123,6 +123,9 @@ func sparseCoverWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done
 		Rounds:   int(math.Ceil(maxT)),
 	}
 	// Dense source -> cluster id map (sources are vertex ids).
+	if cap(ws.mark) < n {
+		ws.mark = make([]int32, n)
+	}
 	clusterID := ws.mark[:n]
 	for i := range clusterID {
 		clusterID[i] = -1

@@ -4,19 +4,30 @@ import "sync"
 
 // Workspace bundles the reusable scratch state of this package's
 // decomposition algorithms: the per-vertex exponential shifts, and the
-// sorted initial labels, the FIFO of pushed labels and the per-vertex label
-// lists of topLabels. Graph searches run on a graph.ParWorkspace instead.
-// Like that workspace it is owned by one goroutine at a time; parallel
-// callers hold one Workspace per worker.
+// sorted initial labels (with their radix sort buffer), the FIFO of pushed
+// labels, the per-vertex label lists and label records of topLabels. Graph
+// searches run on a graph.ParWorkspace instead. Like that workspace it is
+// owned by one goroutine at a time; parallel callers hold one Workspace per
+// worker.
 type Workspace struct {
-	shifts []float64
-	seeds  []labelItem
-	fifo   []labelItem
-	labels [][]label
-	// mark is per-vertex int32 scratch with two successive uses: topLabels'
-	// push stamps during the search, then SparseCover's source -> dense
-	// cluster id map. Each use resets it to -1 first.
+	shifts  []float64
+	seeds   []labelItem
+	seedTmp []labelItem
+	fifo    []labelItem
+	labels  [][]label
+	vertex  []vertexLabels
+	// mark is SparseCover's source -> dense cluster id map, sized on its
+	// first use.
 	mark []int32
+}
+
+// vertexLabels is topLabels' record of one vertex: its best label's value,
+// how many labels it holds, and the block stamp of its last push. The
+// accept and prune checks read this one record instead of the label list.
+type vertexLabels struct {
+	best  float64
+	count int32
+	stamp int32
 }
 
 // reserve sizes the per-vertex buffers for an n-vertex graph.
@@ -27,8 +38,8 @@ func (ws *Workspace) reserve(n int) {
 	for len(ws.labels) < n {
 		ws.labels = append(ws.labels, nil)
 	}
-	if cap(ws.mark) < n {
-		ws.mark = make([]int32, n)
+	if cap(ws.vertex) < n {
+		ws.vertex = make([]vertexLabels, n)
 	}
 }
 
@@ -68,9 +79,14 @@ func ReleaseWorkspaces(wss []*Workspace) {
 //
 //   - Output depends only on the order in which (value, source) pairs are
 //     popped. Pops at different vertices with the same (value, source)
-//     commute, because each pop reads and writes only out[v] and pushes
-//     labels of a strictly smaller value.
-//   - The initial labels (T_v, v) are sorted once.
+//     commute, because each pop reads and writes only v's list and record
+//     and pushes labels of a strictly smaller value.
+//   - The initial labels (T_v, v) are built in source order and sorted once
+//     by a stable LSD radix sort on a uint64 key that falls as the value
+//     rises (seedKey). -0 and +0 get the same key, because compareLabels
+//     treats them as equal and an exponential draw can return -0; ±Inf
+//     and subnormals keep their IEEE order. Stability leaves equal values
+//     in source order, so the result is exactly compareLabels order.
 //   - Every pushed label has value popped-1, and pops come out in
 //     non-increasing value order, so the pushed labels form a FIFO whose
 //     values never increase.
@@ -85,6 +101,12 @@ func ReleaseWorkspaces(wss []*Workspace) {
 // storage: it resets when it drains and compacts instead of growing when
 // most of it has been popped.
 //
+// Each vertex has one record, vertexLabels: its best value (the first label
+// it accepted), its label count and a push stamp. The pop check (list full,
+// or below the slack window) and the push prune read only the record; the
+// label lists are read for the duplicate-source check and returned as the
+// output.
+//
 // Each pending label is pushed at most once. One (value, source) pair is
 // popped as one contiguous block: a source's successive values differ, so
 // the pair names a single distance from the source, and the order is total
@@ -93,7 +115,6 @@ func ReleaseWorkspaces(wss []*Workspace) {
 // get identical FIFO items, and the first copy's fate (accepted, or
 // rejected for a full list, the slack window or a duplicate source) would
 // decide every later copy's: lists only grow and their best value never
-// changes. topLabels stamps mark[w] with the block number when it pushes
-// to w and skips w while the stamp matches. Removing those copies changes
-// no accepted label and leaves the other items in order. The stamp is
-// mark, which SparseCover only reuses after the search.
+// changes. topLabels stamps the record of w with the block number when it
+// pushes to w and skips w while the stamp matches. Removing those copies
+// changes no accepted label and leaves the other items in order.

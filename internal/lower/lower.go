@@ -47,7 +47,8 @@ func PriorityMIS(g *graph.Graph, rounds int, seed uint64) []bool {
 	prio := make([]uint64, n)
 	for r := 0; r < rounds; r++ {
 		for v := 0; v < n; v++ {
-			prio[v] = xrand.Stream(seed, v, uint64(r)+0x10b9).Uint64()
+			rng := xrand.Stream(seed, v, uint64(r)+0x10b9)
+			prio[v] = rng.Uint64()
 		}
 		var joined []int32
 		for v := 0; v < n; v++ {
@@ -165,7 +166,8 @@ func LiftMIS(g *graph.Graph, sub []bool, seed uint64) []bool {
 	n := g.N()
 	id := make([]uint64, n)
 	for v := 0; v < n; v++ {
-		id[v] = xrand.Stream(seed, v, 0x11f7).Uint64()
+		rng := xrand.Stream(seed, v, 0x11f7)
+		id[v] = rng.Uint64()
 	}
 	out := make([]bool, n)
 	for v := 0; v < n; v++ {

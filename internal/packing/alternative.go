@@ -51,6 +51,7 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 	rootRNG := xrand.New(p.Seed)
 	ph := local.NewPhases(ctx)
 	exact := true
+	var scr solve.Scratch // the local solves run one at a time
 
 	// Step 1+2: parallel decompositions and the membership-count weights.
 	wPrime := make([]int64, n)
@@ -67,7 +68,7 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 		}
 		ph.Charge(en.Rounds)
 		for _, cluster := range en.Clusters() {
-			sol, _, ex := solveLocal(inst, cluster, p.Solve)
+			sol, _, ex := solveLocal(inst, cluster, p.Solve, &scr)
 			exact = exact && ex
 			for v, set := range sol {
 				if set {
@@ -104,7 +105,7 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 			return nil, err
 		}
 		comps++
-		sol, _, ex := solveLocal(inst, cluster, p.Solve)
+		sol, _, ex := solveLocal(inst, cluster, p.Solve, &scr)
 		exact = exact && ex
 		for v, set := range sol {
 			if set {
@@ -129,6 +130,7 @@ func membershipCounts(inst *ilp.Instance, tRuns int, eps float64, seed uint64, o
 	n := g.N()
 	rootRNG := xrand.New(seed)
 	wPrime := make([]int64, n)
+	var scr solve.Scratch
 	for run := 0; run < tRuns; run++ {
 		en := ldd.ElkinNeiman(g, nil, ldd.ENParams{
 			Lambda: eps,
@@ -136,7 +138,7 @@ func membershipCounts(inst *ilp.Instance, tRuns int, eps float64, seed uint64, o
 			Seed:   rootRNG.Split(uint64(run) + 0xa17).Uint64(),
 		})
 		for _, cluster := range en.Clusters() {
-			sol, _, _ := solveLocal(inst, cluster, opt)
+			sol, _, _ := solveLocal(inst, cluster, opt, &scr)
 			for v, set := range sol {
 				if set {
 					wPrime[v] += inst.Weight(v)

@@ -27,7 +27,7 @@ func TestGrowCarvePackingWindow(t *testing.T) {
 	g := gen.Path(30)
 	inst := misOn(t, g)
 	alive := allAlive(30)
-	oc, exact := growCarvePacking(inst, g, []int32{0}, 4, 9, alive, solve.Options{}, new(graph.ParWorkspace))
+	oc, exact := growCarvePacking(inst, g, []int32{0}, 4, 9, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if !exact {
 		t.Fatal("path-structured solve should be exact")
 	}
@@ -48,7 +48,7 @@ func TestGrowCarvePackingExhausted(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := allAlive(5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace))
+	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if len(oc.Deleted) != 0 {
 		t.Fatalf("deleted = %v, want none", oc.Deleted)
 	}
@@ -61,7 +61,7 @@ func TestGrowCarvePackingDeadSeed(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := make([]bool, 5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 1, 3, alive, solve.Options{}, new(graph.ParWorkspace))
+	oc, _ := growCarvePacking(inst, g, []int32{2}, 1, 3, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if oc != nil {
 		t.Fatal("dead seed should return nil")
 	}

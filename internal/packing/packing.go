@@ -180,6 +180,9 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	defer ldd.ReleaseWorkspaces(wss)
 	pws := graph.AcquireParWorkspaces(workers)
 	defer graph.ReleaseParWorkspaces(pws)
+	// Every local packing solve runs on its worker's solve scratch, which
+	// lives only as long as this request.
+	scr := make([]solve.Scratch, workers)
 
 	ph.Start("preparation")
 	prepSeeds := make([]uint64, d.prepRuns)
@@ -201,10 +204,16 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// whole graph, so every cluster lies in its source's component, and
 	// when the estimate radius reaches that component's size the ball is
 	// the whole component: it is not searched.
+	// A component's shared solve runs on the worker that reaches it first,
+	// so each worker has its own value function over its own scratch.
 	cc := solve.NewComponents(g)
-	componentValue := func(verts []int32) (int64, bool, error) {
-		_, w, ex := solveLocal(inst, verts, p.Solve)
-		return w, ex, nil
+	componentValue := make([]func(verts []int32) (int64, bool, error), workers)
+	for w := range componentValue {
+		s := &scr[w]
+		componentValue[w] = func(verts []int32) (int64, bool, error) {
+			_, wt, ex := solveLocal(inst, verts, p.Solve, s)
+			return wt, ex, nil
+		}
 	}
 	var members [][]int32
 	for _, en := range ens {
@@ -219,17 +228,17 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	if err := par.ForEachCtx(ctx, workers, len(members), func(w, i int) {
 		pc := prepCluster{members: members[i]}
 		var ex1, ex2 bool
-		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve)
+		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve, &scr[w])
 		c := cc.Of(members[i][0])
 		whole := d.estRadius >= len(cc.Members(c))
 		if !whole {
 			sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
 			if whole = cc.IsComponent(sc); !whole {
-				_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve)
+				_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve, &scr[w])
 			}
 		}
 		if whole {
-			pc.wSC, ex2, _ = cc.Value(c, componentValue)
+			pc.wSC, ex2, _ = cc.Value(c, componentValue[w])
 		}
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
@@ -280,7 +289,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			if prob > 1 {
 				prob = 1
 			}
-			if xrand.Stream(p.Seed, ci, uint64(packLabel+i)).Bernoulli(prob) {
+			if rng := xrand.Stream(p.Seed, ci, uint64(packLabel+i)); rng.Bernoulli(prob) {
 				sampled = append(sampled, int32(ci))
 			}
 		}
@@ -289,7 +298,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if err := par.ForEachCtx(ctx, workers, len(sampled), func(w, j int) {
 			pc := clusters[sampled[j]]
 			outcomes[j], carveExact[j] = growCarvePacking(inst, g, pc.members,
-				interval[0], interval[1], alive, p.Solve, pws[w])
+				interval[0], interval[1], alive, p.Solve, pws[w], &scr[w])
 		}); err != nil {
 			return nil, err
 		}
@@ -304,11 +313,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 
 	// --- Phase 3 -----------------------------------------------------------
 	ph.Start("phase3-en")
-	en, err := ldd.ElkinNeimanCtx(ctx, g, alive, ldd.ENParams{
+	en, err := ldd.ElkinNeimanWSCtx(ctx, g, alive, ldd.ENParams{
 		Lambda: eps / 10,
 		NTilde: d.nTilde,
 		Seed:   rootRNG.Split(0x3a5e).Uint64(),
-	})
+	}, wss[0])
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +346,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if len(regions[i]) == 0 {
 			return
 		}
-		sols[i], _, solExact[i] = solveLocal(inst, regions[i], p.Solve)
+		sols[i], _, solExact[i] = solveLocal(inst, regions[i], p.Solve, &scr[w])
 	}); err != nil {
 		return nil, err
 	}
@@ -375,9 +384,9 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}, nil
 }
 
-// solveLocal wraps solve.PackingLocal.
-func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options) (ilp.Solution, int64, bool) {
-	sol, val, m := solve.PackingLocal(inst, members, opt)
+// solveLocal runs solve's PackingLocal on a worker's scratch.
+func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options, s *solve.Scratch) (ilp.Solution, int64, bool) {
+	sol, val, m := s.PackingLocal(inst, members, opt)
 	return sol, val, m.Exact()
 }
 
@@ -386,10 +395,11 @@ func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options) (ilp.Sol
 // pick j* ≡ a (mod 3) in [a, b-1] minimizing the solution weight on the
 // triple S_{j*} ∪ S_{j*+1} ∪ S_{j*+2}, delete S_{j*+1}, remove N^{j*}. In
 // the returned outcome the cut layer JStar is j*+1, the deleted one.
-// The gather runs on the caller's workspace; concurrent calls against the
-// same alive snapshot are safe when each uses its own workspace.
+// The gather runs on the caller's workspace and the local solve on its
+// scratch; concurrent calls against the same alive snapshot are safe when
+// each uses its own.
 func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int,
-	alive []bool, opt solve.Options, ws *graph.ParWorkspace) (*ldd.CarveOutcome, bool) {
+	alive []bool, opt solve.Options, ws *graph.ParWorkspace, s *solve.Scratch) (*ldd.CarveOutcome, bool) {
 
 	layers := graph.ParBallLayersFromSet(ws, g, seed, b-1, alive, 1)
 	if layers == nil {
@@ -406,7 +416,7 @@ func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int
 	for _, l := range layers {
 		ball = append(ball, l...)
 	}
-	sol, _, ex := solveLocal(inst, ball, opt)
+	sol, _, ex := solveLocal(inst, ball, opt, s)
 	layerWeight := func(j int) int64 {
 		if j >= len(layers) {
 			return 0

@@ -121,7 +121,8 @@ func TestHTTPConcurrentChurn(t *testing.T) {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			churnClient(t, c, info.ID, n, ops, xrand.Stream(29, cl, 0xc4a2))
+			rng := xrand.Stream(29, cl, 0xc4a2)
+			churnClient(t, c, info.ID, n, ops, &rng)
 		}(cl)
 	}
 	wg.Wait()
@@ -162,7 +163,8 @@ func TestHTTPChurnSoak(t *testing.T) {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			churnClient(t, c, info.ID, n, ops, xrand.Stream(31, cl, 0x50a2))
+			rng := xrand.Stream(31, cl, 0x50a2)
+			churnClient(t, c, info.ID, n, ops, &rng)
 		}(cl)
 	}
 	wg.Wait()

@@ -24,6 +24,13 @@
 // constraint degree deg. The solvers index their scratch by dense variable
 // and constraint ids; they use no hash maps on the greedy paths.
 //
+// A packing solve works on a Scratch: a variable position index and a
+// greedy residual, each as long as the instance. A caller that runs many
+// local solves on one goroutine (the packing solver's workers) owns one
+// Scratch per worker for the length of its request and drops it when the
+// request returns; PackingLocal makes a fresh one per call. Nothing is
+// pooled, so no scratch outlives the request that made it.
+//
 // Local-problem semantics follow Section 2 of the paper: for packing, the
 // restriction to S sets all outside variables to zero and enforces every
 // constraint (Observation 2.1); for covering, only constraints entirely
@@ -107,8 +114,41 @@ var ErrInfeasibleLocal = errors.New("solve: local covering instance infeasible")
 // cluster (exactly when the reported method is exact). Duplicate cluster
 // entries are tolerated.
 func PackingLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method) {
-	sol, val, m, _ := packingLocal(inst, cluster, opt, nil)
+	return new(Scratch).PackingLocal(inst, cluster, opt)
+}
+
+// Scratch is the working memory of local packing solves, reusable across
+// calls and instances by one goroutine at a time. Its zero value is ready.
+type Scratch struct {
+	// at is each cluster variable's position in the deduplicated cluster,
+	// plus one, and 0 elsewhere. Every solve clears the entries it set
+	// before it returns, so at is all zero between calls.
+	at []int32
+	// res is greedy packing's residual capacity by constraint id. It needs
+	// no reset: greedy writes each touched row's rhs before reading it.
+	res []float64
+}
+
+// PackingLocal is the package-level PackingLocal on s's memory.
+func (s *Scratch) PackingLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method) {
+	sol, val, m, _ := packingLocal(inst, cluster, opt, nil, s)
 	return sol, val, m
+}
+
+// positions returns the all-zero position index for n variables.
+func (s *Scratch) positions(n int) []int32 {
+	if cap(s.at) < n {
+		s.at = make([]int32, n)
+	}
+	return s.at[:n]
+}
+
+// residual returns the residual array for m constraints.
+func (s *Scratch) residual(m int) []float64 {
+	if cap(s.res) < m {
+		s.res = make([]float64, m)
+	}
+	return s.res[:m]
 }
 
 // PackingLocalCtx is PackingLocal with cancellation: the branch-and-bound
@@ -119,7 +159,7 @@ func PackingLocalCtx(ctx context.Context, inst *ilp.Instance, cluster []int32, o
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	sol, val, m, ok := packingLocal(inst, cluster, opt, ctx.Done())
+	sol, val, m, ok := packingLocal(inst, cluster, opt, ctx.Done(), new(Scratch))
 	if !ok {
 		return nil, 0, 0, ctxError(ctx)
 	}
@@ -134,23 +174,32 @@ func ctxError(ctx context.Context) error {
 	return context.Canceled
 }
 
-func packingLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}) (ilp.Solution, int64, Method, bool) {
-	at := make([]int32, inst.NumVars())
+func packingLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, Method, bool) {
+	at := s.positions(inst.NumVars())
 	vars := dedup(cluster, at)
+	sol, val, m, ok := packingVars(inst, vars, at, opt, done, s)
+	for _, v := range vars {
+		at[v] = 0
+	}
+	return sol, val, m, ok
+}
+
+// packingVars is packingLocal on the deduplicated cluster vars, indexed
+// in at.
+func packingVars(inst *ilp.Instance, vars, at []int32, opt Options, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, Method, bool) {
 	if len(vars) == 0 {
 		return inst.NewSolution(), 0, MethodBranchBound, true
 	}
-
 	if !opt.ForceGreedy && !opt.DisableStructure {
 		if sol, val, m, ok := packingStructured(inst, vars, at); ok {
 			return sol, val, m, true
 		}
 	}
 	if !opt.ForceGreedy && len(vars) <= opt.maxExact() {
-		sol, val, ok := packingBB(inst, vars, done)
+		sol, val, ok := packingBB(inst, vars, done, s)
 		return sol, val, MethodBranchBound, ok
 	}
-	sol, val := GreedyPacking(inst, vars)
+	sol, val := greedyPacking(inst, vars, s)
 	return sol, val, MethodGreedy, true
 }
 
@@ -389,7 +438,7 @@ func liftSolution(inst *ilp.Instance, vars []int32, localIdx []int32) ilp.Soluti
 // searches: one non-blocking channel poll every 1024 explored nodes.
 const bbCheckMask = 1023
 
-func packingBB(inst *ilp.Instance, vars []int32, done <-chan struct{}) (ilp.Solution, int64, bool) {
+func packingBB(inst *ilp.Instance, vars []int32, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, bool) {
 	// Order variables by weight descending for tighter bounds.
 	order := append([]int32(nil), vars...)
 	sort.Slice(order, func(i, j int) bool {
@@ -411,7 +460,7 @@ func packingBB(inst *ilp.Instance, vars []int32, done <-chan struct{}) (ilp.Solu
 		}
 	}
 	// Start from the greedy solution so pruning has a bound immediately.
-	bestSol, bestVal := GreedyPacking(inst, vars)
+	bestSol, bestVal := greedyPacking(inst, vars, s)
 	cur := inst.NewSolution()
 	nodes := 0
 	aborted := false
@@ -579,10 +628,10 @@ func coveringBB(inst *ilp.Instance, vars []int32, local []int32, done <-chan str
 
 // --- Greedy fallbacks -----------------------------------------------------
 
-// GreedyPacking adds cluster variables in weight-descending order whenever
+// greedyPacking adds cluster variables in weight-descending order whenever
 // no constraint would be violated. The result is feasible for the whole
-// instance (zero extension, Observation 2.1).
-func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
+// instance (zero extension, Observation 2.1). It keeps its residual in s.
+func greedyPacking(inst *ilp.Instance, vars []int32, s *Scratch) (ilp.Solution, int64) {
 	order := append([]int32(nil), vars...)
 	slices.SortFunc(order, func(a, b int32) int {
 		if c := cmp.Compare(inst.Weight(int(b)), inst.Weight(int(a))); c != 0 {
@@ -592,7 +641,7 @@ func GreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	})
 	// Residual capacity per constraint id; only the touched entries are
 	// read, and each starts at its rhs.
-	res := make([]float64, inst.NumConstraints())
+	res := s.residual(inst.NumConstraints())
 	for _, v := range order {
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			res[cj] = inst.Constraint(int(cj)).B

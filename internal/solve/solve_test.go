@@ -414,7 +414,7 @@ func TestRepeatedVariableRow(t *testing.T) {
 	if ok, j := pinst.Feasible(sol); !ok || val != 1 || !slices.Equal(sol, ilp.Solution{false, true}) {
 		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
 	}
-	sol, val = GreedyPacking(pinst, allVars(2))
+	sol, val = greedyPacking(pinst, allVars(2), new(Scratch))
 	if ok, _ := pinst.Feasible(sol); !ok || val != 1 {
 		t.Fatalf("greedy packing: %v value %d, feasible=%v", sol, val, ok)
 	}
@@ -446,7 +446,7 @@ func TestRepeatedVariableCoefficientsSum(t *testing.T) {
 	if ok, j := inst.Feasible(sol); !ok || val != 0 {
 		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
 	}
-	sol, val = GreedyPacking(inst, allVars(1))
+	sol, val = greedyPacking(inst, allVars(1), new(Scratch))
 	if ok, j := inst.Feasible(sol); !ok || val != 0 {
 		t.Fatalf("greedy packing: %v value %d, feasible=%v (row %d)", sol, val, ok, j)
 	}
@@ -557,7 +557,7 @@ func refCoeff(inst *ilp.Instance, cj, v int32) float64 {
 }
 
 // refGreedyPacking is the straightforward map-based greedy packing the
-// dense GreedyPacking must agree with pick for pick.
+// dense greedyPacking must agree with pick for pick.
 func refGreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 	order := append([]int32(nil), vars...)
 	sort.Slice(order, func(i, j int) bool {
@@ -700,12 +700,102 @@ func randomCluster(n int, rng *xrand.RNG) []int32 {
 	return out
 }
 
+// scratchTestGraph joins, by vertex range, a 100-vertex random tree
+// (0-99), an 8-cycle (100-107), a 9-cycle (108-116) and GNP(200, 0.05)
+// (117-316): clusters on them take the tree-DP, bipartite,
+// branch-and-bound and greedy paths.
+func scratchTestGraph() *graph.Graph {
+	var edges [][2]int
+	add := func(g *graph.Graph, off int) {
+		g.Edges(func(u, v int) { edges = append(edges, [2]int{u + off, v + off}) })
+	}
+	add(gen.RandomTree(100, xrand.New(3)), 0)
+	add(gen.Cycle(8), 100)
+	add(gen.Cycle(9), 108)
+	add(gen.GNP(200, 0.05, xrand.New(4)), 117)
+	return graph.FromEdges(317, edges)
+}
+
+// vertexRange returns the ids lo..hi-1.
+func vertexRange(lo, hi int) []int32 {
+	vs := make([]int32, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		vs = append(vs, int32(v))
+	}
+	return vs
+}
+
+// TestScratchReuseMatchesFresh runs one Scratch through a sequence of local
+// packing solves on two instances of different sizes: clusters that take
+// each solver path, clusters with duplicate and out-of-range entries, an
+// empty cluster, and clusters that shrink and grow. Every result must equal
+// a fresh PackingLocal call, and the position index must be all zero again
+// after each solve, so state left over from an earlier cluster would show.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	g := scratchTestGraph()
+	w := make([]int64, g.N())
+	wrng := xrand.New(8)
+	for v := range w {
+		w[v] = 1 + int64(wrng.Intn(5))
+	}
+	for v := 100; v < 108; v++ {
+		w[v] = 1 // König's bipartite path needs unit weights
+	}
+	big := misILP(t, g, w)
+	small := misILP(t, gen.Cycle(9), nil)
+	greedyPart := vertexRange(117, 317)
+	steps := []struct {
+		inst    *ilp.Instance
+		cluster []int32
+		opt     Options
+		want    Method
+	}{
+		{big, greedyPart, Options{}, MethodGreedy},
+		{big, vertexRange(0, 100), Options{}, MethodTreeDP},
+		{big, nil, Options{}, MethodBranchBound},
+		{big, vertexRange(100, 108), Options{}, MethodBipartite},
+		{big, vertexRange(108, 117), Options{}, MethodBranchBound},
+		{big, append(vertexRange(120, 140), 125, 130, -1, 317, 5000, 120), Options{}, MethodBranchBound},
+		{small, vertexRange(0, 9), Options{}, MethodBranchBound},
+		{big, greedyPart[:150], Options{}, MethodGreedy},
+		{big, greedyPart[:60], Options{}, MethodGreedy},
+		{big, append(slices.Clone(greedyPart), greedyPart[:40]...), Options{}, MethodGreedy},
+		{small, append(vertexRange(0, 9), 3, 9, -2), Options{ForceGreedy: true}, MethodGreedy},
+		{big, vertexRange(0, 117), Options{}, MethodGreedy},
+		{big, vertexRange(0, 20), Options{DisableStructure: true}, MethodBranchBound},
+		{big, vertexRange(0, 317), Options{}, MethodGreedy},
+		{big, vertexRange(50, 52), Options{}, MethodTreeDP},
+	}
+	var s Scratch
+	for i, st := range steps {
+		gotSol, gotVal, gotM := s.PackingLocal(st.inst, st.cluster, st.opt)
+		wantSol, wantVal, wantM := PackingLocal(st.inst, st.cluster, st.opt)
+		if gotM != st.want || wantM != st.want {
+			t.Fatalf("step %d: method %v on the reused scratch and %v fresh, want %v", i, gotM, wantM, st.want)
+		}
+		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
+			t.Fatalf("step %d (%v): reused scratch gives %v (%d), fresh %v (%d)", i, gotM, gotSol, gotVal, wantSol, wantVal)
+		}
+		if ok, j := st.inst.Feasible(gotSol); !ok {
+			t.Fatalf("step %d: infeasible at row %d", i, j)
+		}
+		for v, p := range s.at {
+			if p != 0 {
+				t.Fatalf("step %d: position index of %d left at %d", i, v, p)
+			}
+		}
+	}
+}
+
 func TestGreedyMatchesReference(t *testing.T) {
 	rng := xrand.New(77)
+	// One scratch for every trial: each instance reuses the residual the
+	// previous, differently sized one left behind.
+	var s Scratch
 	for trial := 0; trial < 3000; trial++ {
 		pinst := randomILP(t, ilp.Packing, rng)
 		vars := randomCluster(pinst.NumVars(), rng)
-		gotSol, gotVal := GreedyPacking(pinst, vars)
+		gotSol, gotVal := greedyPacking(pinst, vars, &s)
 		wantSol, wantVal := refGreedyPacking(pinst, vars)
 		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
 			t.Fatalf("trial %d packing: got %v (%d), want %v (%d)", trial, gotSol, gotVal, wantSol, wantVal)

@@ -57,11 +57,14 @@ func (r *RNG) Split(labels ...uint64) *RNG {
 }
 
 // Stream returns the canonical per-(vertex, label) generator for a given
-// top-level seed. It is a convenience for algorithms that hand each vertex
-// its own independent stream.
-func Stream(seed uint64, vertex int, label uint64) *RNG {
-	base := New(seed)
-	return base.Split(uint64(vertex)+1, label+1)
+// top-level seed: New(seed).Split(vertex+1, label+1), by value. It is a
+// convenience for algorithms that hand each vertex its own independent
+// stream; returning a value keeps a per-vertex draw off the heap.
+func Stream(seed uint64, vertex int, label uint64) RNG {
+	s := mix64(seed + golden)
+	s = mix64(s ^ mix64(uint64(vertex)+1+golden))
+	s = mix64(s ^ mix64(label+1+golden))
+	return RNG{state: s}
 }
 
 // Float64 returns a uniform value in [0, 1).

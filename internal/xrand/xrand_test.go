@@ -60,6 +60,25 @@ func TestStreamPerVertex(t *testing.T) {
 	}
 }
 
+// TestStreamIsSplit pins Stream's derivation: it is the by-value form of
+// New(seed).Split(vertex+1, label+1), so every seeded stream draws the
+// same numbers as the split it replaced.
+func TestStreamIsSplit(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		vertex int
+		label  uint64
+	}{{0, 0, 0}, {3, 10, 0}, {1, 9999, 0x1dd}, {^uint64(0), 1 << 40, ^uint64(0)}} {
+		got := Stream(c.seed, c.vertex, c.label)
+		want := New(c.seed).Split(uint64(c.vertex)+1, c.label+1)
+		for i := 0; i < 4; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("Stream(%d, %d, %#x) draw %d = %#x, want %#x", c.seed, c.vertex, c.label, i, g, w)
+			}
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(5)
 	for i := 0; i < 10000; i++ {
