@@ -60,9 +60,10 @@ func BenchmarkE12Concentration(b *testing.B) {
 
 func BenchmarkAlgoElkinNeiman(b *testing.B) {
 	g := gen.Cycle(4000)
+	ws := new(ldd.Workspace)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ElkinNeiman(g, nil, ldd.ENParams{Lambda: 0.2, Seed: uint64(i)})
+		_ = must(ldd.ElkinNeimanCtx(context.Background(), g, nil, ldd.ENParams{Lambda: 0.2, Seed: uint64(i)}, ws))
 	}
 }
 
@@ -75,21 +76,21 @@ func BenchmarkAlgoElkinNeimanGNP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ElkinNeimanWS(g, nil, ldd.ENParams{Lambda: 0.5, Seed: uint64(i), Workers: 1}, ws)
+		_ = must(ldd.ElkinNeimanCtx(context.Background(), g, nil, ldd.ENParams{Lambda: 0.5, Seed: uint64(i), Workers: 1}, ws))
 	}
 }
 
 func BenchmarkAlgoChangLiPaperConstants(b *testing.B) {
 	g := gen.Grid(30, 30)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: uint64(i)})
+		_ = must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: uint64(i)}))
 	}
 }
 
 func BenchmarkAlgoChangLiScaled(b *testing.B) {
 	g := gen.Cycle(3000)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.001})
+		_ = must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.001}))
 	}
 }
 
@@ -103,21 +104,22 @@ func BenchmarkAlgoChangLiLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLi(g, ldd.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.05})
+		_ = must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.05}))
 	}
 }
 
 func BenchmarkAlgoBlackbox(b *testing.B) {
 	g := gen.Cycle(2000)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.Blackbox(g, ldd.BlackboxParams{Epsilon: 0.2, Seed: uint64(i), Scale: 0.01})
+		_ = must(ldd.BlackboxCtx(context.Background(), g, ldd.BlackboxParams{Epsilon: 0.2, Seed: uint64(i), Scale: 0.01}))
 	}
 }
 
 func BenchmarkAlgoSparseCover(b *testing.B) {
 	g := gen.Cycle(3000)
+	ws := new(ldd.Workspace)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.SparseCover(g, nil, ldd.ENParams{Lambda: 0.3, Seed: uint64(i)})
+		_ = must(ldd.SparseCoverCtx(context.Background(), g, nil, ldd.ENParams{Lambda: 0.3, Seed: uint64(i)}, ws))
 	}
 }
 
@@ -133,9 +135,10 @@ func BenchmarkAlgoSparseCoverMDSPrimal(b *testing.B) {
 	}
 	g := inst.Primal()
 	lambda := math.Log(21.0 / 20.0)
+	ws := new(ldd.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ldd.SparseCover(g, nil, ldd.ENParams{Lambda: lambda, Seed: uint64(i)})
+		_ = must(ldd.SparseCoverCtx(context.Background(), g, nil, ldd.ENParams{Lambda: lambda, Seed: uint64(i)}, ws))
 	}
 }
 
@@ -147,7 +150,7 @@ func BenchmarkAlgoPackingMIS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = packing.Solve(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
+		_ = must(packing.SolveCtx(context.Background(), inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2}))
 	}
 }
 
@@ -162,7 +165,7 @@ func BenchmarkAlgoPackingMISGNP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = packing.Solve(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1})
+		_ = must(packing.SolveCtx(context.Background(), inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1}))
 	}
 }
 
@@ -176,7 +179,7 @@ func BenchmarkAlgoCoveringMDS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := covering.Solve(inst, covering.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1}); err != nil {
+		if _, err := covering.SolveCtx(context.Background(), inst, covering.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 3, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +219,7 @@ func BenchmarkAlgoGKMPackingMIS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = gkm.SolvePacking(inst, gkm.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.4})
+		_ = must(gkm.SolvePackingCtx(context.Background(), inst, gkm.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.4}))
 	}
 }
 
@@ -226,8 +229,9 @@ func BenchmarkAlgoGKMPackingMIS(b *testing.B) {
 // (sequential and parallel) on the same Elkin–Neiman instance.
 func BenchmarkAblationExecutorOracle(b *testing.B) {
 	g := gen.Torus(20, 20)
+	ws := new(ldd.Workspace)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ElkinNeiman(g, nil, ldd.ENParams{Lambda: 0.25, Seed: uint64(i)})
+		_ = must(ldd.ElkinNeimanCtx(context.Background(), g, nil, ldd.ENParams{Lambda: 0.25, Seed: uint64(i)}, ws))
 	}
 }
 
@@ -255,7 +259,7 @@ func benchScale(b *testing.B, scale float64) {
 	g := gen.Cycle(3000)
 	rounds, deleted := 0, 0.0
 	for i := 0; i < b.N; i++ {
-		d := ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: scale})
+		d := must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: scale}))
 		rounds = d.Rounds
 		deleted = d.UnclusteredFraction()
 	}
@@ -276,7 +280,7 @@ func BenchmarkAblationPackingExactLocal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = packing.Solve(inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
+		_ = must(packing.SolveCtx(context.Background(), inst, packing.Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2}))
 	}
 }
 
@@ -291,7 +295,7 @@ func BenchmarkAblationPackingGreedyLocal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Seed = uint64(i)
-		_ = packing.Solve(inst, p)
+		_ = must(packing.SolveCtx(context.Background(), inst, p))
 	}
 }
 
@@ -299,14 +303,14 @@ func BenchmarkAblationPackingGreedyLocal(b *testing.B) {
 func BenchmarkAblationPhase2On(b *testing.B) {
 	g := gen.Cycle(2000)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.002})
+		_ = must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.002}))
 	}
 }
 
 func BenchmarkAblationPhase2Off(b *testing.B) {
 	g := gen.Cycle(2000)
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.002, SkipPhase2: true})
+		_ = must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: uint64(i), Scale: 0.002, SkipPhase2: true}))
 	}
 }
 
@@ -334,10 +338,18 @@ func BenchmarkExtensionWeightedLDD(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ldd.ChangLiWeighted(g, w, ldd.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.002})
+		_ = must(ldd.ChangLiWeightedCtx(context.Background(), g, w, ldd.Params{Epsilon: 0.25, Seed: uint64(i), Scale: 0.002}))
 	}
 }
 
 func BenchmarkE13SpannerTail(b *testing.B) { benchExperiment(b, "E13") }
 
 func BenchmarkE14RegistrySweep(b *testing.B) { benchExperiment(b, "E14") }
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}

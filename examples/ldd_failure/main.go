@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph/gen"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const n = 400
 	g := gen.CliquePlusPath(n/2, n/2)
 	eps := 0.2
@@ -29,11 +31,11 @@ func main() {
 
 	const trials = 200
 	enFail := stats.FailureRate(trials, func(trial int) bool {
-		d := ldd.ElkinNeiman(g, nil, ldd.ENParams{Lambda: eps, Seed: uint64(trial) * 101})
+		d, _ := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{Lambda: eps, Seed: uint64(trial) * 101}, nil)
 		return d.UnclusteredFraction() > eps
 	})
 	clFail := stats.FailureRate(trials/4, func(trial int) bool {
-		d := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: uint64(trial) * 103})
+		d, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: uint64(trial) * 103})
 		return d.UnclusteredFraction() > eps
 	})
 	fmt.Printf("Elkin–Neiman (expectation-only): Pr[deleted > eps*n] ≈ %.3f  (theory: Omega(eps) ≈ %.2f-ish)\n", enFail, eps)
@@ -41,11 +43,11 @@ func main() {
 
 	// Show one concrete failure: find a seed where EN16 blows up.
 	for seed := uint64(0); seed < 1000; seed++ {
-		d := ldd.ElkinNeiman(g, nil, ldd.ENParams{Lambda: eps, Seed: seed})
+		d, _ := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{Lambda: eps, Seed: seed}, nil)
 		if d.UnclusteredFraction() > eps {
 			fmt.Printf("\nconcrete failure at seed %d: EN16 deleted %d of %d vertices (%.1f%% > %.0f%%)\n",
 				seed, d.UnclusteredCount(), g.N(), 100*d.UnclusteredFraction(), 100*eps)
-			cl := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: seed})
+			cl, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: seed})
 			fmt.Printf("Chang–Li at the same seed: deleted %d (%.1f%%), %d clusters\n",
 				cl.UnclusteredCount(), 100*cl.UnclusteredFraction(), cl.NumClusters)
 			break

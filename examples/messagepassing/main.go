@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,10 +25,11 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := gen.Torus(14, 14)
 	p := ldd.ENParams{Lambda: 0.25, Seed: 99}
 
-	oracle := ldd.ElkinNeiman(g, nil, p)
+	oracle, _ := ldd.ElkinNeimanCtx(ctx, g, nil, p, nil)
 	dist, stats, err := ldd.ElkinNeimanDistributed(g, p, false /* parallel executor */)
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@
 // low-diameter decomposition against those proxy weights. Both building
 // blocks are implemented here:
 //
-//   - ldd.ChangLiWeighted bounds the *deleted weight* by ε·Σw w.h.p. — the
+//   - ldd.ChangLiWeightedCtx bounds the *deleted weight* by ε·Σw w.h.p. — the
 //     first part demonstrates it protecting a few very heavy vertices that
 //     an unweighted carve would happily delete;
 //   - packing.SolveAlternative runs the full pipeline on a MIS instance.
@@ -28,6 +28,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Part 1: weighted decomposition. A long cycle with heavy "data
 	// centers" every 100 hops; deleting one costs as much as 500 ordinary
 	// vertices.
@@ -42,7 +43,7 @@ func main() {
 		total += w[i]
 	}
 	eps := 0.2
-	dec := ldd.ChangLiWeighted(g, w, ldd.Params{Epsilon: eps, Seed: 8, Scale: 0.002})
+	dec, _ := ldd.ChangLiWeightedCtx(ctx, g, w, ldd.Params{Epsilon: eps, Seed: 8, Scale: 0.002})
 	fmt.Printf("weighted LDD on C3000 with 30 heavy vertices (total weight %d):\n", total)
 	fmt.Printf("  clusters=%d, deleted vertices=%d, deleted WEIGHT=%d (budget %.0f)\n",
 		dec.NumClusters, dec.UnclusteredCount(), dec.DeletedWeight(w), eps*float64(total))
@@ -57,8 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	main1 := packing.Solve(inst, packing.Params{Epsilon: eps, Seed: 8, PrepRuns: 3})
-	alt, err := packing.SolveAlternative(context.Background(), inst, packing.Params{Epsilon: eps, Seed: 8}, 8)
+	main1, _ := packing.SolveCtx(ctx, inst, packing.Params{Epsilon: eps, Seed: 8, PrepRuns: 3})
+	alt, err := packing.SolveAlternative(ctx, inst, packing.Params{Epsilon: eps, Seed: 8}, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

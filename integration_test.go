@@ -5,6 +5,7 @@ package repro
 // the system-level invariants that individual package tests cannot see.
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -190,7 +191,7 @@ func TestSeedIndependenceOfStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 8; seed++ {
-		d := ldd.ChangLi(g, ldd.Params{Epsilon: 0.2, Seed: seed})
+		d := must(ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.2, Seed: seed}))
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: separation broken at %d-%d", seed, u, v)
 		}

@@ -70,7 +70,7 @@ func cancelMidRun(t *testing.T, g *graph.Graph, name string, p Params) (error, t
 // TestCancelMidDecompositionReturnsPromptly is the satellite acceptance
 // test: cancelling a large paper-constants decomposition mid-run returns
 // context.Canceled promptly (well before the multi-second full runtime),
-// leaks no goroutines, and leaves the pooled workspaces reusable.
+// leaks no goroutines, and leaves its workspaces reusable.
 func TestCancelMidDecompositionReturnsPromptly(t *testing.T) {
 	g := cancelTestGraph()
 	before := runtime.NumGoroutine()

@@ -154,7 +154,10 @@ func TestChangLiRunMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := ldd.ChangLi(g, ldd.Params{Epsilon: 0.3, Seed: 5, Scale: 0.05})
+	direct, err := ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: 0.3, Seed: 5, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.NumClusters != direct.NumClusters || res.Unclustered != direct.UnclusteredCount() {
 		t.Fatalf("registry runner diverged: got (%d, %d), want (%d, %d)",
 			res.NumClusters, res.Unclustered, direct.NumClusters, direct.UnclusteredCount())

@@ -132,7 +132,7 @@ func registerDecompositions() {
 			if d.err != nil {
 				return nil, d.err
 			}
-			dec, err := ldd.ElkinNeimanCtx(ctx, g, nil, ep)
+			dec, err := ldd.ElkinNeimanCtx(ctx, g, nil, ep, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -223,7 +223,7 @@ func registerDecompositions() {
 			if d.err != nil {
 				return nil, d.err
 			}
-			c, err := ldd.SparseCoverCtx(ctx, g, nil, ep)
+			c, err := ldd.SparseCoverCtx(ctx, g, nil, ep, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -619,14 +619,12 @@ func registerILPs() {
 			for i := range all {
 				all[i] = int32(i)
 			}
-			var sol ilp.Solution
-			var val int64
-			var m solve.Method
+			var s solve.Scratch
+			local := s.CoveringLocal
 			if inst.Kind() == ilp.Packing {
-				sol, val, m, err = solve.PackingLocalCtx(ctx, inst, all, opt)
-			} else {
-				sol, val, m, err = solve.CoveringLocalCtx(ctx, inst, all, opt)
+				local = s.PackingLocal
 			}
+			sol, val, m, err := local(ctx, inst, all, opt)
 			if err != nil {
 				return nil, err
 			}

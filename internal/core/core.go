@@ -14,6 +14,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -89,25 +90,30 @@ func Decompose(g *graph.Graph, opt DecomposeOptions) (*ldd.Decomposition, error)
 	if algo == 0 {
 		algo = DecomposerChangLi
 	}
+	ctx := context.Background()
 	var d *ldd.Decomposition
+	var err error
 	switch algo {
 	case DecomposerChangLi:
-		d = ldd.ChangLi(g, ldd.Params{
+		d, err = ldd.ChangLiCtx(ctx, g, ldd.Params{
 			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed, Scale: opt.Scale,
 		})
 	case DecomposerElkinNeiman:
-		d = ldd.ElkinNeiman(g, nil, ldd.ENParams{
+		d, err = ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{
 			Lambda: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed,
-		})
+		}, nil)
 	case DecomposerBlackbox:
-		d = ldd.Blackbox(g, ldd.BlackboxParams{
+		d, err = ldd.BlackboxCtx(ctx, g, ldd.BlackboxParams{
 			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed, Scale: opt.Scale,
 		})
 	default:
 		return nil, fmt.Errorf("%w: unknown decomposer %d", ErrBadOptions, int(algo))
 	}
-	if opt.RepairDiameter {
-		d = ldd.RepairDiameter(g, d, opt.Epsilon, 0)
+	if err == nil && opt.RepairDiameter {
+		d, err = ldd.RepairDiameterCtx(ctx, g, d, opt.Epsilon, 0)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -191,15 +197,10 @@ func SolveILP(inst *ilp.Instance, opt Options) (*Report, error) {
 		algo = SolverChangLi
 	}
 	rep := &Report{Algorithm: algo, Kind: inst.Kind(), Optimum: -1}
+	ctx := context.Background()
 	switch {
 	case algo == SolverChangLi && inst.Kind() == ilp.Packing:
-		r := packing.Solve(inst, packing.Params{
-			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed,
-			Scale: opt.Scale, PrepRuns: opt.PrepRuns, Solve: opt.LocalSolve,
-		})
-		rep.Solution, rep.Value, rep.Rounds, rep.Exact = r.Solution, r.Value, r.Rounds, r.Exact
-	case algo == SolverChangLi && inst.Kind() == ilp.Covering:
-		r, err := covering.Solve(inst, covering.Params{
+		r, err := packing.SolveCtx(ctx, inst, packing.Params{
 			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed,
 			Scale: opt.Scale, PrepRuns: opt.PrepRuns, Solve: opt.LocalSolve,
 		})
@@ -207,17 +208,27 @@ func SolveILP(inst *ilp.Instance, opt Options) (*Report, error) {
 			return nil, err
 		}
 		rep.Solution, rep.Value, rep.Rounds, rep.Exact = r.Solution, r.Value, r.Rounds, r.Exact
-	case algo == SolverGKM && inst.Kind() == ilp.Packing:
-		r := gkm.SolvePacking(inst, gkm.Params{
+	case algo == SolverChangLi && inst.Kind() == ilp.Covering:
+		r, err := covering.SolveCtx(ctx, inst, covering.Params{
 			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed,
-			Scale: opt.Scale, Solve: opt.LocalSolve,
+			Scale: opt.Scale, PrepRuns: opt.PrepRuns, Solve: opt.LocalSolve,
 		})
+		if err != nil {
+			return nil, err
+		}
 		rep.Solution, rep.Value, rep.Rounds, rep.Exact = r.Solution, r.Value, r.Rounds, r.Exact
-	case algo == SolverGKM && inst.Kind() == ilp.Covering:
-		r := gkm.SolveCovering(inst, gkm.Params{
+	case algo == SolverGKM:
+		run := gkm.SolvePackingCtx
+		if inst.Kind() == ilp.Covering {
+			run = gkm.SolveCoveringCtx
+		}
+		r, err := run(ctx, inst, gkm.Params{
 			Epsilon: opt.Epsilon, NTilde: opt.NTilde, Seed: opt.Seed,
 			Scale: opt.Scale, Solve: opt.LocalSolve,
 		})
+		if err != nil {
+			return nil, err
+		}
 		rep.Solution, rep.Value, rep.Rounds, rep.Exact = r.Solution, r.Value, r.Rounds, r.Exact
 	default:
 		return nil, fmt.Errorf("%w: unknown solver %d", ErrBadOptions, int(algo))

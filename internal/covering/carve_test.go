@@ -1,6 +1,7 @@
 package covering
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph/gen"
@@ -31,7 +32,7 @@ func TestGrowCarveCoveringWindow(t *testing.T) {
 	for i := range st.alive {
 		st.alive[i] = true
 	}
-	if err := st.growCarveCovering([]int32{0}, 3, 8, testWorker()); err != nil {
+	if _, err := st.growCarveCovering(context.Background(), []int32{0}, 3, 8, testWorker()); err != nil {
 		t.Fatal(err)
 	}
 	// Some interior must be removed and some weight fixed.
@@ -73,7 +74,7 @@ func TestGrowCarveCoveringExhausted(t *testing.T) {
 		used:     make([]float64, inst.NumConstraints()),
 		exact:    true,
 	}
-	if err := st.growCarveCovering([]int32{2}, 8, 12, testWorker()); err != nil {
+	if _, err := st.growCarveCovering(context.Background(), []int32{2}, 8, 12, testWorker()); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 5; v++ {
@@ -100,7 +101,7 @@ func TestGrowCarveCoveringDeadSeed(t *testing.T) {
 		solution: inst.NewSolution(),
 		used:     make([]float64, inst.NumConstraints()),
 	}
-	if err := st.growCarveCovering([]int32{2}, 1, 3, testWorker()); err != nil {
+	if _, err := st.growCarveCovering(context.Background(), []int32{2}, 1, 3, testWorker()); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range st.removed {
@@ -118,7 +119,7 @@ func TestSmallIntervalEndToEndCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 9, Scale: 0.0005, PrepRuns: 1})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 9, Scale: 0.0005, PrepRuns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

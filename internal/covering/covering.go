@@ -156,12 +156,15 @@ type state struct {
 }
 
 // worker is the per-goroutine scratch for the fan-out steps: a
-// decomposition workspace, a traversal workspace, and the dense remaps and
-// buffers that replace the per-call hash maps of the local-ILP extraction.
-// Read-only state (inst, g, alive snapshots, used snapshots) is shared;
-// everything mutable lives here.
+// decomposition workspace, a traversal workspace, the local solves'
+// scratch, and the dense remaps and buffers that replace the per-call hash
+// maps of the local-ILP extraction. Read-only state (inst, g, alive
+// snapshots, used snapshots) is shared; everything mutable lives here.
+// SolveCtx makes its workers when it starts and drops them when it
+// returns; only the traversal workspace comes from graph's pool.
 type worker struct {
-	lws   *ldd.Workspace
+	lws   ldd.Workspace
+	scr   solve.Scratch
 	pw    *graph.ParWorkspace
 	rmap  graph.Remap // region vertex -> local variable index
 	cons  graph.Remap // constraint-id marks
@@ -176,14 +179,13 @@ type worker struct {
 func newWorkers(k int) []*worker {
 	out := make([]*worker, k)
 	for i := range out {
-		out[i] = &worker{lws: ldd.AcquireWorkspace(), pw: graph.AcquireParWorkspace()}
+		out[i] = &worker{pw: graph.AcquireParWorkspace()}
 	}
 	return out
 }
 
 func releaseWorkers(wks []*worker) {
 	for _, wk := range wks {
-		ldd.ReleaseWorkspace(wk.lws)
 		graph.ReleaseParWorkspace(wk.pw)
 	}
 }
@@ -200,15 +202,12 @@ func (s *state) fix(v int32) {
 	}
 }
 
-// Solve runs the Theorem 1.3 algorithm on a covering instance.
-func Solve(inst *ilp.Instance, p Params) (*Result, error) {
-	return SolveCtx(context.Background(), inst, p)
-}
-
-// SolveCtx is Solve with cancellation: the context is checked between the
-// preparation fan-out, each Phase-1 carving iteration (and each carve
-// within it), and the Phase-2 per-region fan-out; a cancelled run returns
-// ctx.Err() promptly and releases its pooled workspaces.
+// SolveCtx runs the Theorem 1.3 algorithm on a covering instance. The
+// context is checked between the preparation fan-out, each Phase-1 carving
+// iteration (and each carve within it), and the Phase-2 per-region
+// fan-out, and polled inside the sparse covers and branch-and-bound
+// searches; a cancelled run returns ctx.Err() promptly. The run's workers
+// live only as long as the call.
 func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
 	g := inst.Primal()
 	n := g.N()
@@ -249,13 +248,15 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	for run := range prepSeeds {
 		prepSeeds[run] = rootRNG.Split(uint64(run) + 0xc0e).Uint64()
 	}
+	// A cover fails only when ctx is cancelled, and ForEachCtx then returns
+	// ctx's error.
 	covs := make([]*ldd.Cover, d.prepRuns)
 	if err := par.ForEachCtx(ctx, workers, d.prepRuns, func(w, run int) {
-		covs[run] = ldd.SparseCoverWS(g, nil, ldd.ENParams{
+		covs[run], _ = ldd.SparseCoverCtx(ctx, g, nil, ldd.ENParams{
 			Lambda: lambdaPrep,
 			NTilde: d.nTilde,
 			Seed:   prepSeeds[run],
-		}, wks[w].lws)
+		}, &wks[w].lws)
 	}); err != nil {
 		return nil, err
 	}
@@ -271,24 +272,30 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// vertex list, and so is its ball: both estimates come from one solve
 	// per component (see the package doc).
 	cc := solve.NewComponents(g)
+	componentValue := make([]func(verts []int32) (int64, bool, error), workers)
+	for w, wk := range wks {
+		componentValue[w] = func(verts []int32) (int64, bool, error) {
+			return st.localValue(ctx, verts, wk)
+		}
+	}
 	clusters := make([]prepCluster, len(members))
 	prepErrs := make([]error, len(members))
 	prepExact := make([]bool, len(members))
 	if err := par.ForEachCtx(ctx, workers, len(members), func(w, i int) {
 		pc := prepCluster{members: members[i]}
 		if c := cc.Of(members[i][0]); len(members[i]) == len(cc.Members(c)) {
-			pc.wC, prepExact[i], prepErrs[i] = cc.Value(c, st.localValue)
+			pc.wC, prepExact[i], prepErrs[i] = cc.Value(c, componentValue[w])
 			pc.wSC = pc.wC
 			clusters[i] = pc
 			return
 		}
 		var ex1, ex2 bool
-		pc.wC, ex1, prepErrs[i] = st.localValue(members[i])
+		pc.wC, ex1, prepErrs[i] = st.localValue(ctx, members[i], wks[w])
 		if prepErrs[i] != nil {
 			return
 		}
 		sc := graph.ParBallFromSet(wks[w].pw, g, members[i], d.estRadius, nil, 1)
-		pc.wSC, ex2, prepErrs[i] = st.localValue(sc)
+		pc.wSC, ex2, prepErrs[i] = st.localValue(ctx, sc, wks[w])
 		prepExact[i] = ex1 && ex2
 		clusters[i] = pc
 	}); err != nil {
@@ -333,10 +340,15 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if err := st.growCarveCovering(pc.members, interval[0], interval[1], wks[0]); err != nil {
+			// A cluster whose vertices earlier carves removed gathers
+			// nothing and is charged nothing.
+			gathered, err := st.growCarveCovering(ctx, pc.members, interval[0], interval[1], wks[0])
+			if err != nil {
 				return nil, err
 			}
-			ph.Charge(interval[1])
+			if gathered {
+				ph.Charge(interval[1])
+			}
 		}
 	}
 	fixedWeight := inst.Value(st.solution)
@@ -350,7 +362,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		Lambda: lambdaFinal,
 		NTilde: d.nTilde,
 		Seed:   rootRNG.Split(0xf17a1).Uint64(),
-	})
+	}, &wks[0].lws)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +391,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	regionErrs := make([]error, len(regions))
 	regionExact := make([]bool, len(regions))
 	if err := par.ForEachCtx(ctx, workers, len(regions), func(w, i int) {
-		chosen[i], regionExact[i], regionErrs[i] = st.localCoverAgainst(regions[i], usedSnapshot, wks[w])
+		chosen[i], regionExact[i], regionErrs[i] = st.localCoverAgainst(ctx, regions[i], usedSnapshot, wks[w])
 	}); err != nil {
 		return nil, err
 	}
@@ -410,23 +422,25 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 
 // localValue computes W(Q^local_S, S): the optimal covering weight of the
 // constraints fully inside S (against the original demands — preparation
-// happens before any fixing). Safe for concurrent use: it only reads the
-// shared state and reports exactness to the caller.
-func (s *state) localValue(members []int32) (int64, bool, error) {
-	_, val, m, err := solve.CoveringLocal(s.inst, members, s.opt)
+// happens before any fixing). Safe for concurrent use across distinct
+// workers: it only reads the shared state, solves on wk's scratch, and
+// reports exactness to the caller.
+func (s *state) localValue(ctx context.Context, members []int32, wk *worker) (int64, bool, error) {
+	_, val, m, err := wk.scr.CoveringLocal(ctx, s.inst, members, s.opt)
 	if err != nil {
 		return 0, false, err
 	}
 	return val, m.Exact(), nil
 }
 
-// growCarveCovering implements Algorithm 7 for a cluster seed set. It
-// mutates the run state and therefore always runs sequentially, on the
-// caller's scratch.
-func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
+// growCarveCovering implements Algorithm 7 for a cluster seed set and
+// reports whether it gathered a ball: it gathers nothing when every seed
+// was already removed. It mutates the run state and therefore always runs
+// sequentially, on the caller's scratch.
+func (s *state) growCarveCovering(ctx context.Context, seed []int32, a, b int, wk *worker) (bool, error) {
 	layers := graph.ParBallLayersFromSet(wk.pw, s.g, seed, b, s.alive, 1)
 	if layers == nil {
-		return nil
+		return false, nil
 	}
 	if len(layers) <= a {
 		// Component exhausted before the window: remove it whole; its
@@ -437,7 +451,7 @@ func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
 				s.removed[v] = true
 			}
 		}
-		return nil
+		return true, nil
 	}
 	ball := wk.ball[:0]
 	for _, l := range layers {
@@ -445,9 +459,9 @@ func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
 	}
 	wk.ball = ball
 	// Q^local of the gathered ball, against current residual demands.
-	sol, exact, err := s.localCoverAgainst(ball, s.used, wk)
+	sol, exact, err := s.localCoverAgainst(ctx, ball, s.used, wk)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !exact {
 		s.exact = false
@@ -491,7 +505,7 @@ func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
 				s.removed[v] = true
 			}
 		}
-		return nil
+		return true, nil
 	}
 	// Fix the local solution on S_{j*} ∪ S_{j*+1}: every constraint crossing
 	// the removal boundary lies inside the pair (constraints are cliques in
@@ -513,7 +527,7 @@ func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
 			s.removed[v] = true
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // localCoverAgainst solves the covering problem restricted to the region:
@@ -522,7 +536,7 @@ func (s *state) growCarveCovering(seed []int32, a, b int, wk *worker) error {
 // (weight 0). Returns the chosen vertices (global ids) and whether the
 // local solve was exact. Safe for concurrent use across distinct workers:
 // shared state is only read, and all scratch lives in wk.
-func (s *state) localCoverAgainst(region []int32, used []float64, wk *worker) ([]int32, bool, error) {
+func (s *state) localCoverAgainst(ctx context.Context, region []int32, used []float64, wk *worker) ([]int32, bool, error) {
 	inRegion := &wk.rmap
 	inRegion.Reset(s.g.N())
 	vars := wk.vars[:0]
@@ -581,7 +595,7 @@ func (s *state) localCoverAgainst(region []int32, used []float64, wk *worker) ([
 		all = append(all, int32(i))
 	}
 	wk.all = all
-	sol, _, m, err := solve.CoveringLocal(localInst, all, s.opt)
+	sol, _, m, err := wk.scr.CoveringLocal(ctx, localInst, all, s.opt)
 	if err != nil {
 		return nil, false, err
 	}

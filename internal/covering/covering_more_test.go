@@ -1,6 +1,7 @@
 package covering
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -38,7 +39,7 @@ func TestMultiCoverFeasible(t *testing.T) {
 	g := gen.Cycle(90)
 	inst := multiCoverInstance(t, g)
 	for seed := uint64(0); seed < 3; seed++ {
-		r, err := Solve(inst, Params{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
+		r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -61,7 +62,7 @@ func TestMultiCoverWithCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.2, Seed: 1, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.2, Seed: 1, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDisconnectedCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.25, Seed: 4, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: 4, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestCoveringGreedyAblation(t *testing.T) {
 	}
 	p := Params{Epsilon: 0.3, Seed: 5, PrepRuns: 2}
 	p.Solve = solve.Options{ForceGreedy: true}
-	r, err := Solve(inst, p)
+	r, err := SolveCtx(context.Background(), inst, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCoveringIsolatedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 6, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 6, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCoveringSmallScaleLongCycleCarves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 7, Scale: 0.0005, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 7, Scale: 0.0005, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

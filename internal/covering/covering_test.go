@@ -1,6 +1,7 @@
 package covering
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -46,7 +47,7 @@ func TestVCOnEvenCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 4; seed++ {
-		r, err := Solve(inst, Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
+		r, err := SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -70,7 +71,7 @@ func TestVCOnTree(t *testing.T) {
 	inst := build(t, problems.MinVertexCover, g)
 	eps := 0.25
 	opt, _ := problems.ExactOptimum(problems.MinVertexCover, g)
-	r, err := Solve(inst, Params{Epsilon: eps, Seed: 3, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 3, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestMDSOnTree(t *testing.T) {
 	inst := build(t, problems.MinDominatingSet, g)
 	eps := 0.3
 	opt, _ := problems.ExactOptimum(problems.MinDominatingSet, g)
-	r, err := Solve(inst, Params{Epsilon: eps, Seed: 4, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 4, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestMDSOnTree(t *testing.T) {
 func TestMDSOnGrid(t *testing.T) {
 	g := gen.Grid(7, 8)
 	inst := build(t, problems.MinDominatingSet, g)
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 5, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 5, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestKDistanceDominatingSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 6, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 6, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestKDistanceDominatingSet(t *testing.T) {
 func TestSmallScaleStillFeasible(t *testing.T) {
 	g := gen.Cycle(400)
 	inst := build(t, problems.MinVertexCover, g)
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 7, Scale: 0.002, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 7, Scale: 0.002, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestDeterministic(t *testing.T) {
 	g := gen.Cycle(100)
 	inst := build(t, problems.MinVertexCover, g)
 	p := Params{Epsilon: 0.3, Seed: 11, PrepRuns: 2}
-	r1, err1 := Solve(inst, p)
-	r2, err2 := Solve(inst, p)
+	r1, err1 := SolveCtx(context.Background(), inst, p)
+	r2, err2 := SolveCtx(context.Background(), inst, p)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -175,7 +176,7 @@ func TestWeightedCovering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.2, Seed: 12, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.2, Seed: 12, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestWeightedCovering(t *testing.T) {
 func TestFixedWeightReported(t *testing.T) {
 	g := gen.Cycle(400)
 	inst := build(t, problems.MinVertexCover, g)
-	r, err := Solve(inst, Params{Epsilon: 0.3, Seed: 13, Scale: 0.002, PrepRuns: 2})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 13, Scale: 0.002, PrepRuns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func BenchmarkCoveringVCCycle200(b *testing.B) {
 	inst := build(b, problems.MinVertexCover, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Solve(inst, Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
+		_, _ = SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
 	}
 }
 
@@ -221,7 +222,7 @@ func TestRepeatedVariableRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(inst, Params{Epsilon: 0.25, Seed: 1})
+	r, err := SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,16 @@
 package covering
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/ilp"
+	"repro/internal/obs"
 	"repro/internal/problems"
 	"repro/internal/xrand"
 )
@@ -33,7 +36,7 @@ func TestGoldenSolutions(t *testing.T) {
 	for i, c := range cases {
 		g := gen.GNP(c.n, 8/float64(c.n-1), xrand.New(c.graphSeed))
 		inst := build(t, c.prob, g)
-		r, err := Solve(inst, c.p)
+		r, err := SolveCtx(context.Background(), inst, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +93,8 @@ func disjointUnion(gs ...*graph.Graph) *graph.Graph {
 // such graphs, where preparation clusters equal to one of the two
 // components read that component's shared estimate. The hashes were
 // recorded before preparation clusters shared estimates and before the
-// label search stopped pushing duplicate labels.
+// label search stopped pushing duplicate labels; the rounds were
+// re-recorded when Phase 1 stopped charging carves that gather nothing.
 func TestGoldenMDSPreparationShare(t *testing.T) {
 	gnp := func(seed uint64) *graph.Graph { return gen.GNP(1000, 8.0/999, xrand.New(seed)) }
 	single := build(t, problems.MinDominatingSet, gnp(7))
@@ -102,23 +106,23 @@ func TestGoldenMDSPreparationShare(t *testing.T) {
 		scale float64
 		want  string
 	}{
-		{single, 1, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 2, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 3, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 4, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 5, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 6, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 7, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{single, 8, 0, "09801a919be1f938 value=177 rounds=14951510 exact=false"},
-		{union, 1, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
-		{union, 2, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
-		{union, 3, 0, "4fc8acf713883715 value=348 rounds=16448768 exact=false"},
-		{mixed, 1, 1e-4, "06a72cfce0c12fb8 value=1513 rounds=4898 exact=false"},
-		{mixed, 2, 1e-4, "291a4e8bc9e713d4 value=1513 rounds=4898 exact=false"},
-		{mixed, 3, 1e-4, "413b42bc2994b3a1 value=1512 rounds=4898 exact=false"},
+		{single, 1, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 2, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 3, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 4, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 5, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 6, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 7, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{single, 8, 0, "09801a919be1f938 value=177 rounds=2014550 exact=false"},
+		{union, 1, 0, "4fc8acf713883715 value=348 rounds=2217068 exact=false"},
+		{union, 2, 0, "4fc8acf713883715 value=348 rounds=2217068 exact=false"},
+		{union, 3, 0, "4fc8acf713883715 value=348 rounds=2217068 exact=false"},
+		{mixed, 1, 1e-4, "06a72cfce0c12fb8 value=1513 rounds=3098 exact=false"},
+		{mixed, 2, 1e-4, "291a4e8bc9e713d4 value=1513 rounds=3358 exact=false"},
+		{mixed, 3, 1e-4, "413b42bc2994b3a1 value=1512 rounds=3338 exact=false"},
 	}
 	for i, c := range cases {
-		r, err := Solve(c.inst, Params{Epsilon: 0.25, Seed: c.seed, Scale: c.scale, PrepRuns: 3})
+		r, err := SolveCtx(context.Background(), c.inst, Params{Epsilon: 0.25, Seed: c.seed, Scale: c.scale, PrepRuns: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,5 +132,39 @@ func TestGoldenMDSPreparationShare(t *testing.T) {
 		if got := mdsHash(r); got != c.want {
 			t.Errorf("case %d (n=%d seed %d): got %q, want %q", i, c.inst.NumVars(), c.seed, got, c.want)
 		}
+	}
+}
+
+// TestCarveChargesOnlyGatheredBalls runs the single-component case of
+// TestGoldenMDSPreparationShare under a trace. At the paper's radius the
+// first carve that gathers a ball removes the whole component, so every
+// later sampled cluster has nothing left to gather: each carve-i phase
+// after the first one that charges rounds must record 0.
+func TestCarveChargesOnlyGatheredBalls(t *testing.T) {
+	inst := build(t, problems.MinDominatingSet, gen.GNP(1000, 8.0/999, xrand.New(7)))
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 1})
+	ctx, tr := tracer.Start(context.Background(), "covering")
+	r, err := SolveCtx(ctx, inst, Params{Epsilon: 0.25, Seed: 1, PrepRuns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(0)
+	charged, carves, sum := false, 0, 0
+	for _, ph := range tracer.Recent(1)[0].Phases {
+		sum += ph.Rounds
+		if !strings.HasPrefix(ph.Name, "carve-") {
+			continue
+		}
+		carves++
+		if charged && ph.Rounds != 0 {
+			t.Errorf("%s charges %d rounds after the component was carved", ph.Name, ph.Rounds)
+		}
+		charged = charged || ph.Rounds > 0
+	}
+	if !charged || carves < 2 {
+		t.Fatalf("%d carve phases, one charged: %v", carves, charged)
+	}
+	if sum != r.Rounds {
+		t.Fatalf("phase rounds sum to %d, Rounds = %d", sum, r.Rounds)
 	}
 }

@@ -1,6 +1,7 @@
 package covering
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -32,11 +33,11 @@ func TestParallelPreparationBitIdentical(t *testing.T) {
 			seq.Workers = 1
 			parl := base
 			parl.Workers = 6
-			rs, err := Solve(inst, seq)
+			rs, err := SolveCtx(context.Background(), inst, seq)
 			if err != nil {
 				t.Fatalf("%s seed %d sequential: %v", build.name, seed, err)
 			}
-			rp, err := Solve(inst, parl)
+			rp, err := SolveCtx(context.Background(), inst, parl)
 			if err != nil {
 				t.Fatalf("%s seed %d parallel: %v", build.name, seed, err)
 			}

@@ -79,7 +79,7 @@ func BenchmarkColdChangLi(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ldd.ChangLi(g, p)
+		must(ldd.ChangLiCtx(context.Background(), g, p))
 	}
 }
 

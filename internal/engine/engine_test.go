@@ -93,7 +93,7 @@ func TestSingleflight64Goroutines(t *testing.T) {
 
 	// Bit-identical to a direct run with the same seed (and to a direct
 	// run with a different worker count, which shares the cache key).
-	direct := ldd.ChangLi(g, p)
+	direct := must(ldd.ChangLiCtx(context.Background(), g, p))
 	pw := p
 	pw.Workers = 3
 	if got, err := changli(bg, e, h, pw); err != nil || got != results[0] {
@@ -354,4 +354,12 @@ func TestErrorsWrapNothingWeird(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

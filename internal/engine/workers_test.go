@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ import (
 func TestWorkersDefaultInjection(t *testing.T) {
 	g := gen.GNP(800, 10.0/800, xrand.New(7))
 	p := testParams()
-	serial := ldd.ChangLi(g, p)
+	serial := must(ldd.ChangLiCtx(context.Background(), g, p))
 
 	e := New(Options{Workers: 4})
 	if e.Workers() != 4 {

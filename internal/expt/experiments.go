@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -22,6 +23,7 @@ import (
 // fraction over trials and the maximum weak diameter, for Elkin–Neiman
 // (expectation-only) and Chang–Li (w.h.p.), both at the paper's constants.
 func E1LDDQuality(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E1",
 		Title:   "LDD quality at paper constants",
@@ -49,9 +51,9 @@ func E1LDDQuality(cfg Config) *Table {
 					seed := cfg.Seed + uint64(trial)*7919
 					var dec *ldd.Decomposition
 					if algo == "elkin-neiman" {
-						dec = ldd.ElkinNeiman(gc.g, nil, ldd.ENParams{Lambda: eps, Seed: seed})
+						dec, _ = ldd.ElkinNeimanCtx(ctx, gc.g, nil, ldd.ENParams{Lambda: eps, Seed: seed}, nil)
 					} else {
-						dec = ldd.ChangLi(gc.g, ldd.Params{Epsilon: eps, Seed: seed})
+						dec, _ = ldd.ChangLiCtx(ctx, gc.g, ldd.Params{Epsilon: eps, Seed: seed})
 					}
 					fracs = append(fracs, dec.UnclusteredFraction())
 					if wd := dec.MaxWeakDiameter(gc.g); wd > maxWD {
@@ -81,6 +83,7 @@ func E1LDDQuality(cfg Config) *Table {
 // Elkin–Neiman bound fails with probability Ω(ε) while Chang–Li never
 // fails.
 func E2WHPFailure(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E2",
 		Title:   "failure frequency Pr[unclustered > eps·n] on clique+path (Claim C.1)",
@@ -96,14 +99,14 @@ func E2WHPFailure(cfg Config) *Table {
 	for _, eps := range []float64{0.3, 0.2, 0.1} {
 		enFails := 0
 		for trial := 0; trial < enTrials; trial++ {
-			dec := ldd.ElkinNeiman(g, nil, ldd.ENParams{Lambda: eps, Seed: cfg.Seed + uint64(trial)*13})
+			dec, _ := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{Lambda: eps, Seed: cfg.Seed + uint64(trial)*13}, nil)
 			if dec.UnclusteredFraction() > eps {
 				enFails++
 			}
 		}
 		clFails := 0
 		for trial := 0; trial < clTrials; trial++ {
-			dec := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: cfg.Seed + uint64(trial)*17})
+			dec, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: cfg.Seed + uint64(trial)*17})
 			if dec.UnclusteredFraction() > eps {
 				clFails++
 			}
@@ -123,6 +126,7 @@ func E2WHPFailure(cfg Config) *Table {
 // Miller–Peng–Xu decomposition cuts the whole t² cross-edge block with
 // probability Ω(ε).
 func E3MPXFailure(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E3",
 		Title:   "Pr[all t² cross edges cut] on the MPXBad family (Claim C.2)",
@@ -139,7 +143,7 @@ func E3MPXFailure(cfg Config) *Table {
 		fails := 0
 		var cutFracs []float64
 		for trial := 0; trial < trials; trial++ {
-			r := ldd.MPX(g, ldd.ENParams{Lambda: eps, Seed: cfg.Seed + uint64(trial)*19})
+			r, _ := ldd.MPXCtx(ctx, g, ldd.ENParams{Lambda: eps, Seed: cfg.Seed + uint64(trial)*19})
 			crossCut := 0
 			for _, e := range r.CutEdges {
 				u, v := e[0], e[1]
@@ -165,6 +169,7 @@ func E3MPXFailure(cfg Config) *Table {
 // E4PackingRatio measures (1-ε)-approximation ratios for MIS against exact
 // optima, Chang–Li vs GKM vs a greedy-local ablation.
 func E4PackingRatio(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E4",
 		Title:   "packing (MIS) approximation ratio vs exact optimum",
@@ -203,15 +208,15 @@ func E4PackingRatio(cfg Config) *Table {
 					var ex bool
 					switch algo {
 					case "chang-li":
-						r := packing.Solve(inst, packing.Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
+						r, _ := packing.SolveCtx(ctx, inst, packing.Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
 						val, rr, ex = r.Value, r.Rounds, r.Exact
 					case "gkm":
-						r := gkm.SolvePacking(inst, gkm.Params{Epsilon: eps, Seed: seed, Scale: 0.4})
+						r, _ := gkm.SolvePackingCtx(ctx, inst, gkm.Params{Epsilon: eps, Seed: seed, Scale: 0.4})
 						val, rr, ex = r.Value, r.Rounds, r.Exact
 					case "chang-li-greedy":
 						p := packing.Params{Epsilon: eps, Seed: seed, PrepRuns: 2}
 						p.Solve.ForceGreedy = true
-						r := packing.Solve(inst, p)
+						r, _ := packing.SolveCtx(ctx, inst, p)
 						val, rr, ex = r.Value, r.Rounds, r.Exact
 					}
 					ratios = append(ratios, float64(val)/float64(opt))
@@ -241,7 +246,7 @@ func E4PackingRatio(cfg Config) *Table {
 	_, alphaStar := fractional.IndependentSetLP(odd)
 	oddInst, err := problems.Build(problems.MIS, odd, nil)
 	if err == nil {
-		r := packing.Solve(oddInst, packing.Params{Epsilon: 0.3, Seed: cfg.Seed, PrepRuns: 2})
+		r, _ := packing.SolveCtx(ctx, oddInst, packing.Params{Epsilon: 0.3, Seed: cfg.Seed, PrepRuns: 2})
 		t.AddRow("cycle-odd", d(odd.N()), f(0.3), "chang-li (vs LP bound)",
 			f(float64(r.Value)/alphaStar.Float()), "-", d(r.Rounds),
 			fmt.Sprintf("%v", r.Exact), f(0.7))
@@ -254,6 +259,7 @@ func E4PackingRatio(cfg Config) *Table {
 // E5CoveringRatio measures (1+ε) ratios for vertex cover and dominating
 // set against exact optima.
 func E5CoveringRatio(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E5",
 		Title:   "covering (VC/MDS) approximation ratio vs exact optimum",
@@ -292,13 +298,13 @@ func E5CoveringRatio(cfg Config) *Table {
 					var val int64
 					var rr int
 					if algo == "chang-li" {
-						r, err := covering.Solve(inst, covering.Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
+						r, err := covering.SolveCtx(ctx, inst, covering.Params{Epsilon: eps, Seed: seed, PrepRuns: 2})
 						if err != nil {
 							continue
 						}
 						val, rr = r.Value, r.Rounds
 					} else {
-						r := gkm.SolveCovering(inst, gkm.Params{Epsilon: eps, Seed: seed, Scale: 0.4})
+						r, _ := gkm.SolveCoveringCtx(ctx, inst, gkm.Params{Epsilon: eps, Seed: seed, Scale: 0.4})
 						val, rr = r.Value, r.Rounds
 					}
 					ratios = append(ratios, float64(val)/float64(opt))
@@ -327,6 +333,7 @@ func E5CoveringRatio(cfg Config) *Table {
 // the decomposers; the claim is Chang–Li ~ log³(1/ε)·log(n)/ε versus GKM ~
 // log³(n)/ε, i.e. GKM pays log²(n) where Chang–Li pays log²(1/ε).
 func E6RoundScalingEps(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E6",
 		Title:   "rounds vs eps at fixed n (scaled constants)",
@@ -343,10 +350,10 @@ func E6RoundScalingEps(cfg Config) *Table {
 	var epsList = []float64{0.4, 0.2, 0.1, 0.05}
 	var invEps, clRounds []float64
 	for _, eps := range epsList {
-		cl := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
-		clNo := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001, SkipPhase2: true})
-		bb := ldd.Blackbox(g, ldd.BlackboxParams{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
-		gk := gkm.SolvePacking(gkmInst, gkm.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.25})
+		cl, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
+		clNo, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001, SkipPhase2: true})
+		bb, _ := ldd.BlackboxCtx(ctx, g, ldd.BlackboxParams{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
+		gk, _ := gkm.SolvePackingCtx(ctx, gkmInst, gkm.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.25})
 		lnn := math.Log(float64(n))
 		clTheory := math.Pow(math.Log2(1/eps), 3) * lnn / eps
 		gkTheory := math.Pow(math.Log(float64(gkmN)), 3) / eps
@@ -363,6 +370,7 @@ func E6RoundScalingEps(cfg Config) *Table {
 
 // E7RoundScalingN sweeps n at fixed ε.
 func E7RoundScalingN(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E7",
 		Title:   "rounds vs n at fixed eps = 0.2 (scaled constants)",
@@ -378,10 +386,10 @@ func E7RoundScalingN(cfg Config) *Table {
 	var nsF, clF []float64
 	for i, n := range ns {
 		g := gen.Cycle(n)
-		cl := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
+		cl, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
 		gkmG := gen.Cycle(gkmNs[i])
 		gkmInst, _ := problems.Build(problems.MIS, gkmG, nil)
-		gk := gkm.SolvePacking(gkmInst, gkm.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.25})
+		gk, _ := gkm.SolvePackingCtx(ctx, gkmInst, gkm.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.25})
 		lnn := math.Log(float64(n))
 		lnk := math.Log(float64(gkmNs[i]))
 		t.AddRow(d(n), d(cl.Rounds), fmt.Sprintf("%d (n=%d)", gk.Rounds, gkmNs[i]),
@@ -399,6 +407,7 @@ func E7RoundScalingN(cfg Config) *Table {
 // E8Blackbox compares the Section 1.6 boost against plain Chang–Li as ε
 // shrinks: the rounds ratio should grow like log²(1/ε).
 func E8Blackbox(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E8",
 		Title:   "blackbox boost (Sec 1.6): rounds vs Chang-Li as eps shrinks",
@@ -410,8 +419,8 @@ func E8Blackbox(cfg Config) *Table {
 	}
 	g := gen.Cycle(n)
 	for _, eps := range []float64{0.4, 0.2, 0.1, 0.05} {
-		cl := ldd.ChangLi(g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
-		bb := ldd.Blackbox(g, ldd.BlackboxParams{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
+		cl, _ := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
+		bb, _ := ldd.BlackboxCtx(ctx, g, ldd.BlackboxParams{Epsilon: eps, Seed: cfg.Seed, Scale: 0.001})
 		ratio := 0.0
 		if bb.Rounds > 0 {
 			ratio = float64(cl.Rounds) / float64(bb.Rounds)
@@ -427,6 +436,7 @@ func E8Blackbox(cfg Config) *Table {
 
 // E9SparseCover measures the Lemma C.2 multiplicity guarantees.
 func E9SparseCover(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E9",
 		Title:   "sparse cover multiplicity vs Geometric(e^-lambda) (Lemma C.2)",
@@ -444,7 +454,7 @@ func E9SparseCover(cfg Config) *Table {
 		ge3 := 0
 		total := 0
 		for trial := 0; trial < trials; trial++ {
-			c := ldd.SparseCover(g, nil, ldd.ENParams{Lambda: lambda, Seed: cfg.Seed + uint64(trial)*31})
+			c, _ := ldd.SparseCoverCtx(ctx, g, nil, ldd.ENParams{Lambda: lambda, Seed: cfg.Seed + uint64(trial)*31}, nil)
 			means = append(means, c.MeanMultiplicity())
 			if m := c.MaxMultiplicity(); m > maxMult {
 				maxMult = m
@@ -467,6 +477,7 @@ func E9SparseCover(cfg Config) *Table {
 
 // E10LowerBound runs the Appendix B indistinguishability experiment.
 func E10LowerBound(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E10",
 		Title:   "t-round indistinguishability on high-girth graphs (Thm 1.4)",
@@ -482,8 +493,8 @@ func E10LowerBound(cfg Config) *Table {
 	optBip := 0.5
 	optOdd := float64((n+1)/2) / float64(n+1)
 	for _, rounds := range []int{1, 2, 3, 5} {
-		rateA := lower.InclusionRate(bip, rounds, trials, cfg.Seed+1)
-		rateB := lower.InclusionRate(odd, rounds, trials, cfg.Seed+2)
+		rateA, _ := lower.InclusionRateCtx(ctx, bip, rounds, trials, cfg.Seed+1)
+		rateB, _ := lower.InclusionRateCtx(ctx, odd, rounds, trials, cfg.Seed+2)
 		t.AddRow(d(rounds), f(rateA), f(rateB), f(math.Abs(rateA-rateB)),
 			f(optBip), f(optOdd), f(optBip-rateA))
 	}
@@ -496,7 +507,7 @@ func E10LowerBound(cfg Config) *Table {
 	base := gen.Cycle(60)
 	for _, x := range []int{0, 1, 2, 4} {
 		gx := lower.SubdivideForMIS(base, x)
-		rate := lower.InclusionRate(gx, 3, cfg.trials(100, 30), cfg.Seed+3)
+		rate, _ := lower.InclusionRateCtx(ctx, gx, 3, cfg.trials(100, 30), cfg.Seed+3)
 		t.Note("subdivision x=%d: 3-round MIS rate %s of alpha %s -> ratio %s",
 			x, f(rate), f(0.5), f(rate/0.5))
 		_ = gx
@@ -506,6 +517,7 @@ func E10LowerBound(cfg Config) *Table {
 
 // E11KDomSet runs the paper's Definition 1.3 motivating example.
 func E11KDomSet(cfg Config) *Table {
+	ctx := context.Background()
 	t := &Table{
 		ID:      "E11",
 		Title:   "k-distance dominating set on a torus network (Def. 1.3)",
@@ -521,7 +533,7 @@ func E11KDomSet(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		r, err := covering.Solve(inst, covering.Params{Epsilon: 0.3, Seed: cfg.Seed, PrepRuns: 2})
+		r, err := covering.SolveCtx(ctx, inst, covering.Params{Epsilon: 0.3, Seed: cfg.Seed, PrepRuns: 2})
 		if err != nil {
 			continue
 		}

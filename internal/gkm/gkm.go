@@ -28,6 +28,7 @@ package gkm
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strconv"
 
@@ -80,28 +81,18 @@ func (p Params) horizon(nTilde int) int {
 	return k
 }
 
-// SolvePacking runs the baseline on a packing instance. The communication
-// graph is the instance's primal graph, where every constraint is a clique —
-// this guarantees that any constraint touching a removed ball lies entirely
-// within the one-larger ball.
-func SolvePacking(inst *ilp.Instance, p Params) *Result {
-	r, _ := run(context.Background(), inst, p, true)
-	return r
-}
-
-// SolvePackingCtx is SolvePacking with cancellation: the context is
-// checked per color class and per carved cluster.
+// SolvePackingCtx runs the baseline on a packing instance. The
+// communication graph is the instance's primal graph, where every
+// constraint is a clique — this guarantees that any constraint touching a
+// removed ball lies entirely within the one-larger ball. The context is
+// checked per color class and per carved cluster, and polled inside the
+// network decomposition and the branch-and-bound searches.
 func SolvePackingCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
 	return run(ctx, inst, p, true)
 }
 
-// SolveCovering runs the baseline on a covering instance.
-func SolveCovering(inst *ilp.Instance, p Params) *Result {
-	r, _ := run(context.Background(), inst, p, false)
-	return r
-}
-
-// SolveCoveringCtx is SolveCovering with cancellation.
+// SolveCoveringCtx runs the baseline on a covering instance, with
+// cancellation as in SolvePackingCtx.
 func SolveCoveringCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
 	return run(ctx, inst, p, false)
 }
@@ -161,7 +152,10 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 				if !alive[centre] {
 					continue
 				}
-				ok := carve(inst, g, int(centre), k, alive, solution, used, packing, p, ws, &scratch)
+				ok, err := carve(ctx, inst, g, int(centre), k, alive, solution, used, packing, p, ws, &scratch)
+				if err != nil {
+					return nil, err
+				}
 				if !ok {
 					exact = false
 				}
@@ -188,10 +182,11 @@ func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Resu
 
 // carve runs the sequential ball-growing step at a centre on the residual
 // instance, fixes the chosen ball's local solution into solution/used, and
-// removes the ball from alive. Returns whether all local solves were exact.
-func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
+// removes the ball from alive. Returns whether all local solves were exact;
+// its only error is ctx's.
+func carve(ctx context.Context, inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 	solution ilp.Solution, used []float64, packing bool, p Params,
-	ws *graph.ParWorkspace, scratch *gkmScratch) bool {
+	ws *graph.ParWorkspace, scratch *gkmScratch) (bool, error) {
 
 	eps := p.Epsilon
 	if eps <= 0 || eps > 1 {
@@ -201,7 +196,7 @@ func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 	// never touch the traversal workspace.
 	layers := graph.ParBallLayers(ws, g, centre, k+1, alive, 1)
 	if layers == nil {
-		return true
+		return true, nil
 	}
 	// prefix[i] = vertices within distance i.
 	exact := true
@@ -210,7 +205,10 @@ func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 	sols := make([]ilp.Solution, 0, len(layers)+1)
 	for i := 0; i < len(layers); i++ {
 		ball = append(ball, layers[i]...)
-		sol, val, ex := localSolve(inst, ball, used, solution, packing, p, scratch)
+		sol, val, ex, err := localSolve(ctx, inst, ball, used, solution, packing, p, scratch)
+		if err != nil {
+			return false, err
+		}
 		if !ex {
 			exact = false
 		}
@@ -260,19 +258,22 @@ func carve(inst *ilp.Instance, g *graph.Graph, centre, k int, alive []bool,
 			alive[v] = false
 		}
 	}
-	return exact
+	return exact, nil
 }
 
 // gkmScratch holds the dense remaps replacing localSolve's per-call hash
-// maps; one per carve suffices (carves run sequentially).
+// maps and the local solves' scratch; one per run suffices (carves run
+// sequentially).
 type gkmScratch struct {
-	pos  graph.Remap // ball vertex -> local variable index
-	seen graph.Remap // constraint-id marks
+	pos   graph.Remap // ball vertex -> local variable index
+	seen  graph.Remap // constraint-id marks
+	solve solve.Scratch
 }
 
 // localSolve optimizes the residual instance restricted to the alive ball:
-// a derived ILP over the ball variables with residual budgets/demands.
-func localSolve(inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solution, packing bool, p Params, sc *gkmScratch) (ilp.Solution, int64, bool) {
+// a derived ILP over the ball variables with residual budgets/demands. Its
+// only error is ctx's.
+func localSolve(ctx context.Context, inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solution, packing bool, p Params, sc *gkmScratch) (ilp.Solution, int64, bool, error) {
 	// Remap ball variables. Variables already fixed to 1 by an earlier
 	// carve (possible for covering, whose fix region exceeds its removal
 	// region) are free to reuse: their weight is already paid.
@@ -343,7 +344,7 @@ func localSolve(inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solu
 	if err != nil {
 		// Residual local instance invalid (cannot happen for well-formed
 		// inputs); degrade to the empty solution.
-		return inst.NewSolution(), 0, false
+		return inst.NewSolution(), 0, false, nil
 	}
 	allVars := make([]int32, len(ball))
 	for i := range allVars {
@@ -351,19 +352,17 @@ func localSolve(inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solu
 	}
 	var localSol ilp.Solution
 	var val int64
-	exact := true
+	var m solve.Method
 	if packing {
-		var m solve.Method
-		localSol, val, m = solve.PackingLocal(localInst, allVars, p.Solve)
-		exact = m.Exact()
+		localSol, val, m, err = sc.solve.PackingLocal(ctx, localInst, allVars, p.Solve)
 	} else {
-		var m solve.Method
-		var cerr error
-		localSol, val, m, cerr = solve.CoveringLocal(localInst, allVars, p.Solve)
-		if cerr != nil {
-			return inst.NewSolution(), 0, false
+		localSol, val, m, err = sc.solve.CoveringLocal(ctx, localInst, allVars, p.Solve)
+		if errors.Is(err, solve.ErrInfeasibleLocal) {
+			return inst.NewSolution(), 0, false, nil
 		}
-		exact = m.Exact()
+	}
+	if err != nil {
+		return nil, 0, false, err
 	}
 	// Lift back to global indices.
 	out := inst.NewSolution()
@@ -372,7 +371,7 @@ func localSolve(inst *ilp.Instance, ball []int32, used []float64, fixed ilp.Solu
 			out[ball[i]] = true
 		}
 	}
-	return out, val, exact
+	return out, val, m.Exact(), nil
 }
 
 // patchUncovered is defensive insurance for covering runs: any constraint

@@ -1,6 +1,7 @@
 package gkm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -22,7 +23,7 @@ func TestPackingMISFeasibleAndGood(t *testing.T) {
 	g := gen.Cycle(120)
 	inst := misOn(t, g)
 	eps := 0.25
-	r := SolvePacking(inst, Params{Epsilon: eps, Seed: 1, Scale: 0.4})
+	r := must(SolvePackingCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 1, Scale: 0.4}))
 	if ok, j := inst.Feasible(r.Solution); !ok {
 		t.Fatalf("infeasible at constraint %d", j)
 	}
@@ -45,7 +46,7 @@ func TestPackingMISOnTree(t *testing.T) {
 	g := gen.CompleteDAryTree(2, 6) // 127 vertices
 	inst := misOn(t, g)
 	eps := 0.2
-	r := SolvePacking(inst, Params{Epsilon: eps, Seed: 2, Scale: 0.5})
+	r := must(SolvePackingCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 2, Scale: 0.5}))
 	if !problems.Verify(problems.MIS, g, r.Solution) {
 		t.Fatal("not independent")
 	}
@@ -62,7 +63,7 @@ func TestCoveringVCFeasibleAndGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := 0.25
-	r := SolveCovering(inst, Params{Epsilon: eps, Seed: 3, Scale: 0.4})
+	r := must(SolveCoveringCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 3, Scale: 0.4}))
 	if ok, j := inst.Feasible(r.Solution); !ok {
 		t.Fatalf("cover infeasible at %d", j)
 	}
@@ -81,7 +82,7 @@ func TestCoveringMDSFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := SolveCovering(inst, Params{Epsilon: 0.3, Seed: 4, Scale: 0.4})
+	r := must(SolveCoveringCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 4, Scale: 0.4}))
 	if ok, j := inst.Feasible(r.Solution); !ok {
 		t.Fatalf("dominating set infeasible at %d", j)
 	}
@@ -94,8 +95,8 @@ func TestDeterministic(t *testing.T) {
 	g := gen.Cycle(60)
 	inst := misOn(t, g)
 	p := Params{Epsilon: 0.3, Seed: 7, Scale: 0.5}
-	r1 := SolvePacking(inst, p)
-	r2 := SolvePacking(inst, p)
+	r1 := must(SolvePackingCtx(context.Background(), inst, p))
+	r2 := must(SolvePackingCtx(context.Background(), inst, p))
 	if r1.Value != r2.Value || r1.Rounds != r2.Rounds {
 		t.Fatal("nondeterministic")
 	}
@@ -123,7 +124,7 @@ func TestPackingSeveralSeeds(t *testing.T) {
 	opt, _ := problems.ExactOptimum(problems.MIS, g)
 	eps := 0.25
 	for seed := uint64(0); seed < 5; seed++ {
-		r := SolvePacking(inst, Params{Epsilon: eps, Seed: seed, Scale: 0.5})
+		r := must(SolvePackingCtx(context.Background(), inst, Params{Epsilon: eps, Seed: seed, Scale: 0.5}))
 		if !problems.Verify(problems.MIS, g, r.Solution) {
 			t.Fatalf("seed %d: invalid", seed)
 		}
@@ -138,6 +139,14 @@ func BenchmarkGKMPackingCycle(b *testing.B) {
 	inst := misOn(b, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SolvePacking(inst, Params{Epsilon: 0.3, Seed: uint64(i), Scale: 0.4})
+		_ = must(SolvePackingCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: uint64(i), Scale: 0.4}))
 	}
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package gkm
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -36,9 +37,9 @@ func TestGoldenSolutions(t *testing.T) {
 		}
 		var r *Result
 		if c.problem == problems.MIS {
-			r = SolvePacking(inst, c.p)
+			r = must(SolvePackingCtx(context.Background(), inst, c.p))
 		} else {
-			r = SolveCovering(inst, c.p)
+			r = must(SolveCoveringCtx(context.Background(), inst, c.p))
 		}
 		if ok, j := inst.Feasible(r.Solution); !ok {
 			t.Fatalf("%s: infeasible at %d", c.name, j)

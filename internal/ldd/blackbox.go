@@ -27,7 +27,7 @@ type BlackboxParams struct {
 	UseElkinNeimanBase bool
 }
 
-// Blackbox runs the boost:
+// BlackboxCtx runs the boost:
 //
 //  1. run the (1/2, O(log n)) base decomposition on the power graph G^k of
 //     the remaining vertices, k = Θ(1/ε); its clusters are > k-hop
@@ -38,13 +38,11 @@ type BlackboxParams struct {
 //  3. repeat on the unclustered remainder O(log(1/ε)) times; whatever is
 //     left at the end (≤ O(εn) in expectation/whp, per the proof sketch)
 //     is deleted.
-func Blackbox(g *graph.Graph, p BlackboxParams) *Decomposition {
-	d, _ := BlackboxCtx(context.Background(), g, p)
-	return d
-}
-
-// BlackboxCtx is Blackbox with cancellation: the context is checked once
-// per repetition, per inner base decomposition, and per carved cluster.
+//
+// The context is checked once per repetition, per inner base
+// decomposition, and per carved cluster. Every repetition's base
+// decomposition runs its Elkin–Neiman pass on one workspace, held for the
+// whole call.
 func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomposition, error) {
 	n := g.N()
 	eps := p.Epsilon
@@ -84,6 +82,7 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 
 	gws := graph.AcquireParWorkspace()
 	defer graph.ReleaseParWorkspace(gws)
+	ws := new(Workspace)
 	var aliveList, back, seedSet []int32
 	done := ctx.Done()
 	for rep := 0; rep < reps; rep++ {
@@ -116,9 +115,9 @@ func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomp
 		var base *Decomposition
 		var err error
 		if p.UseElkinNeimanBase {
-			base, err = ElkinNeimanCtx(ctx, power, nil, ENParams{Lambda: 0.5, NTilde: nTilde, Seed: seed})
+			base, err = ElkinNeimanCtx(ctx, power, nil, ENParams{Lambda: 0.5, NTilde: nTilde, Seed: seed}, ws)
 		} else {
-			base, err = ChangLiCtx(ctx, power, Params{Epsilon: 0.5, NTilde: nTilde, Seed: seed, Scale: p.Scale})
+			base, err = changLi(ctx, power, nil, Params{Epsilon: 0.5, NTilde: nTilde, Seed: seed, Scale: p.Scale}, sampleSalt, phase3Label, ws)
 		}
 		if err != nil {
 			return nil, err

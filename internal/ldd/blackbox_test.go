@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,9 +13,9 @@ func TestBlackboxENBaseAblation(t *testing.T) {
 	// in-expectation one; both must yield valid decompositions.
 	g := gen.Cycle(1000)
 	for _, useEN := range []bool{false, true} {
-		d := Blackbox(g, BlackboxParams{
+		d := must(BlackboxCtx(context.Background(), g, BlackboxParams{
 			Epsilon: 0.25, Seed: 5, Scale: 0.02, UseElkinNeimanBase: useEN,
-		})
+		}))
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("useEN=%v: adjacent clusters %d-%d", useEN, u, v)
 		}
@@ -27,8 +28,8 @@ func TestBlackboxENBaseAblation(t *testing.T) {
 func TestBlackboxDeterministic(t *testing.T) {
 	g := gen.Cycle(600)
 	p := BlackboxParams{Epsilon: 0.3, Seed: 11, Scale: 0.02}
-	d1 := Blackbox(g, p)
-	d2 := Blackbox(g, p)
+	d1 := must(BlackboxCtx(context.Background(), g, p))
+	d2 := must(BlackboxCtx(context.Background(), g, p))
 	for v := range d1.ClusterOf {
 		if d1.ClusterOf[v] != d2.ClusterOf[v] {
 			t.Fatal("nondeterministic")
@@ -40,7 +41,7 @@ func TestBlackboxSmallEps(t *testing.T) {
 	// Small epsilon means large k = 2/eps hops per growth; the cycle is
 	// short relative to k so everything collapses to few clusters.
 	g := gen.Cycle(300)
-	d := Blackbox(g, BlackboxParams{Epsilon: 0.05, Seed: 2, Scale: 0.05})
+	d := must(BlackboxCtx(context.Background(), g, BlackboxParams{Epsilon: 0.05, Seed: 2, Scale: 0.05}))
 	if ok, _, _ := d.ValidateSeparation(g); !ok {
 		t.Fatal("separation broken")
 	}
@@ -52,7 +53,7 @@ func TestBlackboxSmallEps(t *testing.T) {
 func TestBlackboxDisconnected(t *testing.T) {
 	// Two components; both must be handled.
 	b := newTwoCycles(150, 150)
-	d := Blackbox(b, BlackboxParams{Epsilon: 0.3, Seed: 3, Scale: 0.05})
+	d := must(BlackboxCtx(context.Background(), b, BlackboxParams{Epsilon: 0.3, Seed: 3, Scale: 0.05}))
 	if ok, _, _ := d.ValidateSeparation(b); !ok {
 		t.Fatal("separation broken")
 	}
@@ -64,7 +65,7 @@ func TestBlackboxDisconnected(t *testing.T) {
 
 func TestBlackboxEdgelessAndTiny(t *testing.T) {
 	g := gen.Path(2)
-	d := Blackbox(g, BlackboxParams{Epsilon: 0.5, Seed: 1})
+	d := must(BlackboxCtx(context.Background(), g, BlackboxParams{Epsilon: 0.5, Seed: 1}))
 	if ok, _, _ := d.ValidateSeparation(g); !ok {
 		t.Fatal("tiny graph separation")
 	}

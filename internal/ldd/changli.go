@@ -153,24 +153,19 @@ func ballSizes(ctx context.Context, g *graph.Graph, alive []bool, radius int, w 
 	return sizes, nil
 }
 
-// ChangLi runs the Theorem 1.1 low-diameter decomposition: Phase 1 (t
+// ChangLiCtx runs the Theorem 1.1 low-diameter decomposition: Phase 1 (t
 // iterations of sampled ball-growing-and-carving with doubling rates),
 // Phase 2 (one boosted iteration, unless SkipPhase2), and Phase 3
 // (Elkin–Neiman with λ = ε/10 on the residual). The bound of ε|V| on
 // unclustered vertices holds with probability 1 - 1/poly(n); every cluster
 // has weak diameter O(t·R).
-func ChangLi(g *graph.Graph, p Params) *Decomposition {
-	d, _ := ChangLiCtx(context.Background(), g, p)
-	return d
-}
-
-// ChangLiCtx is ChangLi with cancellation: the context is checked between
-// phases and between the independent tasks of each fan-out (never
-// per-vertex inside a traversal), so a cancelled or deadline-expired run
-// returns ctx.Err() promptly, releases its pooled workspaces, and leaves
-// no goroutines behind.
+//
+// The context is checked between phases and between the independent tasks
+// of each fan-out (never per-vertex inside a traversal), so a cancelled or
+// deadline-expired run returns ctx.Err() promptly, returns its traversal
+// workspaces, and leaves no goroutines behind.
 func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, error) {
-	return changLi(ctx, g, nil, p, sampleSalt, phase3Label)
+	return changLi(ctx, g, nil, p, sampleSalt, phase3Label, nil)
 }
 
 // changLi is the Phase 1–3 body shared by ChangLiCtx and
@@ -179,7 +174,8 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 // (ballSizes), the sampling rate below, and the cut layer (GrowCarve).
 // salt+i labels iteration i's per-vertex sampling streams and p3Label
 // splits the Phase-3 seed, so each entry point keeps its own randomness.
-func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3Label uint64) (*Decomposition, error) {
+// Phase 3 runs on ws (nil means a fresh workspace).
+func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3Label uint64, ws *Workspace) (*Decomposition, error) {
 	n := g.N()
 	d := derive(n, p)
 	eps := p.Epsilon
@@ -282,7 +278,7 @@ func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3L
 		NTilde:  d.NTilde,
 		Seed:    xrand.New(p.Seed).Split(p3Label).Uint64(),
 		Workers: p.Workers,
-	})
+	}, ws)
 	if err != nil {
 		return nil, err
 	}

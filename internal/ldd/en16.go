@@ -137,6 +137,9 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 		st[v] = vertexLabels{stamp: -1}
 	}
 	seeds := ws.seeds[:0]
+	if k := aliveCount(alive, n); cap(seeds) < k {
+		seeds = make([]labelItem, 0, k)
+	}
 	for v := 0; v < n; v++ {
 		if alive != nil && !alive[v] {
 			continue
@@ -205,6 +208,9 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 		if dup {
 			continue
 		}
+		if cap(ls) == 0 {
+			ls = ws.labelRoom()
+		}
 		out[v] = append(ls, label{source: it.source, value: it.value})
 		if sv.count == 0 {
 			sv.best = it.value
@@ -235,18 +241,40 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 				continue
 			}
 			sw.stamp = blk
-			if len(fifo) == cap(fifo) && head >= len(fifo)/2 {
-				// Reuse the popped prefix instead of growing; the copy
-				// is at most the space it frees.
-				fifo = fifo[:copy(fifo, fifo[head:])]
-				sorted -= head
-				head = 0
+			if len(fifo) == cap(fifo) {
+				if head >= len(fifo)/2 {
+					// Reuse the popped prefix instead of growing; the
+					// copy is at most the space it frees.
+					fifo = fifo[:copy(fifo, fifo[head:])]
+					sorted -= head
+					head = 0
+				} else {
+					// At least double: append grows a large slice by a
+					// quarter, so a fresh workspace's FIFO would be
+					// copied several times more on its way to full size.
+					fifo = slices.Grow(fifo, len(fifo))
+				}
 			}
 			fifo = append(fifo, labelItem{value: nv, source: it.source, vertex: w})
 		}
 	}
 	ws.fifo = fifo
 	return out, true
+}
+
+// aliveCount is the number of alive vertices among n (all of them when
+// alive is nil).
+func aliveCount(alive []bool, n int) int {
+	if alive == nil {
+		return n
+	}
+	k := 0
+	for _, a := range alive[:n] {
+		if a {
+			k++
+		}
+	}
+	return k
 }
 
 // seedKey maps a label value to a radix key that falls as the value rises,
@@ -345,49 +373,40 @@ func stopped(done <-chan struct{}) bool {
 	}
 }
 
-// ElkinNeiman runs the Lemma C.1 decomposition on the alive-induced
+// ElkinNeimanCtx runs the Lemma C.1 decomposition on the alive-induced
 // subgraph of g (alive == nil means the whole graph). Each vertex is deleted
 // when its second-best shifted source comes within 1 of its best; otherwise
 // it joins the best source's cluster. Rounds are charged as the broadcast
 // horizon ceil(maxT) (each vertex broadcasts T_v through ⌊T_v⌋ hops).
-func ElkinNeiman(g *graph.Graph, alive []bool, p ENParams) *Decomposition {
-	ws := AcquireWorkspace()
-	d := ElkinNeimanWS(g, alive, p, ws)
-	ReleaseWorkspace(ws)
-	return d
-}
-
-// ElkinNeimanCtx is ElkinNeiman with cancellation (see ChangLiCtx).
-func ElkinNeimanCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams) (*Decomposition, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return ElkinNeimanWSCtx(ctx, g, alive, p, ws)
-}
-
-// ElkinNeimanWS is ElkinNeiman running on a caller-owned Workspace; loops
-// that run many decompositions (preparation phases, netdecomp) hold one
-// workspace per goroutine and call this directly.
-func ElkinNeimanWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace) *Decomposition {
-	d, _ := elkinNeimanWS(g, alive, p, ws, nil)
-	return d
-}
-
-// ElkinNeimanWSCtx is ElkinNeimanWS with cancellation.
-func ElkinNeimanWSCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Decomposition, error) {
+//
+// The label search runs on ws, which the caller owns; nil means a fresh
+// workspace. A caller that runs many decompositions (netdecomp's phases,
+// the packing preparation) holds one workspace per goroutine for its whole
+// call. The label search polls ctx at a coarse stride; a cancelled run
+// returns ctx.Err() and leaves ws reusable.
+func ElkinNeimanCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Decomposition, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d, ok := elkinNeimanWS(g, alive, p, ws, ctx.Done())
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	d, ok := elkinNeiman(g, alive, p, ws, ctx.Done())
 	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
+		return nil, doneErr(ctx)
 	}
 	return d, nil
 }
 
-func elkinNeimanWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Decomposition, bool) {
+// doneErr reports why a run stopped on ctx's done channel.
+func doneErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return context.Canceled
+}
+
+func elkinNeiman(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Decomposition, bool) {
 	n := g.N()
 	ws.reserve(n)
 	shifts, maxT := enShifts(n, p, ws)
@@ -427,33 +446,24 @@ type MPXResult struct {
 	CutEdges [][2]int
 }
 
-// MPX runs the Miller–Peng–Xu decomposition with parameter lambda on the
-// whole graph. The expected number of cut edges is O(lambda * m); Claim C.2
-// exhibits graphs where the realized count exceeds any constant fraction
-// with probability Omega(lambda).
-func MPX(g *graph.Graph, p ENParams) *MPXResult {
-	r, _ := mpx(g, p, nil)
-	return r
-}
-
-// MPXCtx is MPX with cancellation (see ChangLiCtx).
+// MPXCtx runs the Miller–Peng–Xu decomposition with parameter lambda on
+// the whole graph. The expected number of cut edges is O(lambda * m); Claim
+// C.2 exhibits graphs where the realized count exceeds any constant
+// fraction with probability Omega(lambda). Cancellation is as in
+// ElkinNeimanCtx.
 func MPXCtx(ctx context.Context, g *graph.Graph, p ENParams) (*MPXResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	r, ok := mpx(g, p, ctx.Done())
 	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
+		return nil, doneErr(ctx)
 	}
 	return r, nil
 }
 
 func mpx(g *graph.Graph, p ENParams, done <-chan struct{}) (*MPXResult, bool) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
+	ws := new(Workspace)
 	n := g.N()
 	ws.reserve(n)
 	shifts, maxT := enShifts(n, p, ws)

@@ -124,7 +124,8 @@ func (m *enMachine) decide() {
 // ElkinNeimanDistributed runs the Lemma C.1 decomposition as a real
 // message-passing protocol and returns the decomposition together with the
 // engine statistics. Sequential selects the single-threaded executor. The
-// output is identical to ElkinNeiman(g, nil, p) for the same parameters.
+// output is identical to ElkinNeimanCtx on the whole graph with the same
+// parameters.
 func ElkinNeimanDistributed(g *graph.Graph, p ENParams, sequential bool) (*Decomposition, local.Stats, error) {
 	n := g.N()
 	shifts, maxT := enShiftsOwned(n, p)

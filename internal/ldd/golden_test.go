@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -84,14 +85,14 @@ func TestGoldenDecompositions(t *testing.T) {
 				if mask == "alive" {
 					alive = goldenAlive(in.g.N())
 				}
-				d := ElkinNeiman(in.g, alive, ENParams{Lambda: 1.5, Seed: 5, Workers: workers})
+				d := must(ElkinNeimanCtx(context.Background(), in.g, alive, ENParams{Lambda: 1.5, Seed: 5, Workers: workers}, nil))
 				record("en/"+in.name+"/"+mask, fmt.Sprintf("%016x clusters=%d rounds=%d",
 					hashInt32s(d.ClusterOf), d.NumClusters, d.Rounds))
-				c := SparseCover(in.g, alive, ENParams{Lambda: 1.5, Seed: 6, Workers: workers})
+				c := must(SparseCoverCtx(context.Background(), in.g, alive, ENParams{Lambda: 1.5, Seed: 6, Workers: workers}, nil))
 				record("cover/"+in.name+"/"+mask, fmt.Sprintf("%016x %016x clusters=%d rounds=%d",
 					hashInt32s(c.Clusters...), hashInt32s(c.MemberOf...), len(c.Clusters), c.Rounds))
 			}
-			m := MPX(in.g, ENParams{Lambda: 1, Seed: 7, Workers: workers})
+			m := must(MPXCtx(context.Background(), in.g, ENParams{Lambda: 1, Seed: 7, Workers: workers}))
 			cut := make([]int32, 0, 2*len(m.CutEdges))
 			for _, e := range m.CutEdges {
 				cut = append(cut, int32(e[0]), int32(e[1]))
@@ -166,12 +167,12 @@ func TestGoldenChangLi(t *testing.T) {
 			for _, scale := range scales {
 				for _, skip := range []bool{false, true} {
 					p := Params{Epsilon: 0.3, Seed: 3, Scale: scale, SkipPhase2: skip, Workers: workers}
-					record(fmt.Sprintf("changli/%s/%g/skip=%v", in.name, scale, skip), ChangLi(in.g, p))
+					record(fmt.Sprintf("changli/%s/%g/skip=%v", in.name, scale, skip), must(ChangLiCtx(context.Background(), in.g, p)))
 				}
 			}
 			p := Params{Epsilon: 0.3, Seed: 3, Scale: carveScale[in.name], Workers: workers}
-			record("weighted/"+in.name+"/seeded", ChangLiWeighted(in.g, w, p))
-			record("weighted/"+in.name+"/nil", ChangLiWeighted(in.g, nil, p))
+			record("weighted/"+in.name+"/seeded", must(ChangLiWeightedCtx(context.Background(), in.g, w, p)))
+			record("weighted/"+in.name+"/nil", must(ChangLiWeightedCtx(context.Background(), in.g, nil, p)))
 		}
 		// Blackbox has no worker knob. Its power graph G^k has k = ⌈2/ε⌉;
 		// on the GNP input G^4 is nearly complete, so it runs at ε = 1.
@@ -180,7 +181,7 @@ func TestGoldenChangLi(t *testing.T) {
 			eps = 1
 		}
 		for _, en := range []bool{false, true} {
-			d := Blackbox(in.g, BlackboxParams{Epsilon: eps, Seed: 4, Scale: 0.05, UseElkinNeimanBase: en})
+			d := must(BlackboxCtx(context.Background(), in.g, BlackboxParams{Epsilon: eps, Seed: 4, Scale: 0.05, UseElkinNeimanBase: en}))
 			got[fmt.Sprintf("blackbox/%s/en=%v", in.name, en)] = fmt.Sprintf("%016x clusters=%d rounds=%d",
 				hashInt32s(d.ClusterOf), d.NumClusters, d.Rounds)
 		}

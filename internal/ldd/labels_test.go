@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -431,7 +432,7 @@ func TestTopLabelsWarmZeroAlloc(t *testing.T) {
 func TestTopLabelsFIFOOnDensePrimal(t *testing.T) {
 	g := square(gen.GNP(1000, 8.0/999, xrand.New(7)))
 	ws := new(Workspace)
-	SparseCoverWS(g, nil, ENParams{Lambda: math.Log(21.0 / 20.0), Seed: 1}, ws)
+	must(SparseCoverCtx(context.Background(), g, nil, ENParams{Lambda: math.Log(21.0 / 20.0), Seed: 1}, ws))
 	n := g.N()
 	t.Logf("FIFO capacity %d for %d vertices", cap(ws.fifo), n)
 	if c := cap(ws.fifo); c > 4*n {

@@ -29,6 +29,11 @@
 //     certificates, re-carve (or patch) only what broke, and fall back
 //     (ErrRepairFallback) whenever the repaired result could not match a
 //     fresh run's invariants.
+//
+// Each algorithm has one entry point, its ...Ctx function, which takes a
+// context for cancellation. ElkinNeimanCtx and SparseCoverCtx also take the
+// caller's Workspace (nil means a fresh one); see Workspace for who owns
+// it.
 package ldd
 
 import (

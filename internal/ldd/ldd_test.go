@@ -1,19 +1,22 @@
 package ldd
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/hypergraph"
+	"repro/internal/xrand"
 )
 
 func TestENSeparationAndDiameter(t *testing.T) {
 	g := gen.Grid(25, 30)
 	for seed := uint64(0); seed < 5; seed++ {
 		p := ENParams{Lambda: 0.2, Seed: seed}
-		d := ElkinNeiman(g, nil, p)
+		d := must(ElkinNeimanCtx(context.Background(), g, nil, p, nil))
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: clusters adjacent at %d-%d", seed, u, v)
 		}
@@ -27,7 +30,7 @@ func TestENSeparationAndDiameter(t *testing.T) {
 func TestENCoversEveryVertex(t *testing.T) {
 	// Every vertex is either clustered or deleted; cluster ids dense.
 	g := gen.Cycle(50)
-	d := ElkinNeiman(g, nil, ENParams{Lambda: 0.3, Seed: 7})
+	d := must(ElkinNeimanCtx(context.Background(), g, nil, ENParams{Lambda: 0.3, Seed: 7}, nil))
 	seen := make([]bool, d.NumClusters)
 	for _, c := range d.ClusterOf {
 		if c >= 0 {
@@ -49,7 +52,7 @@ func TestENDeletionRate(t *testing.T) {
 	total := 0
 	const trials = 20
 	for seed := uint64(0); seed < trials; seed++ {
-		d := ElkinNeiman(g, nil, ENParams{Lambda: lambda, Seed: seed})
+		d := must(ElkinNeimanCtx(context.Background(), g, nil, ENParams{Lambda: lambda, Seed: seed}, nil))
 		total += d.UnclusteredCount()
 	}
 	mean := float64(total) / float64(trials) / float64(g.N())
@@ -68,7 +71,7 @@ func TestENAliveMask(t *testing.T) {
 	for i := 5; i < 25; i++ {
 		alive[i] = true
 	}
-	d := ElkinNeiman(g, alive, ENParams{Lambda: 0.3, Seed: 1})
+	d := must(ElkinNeimanCtx(context.Background(), g, alive, ENParams{Lambda: 0.3, Seed: 1}, nil))
 	for v := 0; v < 30; v++ {
 		if (v < 5 || v >= 25) && d.ClusterOf[v] != Unclustered {
 			t.Fatalf("dead vertex %d clustered", v)
@@ -90,7 +93,7 @@ func TestENDistributedMatchesOracle(t *testing.T) {
 		}
 		for seed := uint64(0); seed < 4; seed++ {
 			p := ENParams{Lambda: 0.25, Seed: seed}
-			oracle := ElkinNeiman(g, nil, p)
+			oracle := must(ElkinNeimanCtx(context.Background(), g, nil, p, nil))
 			dist, stats, err := ElkinNeimanDistributed(g, p, seed%2 == 0)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
@@ -126,7 +129,7 @@ func TestENDistributedIsLocalNotCongest(t *testing.T) {
 
 func TestMPXClustersEverything(t *testing.T) {
 	g := gen.Torus(12, 12)
-	r := MPX(g, ENParams{Lambda: 0.2, Seed: 5})
+	r := must(MPXCtx(context.Background(), g, ENParams{Lambda: 0.2, Seed: 5}))
 	for v, c := range r.ClusterOf {
 		if c == Unclustered {
 			t.Fatalf("MPX left vertex %d unclustered", v)
@@ -157,7 +160,7 @@ func TestMPXExpectedCutFraction(t *testing.T) {
 	total := 0
 	const trials = 20
 	for seed := uint64(0); seed < trials; seed++ {
-		r := MPX(g, ENParams{Lambda: lambda, Seed: seed})
+		r := must(MPXCtx(context.Background(), g, ENParams{Lambda: lambda, Seed: seed}))
 		total += len(r.CutEdges)
 	}
 	frac := float64(total) / float64(trials) / float64(g.M())
@@ -175,7 +178,7 @@ func TestSparseCoverCoversHyperedges(t *testing.T) {
 	h := hypergraph.ClosedNeighborhoods(g)
 	primal := h.Primal()
 	for seed := uint64(0); seed < 5; seed++ {
-		c := SparseCover(primal, nil, ENParams{Lambda: 0.4, Seed: seed})
+		c := must(SparseCoverCtx(context.Background(), primal, nil, ENParams{Lambda: 0.4, Seed: seed}, nil))
 		if ok, e := VerifyCover(h, c); !ok {
 			t.Fatalf("seed %d: hyperedge %d uncovered", seed, e)
 		}
@@ -193,7 +196,7 @@ func TestSparseCoverMultiplicity(t *testing.T) {
 	var sum float64
 	const trials = 10
 	for seed := uint64(0); seed < trials; seed++ {
-		c := SparseCover(g, nil, ENParams{Lambda: lambda, Seed: seed})
+		c := must(SparseCoverCtx(context.Background(), g, nil, ENParams{Lambda: lambda, Seed: seed}, nil))
 		sum += c.MeanMultiplicity()
 	}
 	mean := sum / trials
@@ -205,7 +208,7 @@ func TestSparseCoverMultiplicity(t *testing.T) {
 
 func TestSparseCoverEveryVertexCovered(t *testing.T) {
 	g := gen.Path(100)
-	c := SparseCover(g, nil, ENParams{Lambda: 0.5, Seed: 2})
+	c := must(SparseCoverCtx(context.Background(), g, nil, ENParams{Lambda: 0.5, Seed: 2}, nil))
 	for v := 0; v < g.N(); v++ {
 		if c.Multiplicity(v) < 1 {
 			t.Fatalf("vertex %d in no cluster", v)
@@ -327,7 +330,7 @@ func TestChangLiSeparationAndValidity(t *testing.T) {
 	g := gen.Cycle(3000)
 	for _, c := range cases {
 		for seed := uint64(0); seed < 3; seed++ {
-			d := ChangLi(g, Params{Epsilon: c.eps, Seed: seed, Scale: c.scale})
+			d := must(ChangLiCtx(context.Background(), g, Params{Epsilon: c.eps, Seed: seed, Scale: c.scale}))
 			if ok, u, v := d.ValidateSeparation(g); !ok {
 				t.Fatalf("%s seed %d: adjacent clusters at %d-%d", c.name, seed, u, v)
 			}
@@ -362,7 +365,7 @@ func TestChangLiPaperConstantsQuality(t *testing.T) {
 			g = gen.Torus(20, 30)
 		}
 		for seed := uint64(0); seed < 10; seed++ {
-			d := ChangLi(g, Params{Epsilon: eps, Seed: seed})
+			d := must(ChangLiCtx(context.Background(), g, Params{Epsilon: eps, Seed: seed}))
 			if frac := d.UnclusteredFraction(); frac > eps {
 				t.Fatalf("%s seed %d: unclustered fraction %.4f > eps %.2f",
 					tc.name, seed, frac, eps)
@@ -377,8 +380,8 @@ func TestChangLiPaperConstantsQuality(t *testing.T) {
 func TestChangLiDeterministic(t *testing.T) {
 	g := gen.Cycle(1000)
 	p := Params{Epsilon: 0.3, Seed: 42, Scale: 0.005}
-	d1 := ChangLi(g, p)
-	d2 := ChangLi(g, p)
+	d1 := must(ChangLiCtx(context.Background(), g, p))
+	d2 := must(ChangLiCtx(context.Background(), g, p))
 	for v := range d1.ClusterOf {
 		if d1.ClusterOf[v] != d2.ClusterOf[v] {
 			t.Fatalf("nondeterministic at vertex %d", v)
@@ -391,7 +394,7 @@ func TestChangLiDeterministic(t *testing.T) {
 
 func TestChangLiSkipPhase2(t *testing.T) {
 	g := gen.Cycle(2000)
-	d := ChangLi(g, Params{Epsilon: 0.3, Seed: 1, Scale: 0.002, SkipPhase2: true})
+	d := must(ChangLiCtx(context.Background(), g, Params{Epsilon: 0.3, Seed: 1, Scale: 0.002, SkipPhase2: true}))
 	if ok, u, v := d.ValidateSeparation(g); !ok {
 		t.Fatalf("adjacent clusters %d-%d", u, v)
 	}
@@ -401,7 +404,7 @@ func TestChangLiSmallScaleExercisesPhases(t *testing.T) {
 	// With a small scale on a long cycle the carve window is well inside the
 	// graph, so Phase 1/2 must actually remove and delete vertices.
 	g := gen.Cycle(4000)
-	d := ChangLi(g, Params{Epsilon: 0.3, Seed: 3, Scale: 0.002})
+	d := must(ChangLiCtx(context.Background(), g, Params{Epsilon: 0.3, Seed: 3, Scale: 0.002}))
 	if d.NumClusters < 2 {
 		t.Fatalf("expected multiple clusters, got %d", d.NumClusters)
 	}
@@ -410,7 +413,7 @@ func TestChangLiSmallScaleExercisesPhases(t *testing.T) {
 func TestBlackboxSeparationAndQuality(t *testing.T) {
 	g := gen.Cycle(2000)
 	for seed := uint64(0); seed < 3; seed++ {
-		d := Blackbox(g, BlackboxParams{Epsilon: 0.25, Seed: seed, Scale: 0.01})
+		d := must(BlackboxCtx(context.Background(), g, BlackboxParams{Epsilon: 0.25, Seed: seed, Scale: 0.01}))
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: adjacent clusters %d-%d", seed, u, v)
 		}
@@ -422,7 +425,7 @@ func TestBlackboxSeparationAndQuality(t *testing.T) {
 
 func TestBlackboxClustersMostVertices(t *testing.T) {
 	g := gen.Grid(40, 40)
-	d := Blackbox(g, BlackboxParams{Epsilon: 0.3, Seed: 1, Scale: 0.05})
+	d := must(BlackboxCtx(context.Background(), g, BlackboxParams{Epsilon: 0.3, Seed: 1, Scale: 0.05}))
 	if frac := d.UnclusteredFraction(); frac > 0.3 {
 		t.Fatalf("unclustered fraction %.3f > eps", frac)
 	}
@@ -477,7 +480,7 @@ func TestRepairDiameter(t *testing.T) {
 	d := &Decomposition{ClusterOf: make([]int32, g.N()), NumClusters: 1}
 	eps := 0.3
 	target := 80
-	r := RepairDiameter(g, d, eps, target)
+	r := must(RepairDiameterCtx(context.Background(), g, d, eps, target))
 	if ok, u, v := r.ValidateSeparation(g); !ok {
 		t.Fatalf("repair broke separation at %d-%d", u, v)
 	}
@@ -496,7 +499,7 @@ func TestRepairDiameter(t *testing.T) {
 func TestRepairLeavesSmallClustersAlone(t *testing.T) {
 	g := gen.Path(10)
 	d := &Decomposition{ClusterOf: make([]int32, 10), NumClusters: 1}
-	r := RepairDiameter(g, d, 0.3, 100)
+	r := must(RepairDiameterCtx(context.Background(), g, d, 0.3, 100))
 	if r.NumClusters != 1 || r.UnclusteredCount() != 0 {
 		t.Fatal("small cluster should be untouched")
 	}
@@ -505,14 +508,14 @@ func TestRepairLeavesSmallClustersAlone(t *testing.T) {
 func BenchmarkElkinNeimanCycle(b *testing.B) {
 	g := gen.Cycle(5000)
 	for i := 0; i < b.N; i++ {
-		_ = ElkinNeiman(g, nil, ENParams{Lambda: 0.2, Seed: uint64(i)})
+		_ = must(ElkinNeimanCtx(context.Background(), g, nil, ENParams{Lambda: 0.2, Seed: uint64(i)}, nil))
 	}
 }
 
 func BenchmarkChangLiCycle(b *testing.B) {
 	g := gen.Cycle(3000)
 	for i := 0; i < b.N; i++ {
-		_ = ChangLi(g, Params{Epsilon: 0.3, Seed: uint64(i), Scale: 0.002})
+		_ = must(ChangLiCtx(context.Background(), g, Params{Epsilon: 0.3, Seed: uint64(i), Scale: 0.002}))
 	}
 }
 
@@ -551,8 +554,8 @@ func TestChangLiParallelBitIdentical(t *testing.T) {
 	for _, n := range []int{60, 173} {
 		g := gen.Cycle(n)
 		for _, seed := range []uint64{1, 5, 23} {
-			seq := ChangLi(g, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 1})
-			parl := ChangLi(g, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 5})
+			seq := must(ChangLiCtx(context.Background(), g, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 1}))
+			parl := must(ChangLiCtx(context.Background(), g, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 5}))
 			if seq.NumClusters != parl.NumClusters || seq.Rounds != parl.Rounds {
 				t.Fatalf("n=%d seed=%d: summary mismatch: seq %+v par %+v", n, seed, seq, parl)
 			}
@@ -564,4 +567,44 @@ func TestChangLiParallelBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkspaceReuseMatchesFresh runs one Workspace through Elkin–Neiman
+// decompositions and sparse covers on a large graph, then on a smaller
+// one, then with an alive mask, and compares every result with a run on a
+// fresh workspace, so state a larger or differently masked run leaves in
+// the shifts, label lists, records or cluster-id map would show.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	big := gen.GNP(3000, 6.0/2999, xrand.New(11))
+	small := gen.Grid(20, 20)
+	alive := make([]bool, big.N())
+	rng := xrand.New(12)
+	for v := range alive {
+		alive[v] = rng.Float64() < 0.7
+	}
+	runs := []struct {
+		g     *graph.Graph
+		alive []bool
+	}{{big, nil}, {small, nil}, {big, alive}, {small, nil}}
+	ws := new(Workspace)
+	for i, r := range runs {
+		p := ENParams{Lambda: 0.4, Seed: uint64(i + 1)}
+		got := must(ElkinNeimanCtx(ctx, r.g, r.alive, p, ws))
+		if want := must(ElkinNeimanCtx(ctx, r.g, r.alive, p, nil)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Elkin–Neiman on a reused workspace differs from a fresh one", i)
+		}
+		gotC := must(SparseCoverCtx(ctx, r.g, r.alive, p, ws))
+		if wantC := must(SparseCoverCtx(ctx, r.g, r.alive, p, nil)); !reflect.DeepEqual(gotC, wantC) {
+			t.Fatalf("run %d: sparse cover on a reused workspace differs from a fresh one", i)
+		}
+	}
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -60,7 +60,7 @@ func (m *mpxMachine) Round(round int, inbox []local.Message) ([]local.Message, b
 
 // MPXDistributed runs the Miller–Peng–Xu clustering as a CONGEST protocol
 // on the engine and returns the result plus engine statistics. Output is
-// bit-identical to MPX(g, p) for the same parameters.
+// bit-identical to MPXCtx(ctx, g, p) for the same parameters.
 func MPXDistributed(g *graph.Graph, p ENParams, sequential bool) (*MPXResult, local.Stats, error) {
 	n := g.N()
 	shifts, maxT := enShiftsOwned(n, p)

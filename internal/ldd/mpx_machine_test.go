@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -17,7 +18,7 @@ func TestMPXDistributedMatchesOracle(t *testing.T) {
 	for gi, g := range graphs {
 		for seed := uint64(0); seed < 4; seed++ {
 			p := ENParams{Lambda: 0.25, Seed: seed}
-			oracle := MPX(g, p)
+			oracle := must(MPXCtx(context.Background(), g, p))
 			dist, stats, err := MPXDistributed(g, p, seed%2 == 0)
 			if err != nil {
 				t.Fatalf("graph %d seed %d: %v", gi, seed, err)

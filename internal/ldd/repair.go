@@ -59,19 +59,13 @@ func SequentialLDD(g *graph.Graph, mask []bool, epsilon float64) (clusters [][]i
 	return clusters, deleted
 }
 
-// RepairDiameter implements the diameter cleanup from the proof of Theorem
-// 1.1: clusters whose strong diameter exceeds target are re-decomposed
-// locally with SequentialLDD(ε/2), replacing the big cluster by the new
-// small-diameter clusters and unclustering the (≤ ε/2 fraction) boundary
-// vertices. target <= 0 means the ideal bound 2·log_{1+ε/2}(ñ).
-func RepairDiameter(g *graph.Graph, d *Decomposition, epsilon float64, target int) *Decomposition {
-	out, _ := RepairDiameterCtx(context.Background(), g, d, epsilon, target)
-	return out
-}
-
-// RepairDiameterCtx is RepairDiameter with cancellation: the context is
-// checked once per cluster (each cluster repair is a bounded local
-// recomputation).
+// RepairDiameterCtx implements the diameter cleanup from the proof of
+// Theorem 1.1: clusters whose strong diameter exceeds target are
+// re-decomposed locally with SequentialLDD(ε/2), replacing the big cluster
+// by the new small-diameter clusters and unclustering the (≤ ε/2 fraction)
+// boundary vertices. target <= 0 means the ideal bound
+// 2·log_{1+ε/2}(ñ). The context is checked once per cluster (each cluster
+// repair is a bounded local recomputation).
 func RepairDiameterCtx(ctx context.Context, g *graph.Graph, d *Decomposition, epsilon float64, target int) (*Decomposition, error) {
 	if epsilon <= 0 {
 		epsilon = 0.5

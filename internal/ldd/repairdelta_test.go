@@ -114,7 +114,7 @@ func TestRepairDeltaChurnEquivalence(t *testing.T) {
 		rng := xrand.New(100 + trial)
 		cg := newChurnCycle(n)
 		g := cg.graph()
-		cur := ChangLi(g, p)
+		cur := must(ChangLiCtx(context.Background(), g, p))
 		checkDecompositionInvariants(t, "fresh epoch 0", g, cur, p)
 		repaired, fallbacks := 0, 0
 		for epoch := 1; epoch <= 25; epoch++ {
@@ -126,12 +126,12 @@ func TestRepairDeltaChurnEquivalence(t *testing.T) {
 					t.Fatalf("trial %d epoch %d: unexpected error %v", trial, epoch, err)
 				}
 				fallbacks++
-				next = ChangLi(g, p)
+				next = must(ChangLiCtx(context.Background(), g, p))
 			} else if rep.Recarved > 0 || rep.Certified > 0 {
 				repaired++
 			}
 			checkDecompositionInvariants(t, "repaired", g, next, p)
-			fresh := ChangLi(g, p)
+			fresh := must(ChangLiCtx(context.Background(), g, p))
 			checkDecompositionInvariants(t, "fresh", g, fresh, p)
 			cur = next
 		}
@@ -148,7 +148,7 @@ func TestRepairDeltaNoops(t *testing.T) {
 	cg := newChurnCycle(400)
 	g := cg.graph()
 	p := Params{Epsilon: 0.3, Seed: 1, Scale: 0.0005}
-	d := ChangLi(g, p)
+	d := must(ChangLiCtx(context.Background(), g, p))
 	rp := RepairDeltaParams{Epsilon: p.Epsilon, WeakBound: p.WeakDiameterBound(g.N())}
 
 	// An added edge inside one cluster cannot break separation or stretch
@@ -181,7 +181,7 @@ func TestRepairDeltaNoops(t *testing.T) {
 	// A removed cross-cluster edge only widens separation.
 	cg = newChurnCycle(400)
 	g = cg.graph()
-	d = ChangLi(g, p)
+	d = must(ChangLiCtx(context.Background(), g, p))
 	var cross [2]int32
 	found = false
 	for v := 0; v < g.N() && !found; v++ {
@@ -208,7 +208,7 @@ func TestRepairDeltaFallbacks(t *testing.T) {
 	cg := newChurnCycle(400)
 	g := cg.graph()
 	p := Params{Epsilon: 0.3, Seed: 2, Scale: 0.0005}
-	d := ChangLi(g, p)
+	d := must(ChangLiCtx(context.Background(), g, p))
 
 	_, _, err := RepairDelta(context.Background(), g, d,
 		EdgeDelta{Added: [][2]int32{{5, 9999}}}, RepairDeltaParams{Epsilon: p.Epsilon})
@@ -287,7 +287,7 @@ func TestRepairCoverDeltaChurn(t *testing.T) {
 	rng := xrand.New(42)
 	cg := newChurnCycle(n)
 	g := cg.graph()
-	cur := SparseCover(g, nil, p)
+	cur := must(SparseCoverCtx(context.Background(), g, nil, p, nil))
 	checkCoverInvariants(t, "fresh epoch 0", g, cur, bound)
 	patched, fallbacks := 0, 0
 	for epoch := 1; epoch <= 20; epoch++ {
@@ -300,7 +300,7 @@ func TestRepairCoverDeltaChurn(t *testing.T) {
 				t.Fatalf("epoch %d: unexpected error %v", epoch, err)
 			}
 			fallbacks++
-			next = SparseCover(g, nil, p)
+			next = must(SparseCoverCtx(context.Background(), g, nil, p, nil))
 		} else if rep.NewClusters > 0 {
 			patched++
 		}
@@ -318,7 +318,7 @@ func TestRepairCoverDeltaGuards(t *testing.T) {
 	cg := newChurnCycle(100)
 	g := cg.graph()
 	p := ENParams{Lambda: 0.3, Seed: 1}
-	c := SparseCover(g, nil, p)
+	c := must(SparseCoverCtx(context.Background(), g, nil, p, nil))
 
 	if _, _, err := RepairCoverDelta(context.Background(), g, c, EdgeDelta{},
 		RepairCoverParams{WeakBound: 1}); !errors.Is(err, ErrRepairFallback) {

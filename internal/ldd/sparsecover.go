@@ -63,52 +63,32 @@ func (c *Cover) MaxWeakDiameter(g *graph.Graph) int {
 	return best
 }
 
-// SparseCover runs the Lemma C.2 variant of the exponential-shift
+// SparseCoverCtx runs the Lemma C.2 variant of the exponential-shift
 // decomposition on the alive-induced subgraph of g: no vertex is deleted;
 // instead every vertex joins the cluster of every source whose shifted
 // value comes within 1 of its best. For any hypergraph h whose hyperedges
 // lie inside the alive set, every hyperedge is fully contained in the
 // cluster of the source maximizing the best member value (verified by
 // VerifyCover). Each cluster has weak diameter at most 8 ln(ñ)/lambda.
-func SparseCover(g *graph.Graph, alive []bool, p ENParams) *Cover {
-	ws := AcquireWorkspace()
-	c := SparseCoverWS(g, alive, p, ws)
-	ReleaseWorkspace(ws)
-	return c
-}
-
-// SparseCoverCtx is SparseCover with cancellation (see ChangLiCtx).
-func SparseCoverCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams) (*Cover, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	return SparseCoverWSCtx(ctx, g, alive, p, ws)
-}
-
-// SparseCoverWSCtx is SparseCoverWS with cancellation.
-func SparseCoverWSCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Cover, error) {
+//
+// It runs on ws as ElkinNeimanCtx does (nil means a fresh workspace); the
+// covering preparation runs Θ(log ñ) of these, one workspace per worker.
+// The returned Cover is freshly allocated (it does not alias ws).
+func SparseCoverCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Cover, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c, ok := sparseCoverWS(g, alive, p, ws, ctx.Done())
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	c, ok := sparseCover(g, alive, p, ws, ctx.Done())
 	if !ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
+		return nil, doneErr(ctx)
 	}
 	return c, nil
 }
 
-// SparseCoverWS is SparseCover running on a caller-owned Workspace; the
-// preparation phase of the covering solver runs Θ(log ñ) of these and hands
-// each worker goroutine its own workspace. The returned Cover is freshly
-// allocated (it does not alias the workspace).
-func SparseCoverWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace) *Cover {
-	c, _ := sparseCoverWS(g, alive, p, ws, nil)
-	return c
-}
-
-func sparseCoverWS(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Cover, bool) {
+func sparseCover(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Cover, bool) {
 	n := g.N()
 	ws.reserve(n)
 	shifts, maxT := enShifts(n, p, ws)

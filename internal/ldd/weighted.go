@@ -29,25 +29,20 @@ const (
 	weightedPhase3Label = phase3Label + 1
 )
 
-// ChangLiWeighted computes a low-diameter decomposition where the deleted
-// *weight* is at most ε·Σw with high probability. Weights must be
-// nonnegative; nil weights degrade to ChangLi. Zero-weight vertices are
+// ChangLiWeightedCtx computes a low-diameter decomposition where the
+// deleted *weight* is at most ε·Σw with high probability. Weights must be
+// nonnegative; nil weights degrade to ChangLiCtx. Zero-weight vertices are
 // never sampled as centres but are clustered or deleted like any other.
-func ChangLiWeighted(g *graph.Graph, w []int64, p Params) *Decomposition {
-	d, _ := ChangLiWeightedCtx(context.Background(), g, w, p)
-	return d
-}
-
-// ChangLiWeightedCtx is ChangLiWeighted with cancellation (see ChangLiCtx).
+// Cancellation is as in ChangLiCtx.
 func ChangLiWeightedCtx(ctx context.Context, g *graph.Graph, w []int64, p Params) (*Decomposition, error) {
 	if w == nil {
 		return ChangLiCtx(ctx, g, p)
 	}
-	return changLi(ctx, g, w, p, weightedSampleSalt, weightedPhase3Label)
+	return changLi(ctx, g, w, p, weightedSampleSalt, weightedPhase3Label, nil)
 }
 
 // DeletedWeight returns the total weight of unclustered vertices — the
-// quantity ChangLiWeighted bounds by ε·Σw.
+// quantity ChangLiWeightedCtx bounds by ε·Σw.
 func (dec *Decomposition) DeletedWeight(w []int64) int64 {
 	var s int64
 	for v, c := range dec.ClusterOf {

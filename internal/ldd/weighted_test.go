@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,8 +12,8 @@ import (
 func TestWeightedNilFallsBack(t *testing.T) {
 	g := gen.Cycle(300)
 	p := Params{Epsilon: 0.3, Seed: 1}
-	dw := ChangLiWeighted(g, nil, p)
-	du := ChangLi(g, p)
+	dw := must(ChangLiWeightedCtx(context.Background(), g, nil, p))
+	du := must(ChangLiCtx(context.Background(), g, p))
 	if dw.NumClusters != du.NumClusters || dw.Rounds != du.Rounds {
 		t.Fatalf("nil-weight run diverged from unweighted: %d/%d clusters, %d/%d rounds",
 			dw.NumClusters, du.NumClusters, dw.Rounds, du.Rounds)
@@ -36,7 +37,7 @@ func TestWeightedSeparationAndBound(t *testing.T) {
 	}
 	eps := 0.25
 	for seed := uint64(0); seed < 5; seed++ {
-		d := ChangLiWeighted(g, w, Params{Epsilon: eps, Seed: seed})
+		d := must(ChangLiWeightedCtx(context.Background(), g, w, Params{Epsilon: eps, Seed: seed}))
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: adjacent clusters %d-%d", seed, u, v)
 		}
@@ -62,7 +63,7 @@ func TestWeightedProtectsHeavyVertices(t *testing.T) {
 	}
 	eps := 0.3
 	for seed := uint64(0); seed < 3; seed++ {
-		d := ChangLiWeighted(g, w, Params{Epsilon: eps, Seed: seed, Scale: 0.002})
+		d := must(ChangLiWeightedCtx(context.Background(), g, w, Params{Epsilon: eps, Seed: seed, Scale: 0.002}))
 		if ok, _, _ := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: separation broken", seed)
 		}
@@ -77,7 +78,7 @@ func TestWeightedZeroWeights(t *testing.T) {
 	// result is a valid decomposition with zero deleted weight trivially.
 	g := gen.Grid(10, 10)
 	w := make([]int64, g.N())
-	d := ChangLiWeighted(g, w, Params{Epsilon: 0.3, Seed: 2})
+	d := must(ChangLiWeightedCtx(context.Background(), g, w, Params{Epsilon: 0.3, Seed: 2}))
 	if ok, _, _ := d.ValidateSeparation(g); !ok {
 		t.Fatal("separation broken")
 	}
@@ -121,8 +122,8 @@ func TestChangLiWeightedParallelBitIdentical(t *testing.T) {
 		w[i] = int64(1 + i%5)
 	}
 	for _, seed := range []uint64{3, 17} {
-		seq := ChangLiWeighted(g, w, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 1})
-		parl := ChangLiWeighted(g, w, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 5})
+		seq := must(ChangLiWeightedCtx(context.Background(), g, w, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 1}))
+		parl := must(ChangLiWeightedCtx(context.Background(), g, w, Params{Epsilon: 0.25, Seed: seed, Scale: 0.01, Workers: 5}))
 		if seq.NumClusters != parl.NumClusters || seq.Rounds != parl.Rounds {
 			t.Fatalf("seed=%d: summary mismatch: seq %+v par %+v", seed, seq, parl)
 		}

@@ -1,20 +1,21 @@
 package ldd
 
-import "sync"
-
 // Workspace bundles the reusable scratch state of this package's
 // decomposition algorithms: the per-vertex exponential shifts, and the
 // sorted initial labels (with their radix sort buffer), the FIFO of pushed
 // labels, the per-vertex label lists and label records of topLabels. Graph
-// searches run on a graph.ParWorkspace instead. Like that workspace it is
-// owned by one goroutine at a time; parallel callers hold one Workspace per
-// worker.
+// searches run on a graph.ParWorkspace instead. A Workspace is owned by one
+// goroutine at a time, and nothing pools it: the caller that makes it holds
+// it for the length of its call (a request, a netdecomp run, a Blackbox
+// run), parallel callers hold one per worker, and it is dropped when the
+// call returns. Its zero value is ready.
 type Workspace struct {
 	shifts  []float64
 	seeds   []labelItem
 	seedTmp []labelItem
 	fifo    []labelItem
 	labels  [][]label
+	room    []label // unused rest of labelRoom's block
 	vertex  []vertexLabels
 	// mark is SparseCover's source -> dense cluster id map, sized on its
 	// first use.
@@ -30,45 +31,36 @@ type vertexLabels struct {
 	stamp int32
 }
 
-// reserve sizes the per-vertex buffers for an n-vertex graph.
+// reserve sizes the per-vertex buffers for an n-vertex graph, each with
+// one allocation.
 func (ws *Workspace) reserve(n int) {
 	if cap(ws.shifts) < n {
 		ws.shifts = make([]float64, n)
 	}
-	for len(ws.labels) < n {
-		ws.labels = append(ws.labels, nil)
+	if k := n - len(ws.labels); k > 0 {
+		ws.labels = append(ws.labels, make([][]label, k)...)
 	}
 	if cap(ws.vertex) < n {
 		ws.vertex = make([]vertexLabels, n)
 	}
 }
 
-var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
+// labelRoomBlock is how many vertices' first label lists one block of
+// labelRoom holds.
+const labelRoomBlock = 1024
 
-// AcquireWorkspace takes a package workspace from the shared pool; pair
-// with ReleaseWorkspace. Used by the solver packages that fan independent
-// decompositions out across a worker pool.
-func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
-
-// ReleaseWorkspace returns a workspace to the shared pool. The caller must
-// not use the workspace, or any result aliasing it, afterwards.
-func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
-
-// AcquireWorkspaces takes k package workspaces for a worker fleet; pair
-// with ReleaseWorkspaces.
-func AcquireWorkspaces(k int) []*Workspace {
-	out := make([]*Workspace, k)
-	for i := range out {
-		out[i] = AcquireWorkspace()
+// labelRoom returns an empty label list with room for two labels, the most
+// Elkin–Neiman keeps, cut from a block shared by many vertices, so that a
+// fresh workspace does not allocate once per labelled vertex. A sparse
+// cover's list outgrows it only at a vertex in three or more clusters. A
+// vertex keeps its list across runs, so a warm workspace never gets here.
+func (ws *Workspace) labelRoom() []label {
+	if len(ws.room) < 2 {
+		ws.room = make([]label, 2*labelRoomBlock)
 	}
-	return out
-}
-
-// ReleaseWorkspaces returns a fleet to the shared pool.
-func ReleaseWorkspaces(wss []*Workspace) {
-	for _, ws := range wss {
-		ReleaseWorkspace(ws)
-	}
+	ls := ws.room[:0:2]
+	ws.room = ws.room[2:]
+	return ls
 }
 
 // --- label order ----------------------------------------------------------

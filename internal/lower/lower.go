@@ -77,18 +77,12 @@ func PriorityMIS(g *graph.Graph, rounds int, seed uint64) []bool {
 	return inSet
 }
 
-// InclusionRate runs PriorityMIS over many seeds and returns the average
-// fraction of vertices included — the empirical per-vertex inclusion
-// probability p* (identical for all vertices of a graph whose t-balls are
-// isomorphic).
-func InclusionRate(g *graph.Graph, rounds, trials int, seed uint64) float64 {
-	r, _ := InclusionRateCtx(context.Background(), g, rounds, trials, seed)
-	return r
-}
-
-// InclusionRateCtx is InclusionRate with cancellation: the context is
-// checked once per trial, so a deadline-bounded estimate returns ctx.Err()
-// promptly instead of draining all trials.
+// InclusionRateCtx runs PriorityMIS over many seeds and returns the
+// average fraction of vertices included — the empirical per-vertex
+// inclusion probability p* (identical for all vertices of a graph whose
+// t-balls are isomorphic). The context is checked once per trial, so a
+// deadline-bounded estimate returns ctx.Err() promptly instead of draining
+// all trials.
 func InclusionRateCtx(ctx context.Context, g *graph.Graph, rounds, trials int, seed uint64) (float64, error) {
 	if g.N() == 0 || trials <= 0 {
 		return 0, nil

@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -58,8 +59,8 @@ func TestIndistinguishability(t *testing.T) {
 	if !BallIsomorphic(bip, rounds) || !BallIsomorphic(nonBip, rounds) {
 		t.Fatal("precondition: balls must be trees")
 	}
-	rateA := InclusionRate(bip, rounds, trials, 1)
-	rateB := InclusionRate(nonBip, rounds, trials, 2)
+	rateA := must(InclusionRateCtx(context.Background(), bip, rounds, trials, 1))
+	rateB := must(InclusionRateCtx(context.Background(), nonBip, rounds, trials, 2))
 	if math.Abs(rateA-rateB) > 0.01 {
 		t.Fatalf("t-round algorithm distinguished the graphs: %v vs %v", rateA, rateB)
 	}
@@ -81,8 +82,8 @@ func TestIndistinguishabilityRegular(t *testing.T) {
 	if girthA <= 2*tRounds || girthB <= 2*tRounds {
 		t.Skipf("generator girths %d/%d too small for t=%d", girthA, girthB, tRounds)
 	}
-	rateA := InclusionRate(gA, tRounds, 200, 3)
-	rateB := InclusionRate(gB, tRounds, 200, 4)
+	rateA := must(InclusionRateCtx(context.Background(), gA, tRounds, 200, 3))
+	rateB := must(InclusionRateCtx(context.Background(), gB, tRounds, 200, 4))
 	if math.Abs(rateA-rateB) > 0.02 {
 		t.Fatalf("rates differ: %v vs %v", rateA, rateB)
 	}
@@ -275,4 +276,12 @@ func boolsToList(bs []bool) []int32 {
 		}
 	}
 	return out
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -51,15 +51,10 @@ type Params struct {
 	Workers int
 }
 
-// Decompose computes the colored decomposition of g.
-func Decompose(g *graph.Graph, p Params) *Decomposition {
-	d, _ := DecomposeCtx(context.Background(), g, p)
-	return d
-}
-
-// DecomposeCtx is Decompose with cancellation: the context is checked once
-// per phase (each phase is one Elkin–Neiman pass over the residual graph,
-// which itself checks the context at a coarse stride).
+// DecomposeCtx computes the colored decomposition of g. The context is
+// checked once per phase (each phase is one Elkin–Neiman pass over the
+// residual graph, which itself checks the context at a coarse stride).
+// Every phase runs on one ldd workspace, held for the whole call.
 func DecomposeCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, error) {
 	n := g.N()
 	lambda := p.Lambda
@@ -92,15 +87,14 @@ func DecomposeCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition
 	rng := xrand.New(p.Seed)
 	rounds := 0
 	color := int32(0)
-	ws := ldd.AcquireWorkspace()
-	defer ldd.ReleaseWorkspace(ws)
+	var ws ldd.Workspace
 	for phase := 0; phase < maxPhases && remaining > 0; phase++ {
-		en, err := ldd.ElkinNeimanWSCtx(ctx, g, alive, ldd.ENParams{
+		en, err := ldd.ElkinNeimanCtx(ctx, g, alive, ldd.ENParams{
 			Lambda:  lambda,
 			NTilde:  nTilde,
 			Seed:    rng.Split(uint64(phase) + 0xde0).Uint64(),
 			Workers: p.Workers,
-		}, ws)
+		}, &ws)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package netdecomp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestValidDecomposition(t *testing.T) {
 	g := gen.Grid(20, 20)
 	for seed := uint64(0); seed < 5; seed++ {
-		d := Decompose(g, Params{Seed: seed})
+		d := must(DecomposeCtx(context.Background(), g, Params{Seed: seed}))
 		if !d.Validate(g) {
 			t.Fatalf("seed %d: invalid decomposition", seed)
 		}
@@ -23,7 +24,7 @@ func TestValidDecomposition(t *testing.T) {
 
 func TestColorCountLogarithmic(t *testing.T) {
 	g := gen.Torus(30, 30)
-	d := Decompose(g, Params{Seed: 1})
+	d := must(DecomposeCtx(context.Background(), g, Params{Seed: 1}))
 	bound := int(6*math.Log2(float64(g.N()))) + 8
 	if d.NumColors > bound {
 		t.Fatalf("colors = %d > %d", d.NumColors, bound)
@@ -32,7 +33,7 @@ func TestColorCountLogarithmic(t *testing.T) {
 
 func TestClusterDiameter(t *testing.T) {
 	g := gen.Cycle(2000)
-	d := Decompose(g, Params{Seed: 2, Lambda: 0.5})
+	d := must(DecomposeCtx(context.Background(), g, Params{Seed: 2, Lambda: 0.5}))
 	bound := int(8*math.Log(float64(g.N()))/0.5) + 1
 	for _, cluster := range d.Clusters() {
 		if len(cluster) == 0 {
@@ -46,7 +47,7 @@ func TestClusterDiameter(t *testing.T) {
 
 func TestEveryVertexClustered(t *testing.T) {
 	g := gen.GNP(300, 0.02, xrand.New(3))
-	d := Decompose(g, Params{Seed: 3})
+	d := must(DecomposeCtx(context.Background(), g, Params{Seed: 3}))
 	for v, c := range d.ClusterOf {
 		if c < 0 {
 			t.Fatalf("vertex %d unclustered", v)
@@ -59,7 +60,7 @@ func TestEveryVertexClustered(t *testing.T) {
 
 func TestClustersByColor(t *testing.T) {
 	g := gen.Grid(10, 10)
-	d := Decompose(g, Params{Seed: 4})
+	d := must(DecomposeCtx(context.Background(), g, Params{Seed: 4}))
 	byColor := d.ClustersByColor()
 	if len(byColor) != d.NumColors {
 		t.Fatalf("byColor groups %d != colors %d", len(byColor), d.NumColors)
@@ -75,11 +76,19 @@ func TestClustersByColor(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := gen.Cycle(300)
-	d1 := Decompose(g, Params{Seed: 9})
-	d2 := Decompose(g, Params{Seed: 9})
+	d1 := must(DecomposeCtx(context.Background(), g, Params{Seed: 9}))
+	d2 := must(DecomposeCtx(context.Background(), g, Params{Seed: 9}))
 	for v := range d1.ClusterOf {
 		if d1.ClusterOf[v] != d2.ClusterOf[v] || d1.ColorOf[v] != d2.ColorOf[v] {
 			t.Fatal("nondeterministic")
 		}
 	}
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

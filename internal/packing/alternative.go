@@ -21,7 +21,7 @@ import (
 //  2. reweight every variable by w'(v) = w(v) · |{i : P_i(v) = 1}| — the
 //     concentration of Σ w(P_i) around T(1−ε)·OPT makes w' a proxy for
 //     membership in an optimal solution;
-//  3. run the *weighted* low-diameter decomposition (ChangLiWeighted) on
+//  3. run the *weighted* low-diameter decomposition (ChangLiWeightedCtx) on
 //     w', which deletes at most an ε fraction of the total proxy weight
 //     w.h.p.;
 //  4. solve each final cluster exactly and return the union P′; the
@@ -50,33 +50,15 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 	}
 	rootRNG := xrand.New(p.Seed)
 	ph := local.NewPhases(ctx)
-	exact := true
 	var scr solve.Scratch // the local solves run one at a time
 
 	// Step 1+2: parallel decompositions and the membership-count weights.
-	wPrime := make([]int64, n)
 	ph.Start("decompositions")
-	for run := 0; run < tRuns; run++ {
-		en, err := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{
-			Lambda:  eps,
-			NTilde:  nTilde,
-			Seed:    rootRNG.Split(uint64(run) + 0xa17).Uint64(),
-			Workers: p.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ph.Charge(en.Rounds)
-		for _, cluster := range en.Clusters() {
-			sol, _, ex := solveLocal(inst, cluster, p.Solve, &scr)
-			exact = exact && ex
-			for v, set := range sol {
-				if set {
-					wPrime[v] += inst.Weight(v)
-				}
-			}
-		}
+	wPrime, rounds, exact, err := proxyWeights(ctx, inst, p, eps, nTilde, tRuns, &scr)
+	if err != nil {
+		return nil, err
 	}
+	ph.Charge(rounds)
 
 	// Step 3: weighted decomposition against the proxy weights; its own
 	// phases nest inside this one in a trace.
@@ -101,11 +83,11 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 		if len(cluster) == 0 {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
+		comps++
+		sol, _, ex, err := solveLocal(ctx, inst, cluster, p.Solve, &scr)
+		if err != nil {
 			return nil, err
 		}
-		comps++
-		sol, _, ex := solveLocal(inst, cluster, p.Solve, &scr)
 		exact = exact && ex
 		for v, set := range sol {
 			if set {
@@ -124,21 +106,34 @@ func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns i
 	}, nil
 }
 
-// membershipCounts exposes step 2's proxy weights for tests.
-func membershipCounts(inst *ilp.Instance, tRuns int, eps float64, seed uint64, opt solve.Options) []int64 {
+// proxyWeights runs steps 1 and 2: tRuns Elkin–Neiman decompositions
+// with λ = eps, each cluster's local packing solution adding its variables'
+// weights to w'. It returns w', the largest round count of a run (the runs
+// are parallel in LOCAL), and whether every local solve was exact. The
+// decompositions run one at a time on one workspace, the solves on scr.
+func proxyWeights(ctx context.Context, inst *ilp.Instance, p Params, eps float64, nTilde, tRuns int, scr *solve.Scratch) ([]int64, int, bool, error) {
 	g := inst.Primal()
-	n := g.N()
-	rootRNG := xrand.New(seed)
-	wPrime := make([]int64, n)
-	var scr solve.Scratch
+	var ws ldd.Workspace
+	rootRNG := xrand.New(p.Seed)
+	wPrime := make([]int64, g.N())
+	rounds, exact := 0, true
 	for run := 0; run < tRuns; run++ {
-		en := ldd.ElkinNeiman(g, nil, ldd.ENParams{
-			Lambda: eps,
-			NTilde: n,
-			Seed:   rootRNG.Split(uint64(run) + 0xa17).Uint64(),
-		})
+		en, err := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{
+			Lambda:  eps,
+			NTilde:  nTilde,
+			Seed:    rootRNG.Split(uint64(run) + 0xa17).Uint64(),
+			Workers: p.Workers,
+		}, &ws)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		rounds = max(rounds, en.Rounds)
 		for _, cluster := range en.Clusters() {
-			sol, _, _ := solveLocal(inst, cluster, opt, &scr)
+			sol, _, ex, err := solveLocal(ctx, inst, cluster, p.Solve, scr)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			exact = exact && ex
 			for v, set := range sol {
 				if set {
 					wPrime[v] += inst.Weight(v)
@@ -146,5 +141,5 @@ func membershipCounts(inst *ilp.Instance, tRuns int, eps float64, seed uint64, o
 			}
 		}
 	}
-	return wPrime
+	return wPrime, rounds, exact, nil
 }

@@ -60,7 +60,10 @@ func TestMembershipCountsCorrelateWithOptimum(t *testing.T) {
 	// counts must dominate the center's.
 	g := gen.Star(20)
 	inst := misOn(t, g)
-	w := membershipCounts(inst, 10, 0.3, 3, solve.Options{})
+	w, _, _, err := proxyWeights(context.Background(), inst, Params{Seed: 3}, 0.3, g.N(), 10, new(solve.Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
 	leafTotal := int64(0)
 	for v := 1; v < 20; v++ {
 		leafTotal += w[v]

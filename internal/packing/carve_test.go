@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -27,7 +28,7 @@ func TestGrowCarvePackingWindow(t *testing.T) {
 	g := gen.Path(30)
 	inst := misOn(t, g)
 	alive := allAlive(30)
-	oc, exact := growCarvePacking(inst, g, []int32{0}, 4, 9, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
+	oc, exact := growCarvePacking(context.Background(), inst, g, []int32{0}, 4, 9, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if !exact {
 		t.Fatal("path-structured solve should be exact")
 	}
@@ -48,7 +49,7 @@ func TestGrowCarvePackingExhausted(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := allAlive(5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
+	oc, _ := growCarvePacking(context.Background(), inst, g, []int32{2}, 7, 12, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if len(oc.Deleted) != 0 {
 		t.Fatalf("deleted = %v, want none", oc.Deleted)
 	}
@@ -61,7 +62,7 @@ func TestGrowCarvePackingDeadSeed(t *testing.T) {
 	g := gen.Path(5)
 	inst := misOn(t, g)
 	alive := make([]bool, 5)
-	oc, _ := growCarvePacking(inst, g, []int32{2}, 1, 3, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
+	oc, _ := growCarvePacking(context.Background(), inst, g, []int32{2}, 1, 3, alive, solve.Options{}, new(graph.ParWorkspace), new(solve.Scratch))
 	if oc != nil {
 		t.Fatal("dead seed should return nil")
 	}
@@ -102,7 +103,7 @@ func TestSmallIntervalEndToEnd(t *testing.T) {
 	// feasible and produce multiple components.
 	g := gen.Cycle(800)
 	inst := misOn(t, g)
-	r := Solve(inst, Params{Epsilon: 0.3, Seed: 3, Scale: 0.001, PrepRuns: 1})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 3, Scale: 0.001, PrepRuns: 1}))
 	if ok, j := inst.Feasible(r.Solution); !ok {
 		t.Fatalf("infeasible at %d", j)
 	}

@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -101,7 +102,7 @@ func TestGoldenMultiComponent(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := c.p
 			p.Workers = workers
-			r := Solve(inst, p)
+			r := must(SolveCtx(context.Background(), inst, p))
 			if ok, j := inst.Feasible(r.Solution); !ok {
 				t.Fatalf("case %d workers %d: infeasible at %d", i, workers, j)
 			}

@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -28,7 +29,7 @@ func TestGoldenSolutions(t *testing.T) {
 	for i, c := range cases {
 		g := gen.GNP(c.n, 8/float64(c.n-1), xrand.New(c.graphSeed))
 		inst := misOn(t, g)
-		r := Solve(inst, c.p)
+		r := must(SolveCtx(context.Background(), inst, c.p))
 		if ok, j := inst.Feasible(r.Solution); !ok {
 			t.Fatalf("case %d: infeasible at %d", i, j)
 		}

@@ -149,16 +149,12 @@ type prepCluster struct {
 	wSC     int64 // W(P^local_SC, S_C)
 }
 
-// Solve runs the Theorem 1.2 algorithm on a packing instance.
-func Solve(inst *ilp.Instance, p Params) *Result {
-	r, _ := SolveCtx(context.Background(), inst, p)
-	return r
-}
-
-// SolveCtx is Solve with cancellation: the context is checked between the
-// preparation fan-out, each Phase-1/2 carving iteration, and the final
-// per-region fan-out; a cancelled run returns ctx.Err() promptly and
-// releases its pooled workspaces.
+// SolveCtx runs the Theorem 1.2 algorithm on a packing instance. The
+// context is checked between the preparation fan-out, each Phase-1/2
+// carving iteration, and the final per-region fan-out, and polled inside
+// the decompositions and branch-and-bound searches; a cancelled run returns
+// ctx.Err() promptly. The run's decomposition workspaces and solve scratch
+// live only as long as the call.
 func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
 	g := inst.Primal()
 	n := g.N()
@@ -175,13 +171,16 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// and so are the per-cluster weight estimates; both fan out across the
 	// worker pool and merge in (run, cluster) order so the Phase-1/2
 	// sampling streams stay bit-identical to the sequential path.
+	//
+	// Every decomposition runs on its worker's ldd workspace and every local
+	// packing solve on its worker's solve scratch; both live only as long
+	// as this request. A task of a fan-out fails only when ctx is
+	// cancelled, and ForEachCtx then returns ctx's error, so the tasks
+	// below drop their errors.
 	workers := par.Workers(p.Workers)
-	wss := ldd.AcquireWorkspaces(workers)
-	defer ldd.ReleaseWorkspaces(wss)
+	wss := make([]ldd.Workspace, workers)
 	pws := graph.AcquireParWorkspaces(workers)
 	defer graph.ReleaseParWorkspaces(pws)
-	// Every local packing solve runs on its worker's solve scratch, which
-	// lives only as long as this request.
 	scr := make([]solve.Scratch, workers)
 
 	ph.Start("preparation")
@@ -191,11 +190,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}
 	ens := make([]*ldd.Decomposition, d.prepRuns)
 	if err := par.ForEachCtx(ctx, workers, d.prepRuns, func(w, run int) {
-		ens[run] = ldd.ElkinNeimanWS(g, nil, ldd.ENParams{
+		ens[run], _ = ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{
 			Lambda: 0.5,
 			NTilde: d.nTilde,
 			Seed:   prepSeeds[run],
-		}, wss[w])
+		}, &wss[w])
 	}); err != nil {
 		return nil, err
 	}
@@ -211,8 +210,8 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	for w := range componentValue {
 		s := &scr[w]
 		componentValue[w] = func(verts []int32) (int64, bool, error) {
-			_, wt, ex := solveLocal(inst, verts, p.Solve, s)
-			return wt, ex, nil
+			_, wt, ex, err := solveLocal(ctx, inst, verts, p.Solve, s)
+			return wt, ex, err
 		}
 	}
 	var members [][]int32
@@ -228,13 +227,13 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	if err := par.ForEachCtx(ctx, workers, len(members), func(w, i int) {
 		pc := prepCluster{members: members[i]}
 		var ex1, ex2 bool
-		_, pc.wC, ex1 = solveLocal(inst, members[i], p.Solve, &scr[w])
+		_, pc.wC, ex1, _ = solveLocal(ctx, inst, members[i], p.Solve, &scr[w])
 		c := cc.Of(members[i][0])
 		whole := d.estRadius >= len(cc.Members(c))
 		if !whole {
 			sc := graph.ParBallFromSet(pws[w], g, members[i], d.estRadius, nil, 1)
 			if whole = cc.IsComponent(sc); !whole {
-				_, pc.wSC, ex2 = solveLocal(inst, sc, p.Solve, &scr[w])
+				_, pc.wSC, ex2, _ = solveLocal(ctx, inst, sc, p.Solve, &scr[w])
 			}
 		}
 		if whole {
@@ -297,7 +296,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		carveExact := make([]bool, len(sampled))
 		if err := par.ForEachCtx(ctx, workers, len(sampled), func(w, j int) {
 			pc := clusters[sampled[j]]
-			outcomes[j], carveExact[j] = growCarvePacking(inst, g, pc.members,
+			outcomes[j], carveExact[j] = growCarvePacking(ctx, inst, g, pc.members,
 				interval[0], interval[1], alive, p.Solve, pws[w], &scr[w])
 		}); err != nil {
 			return nil, err
@@ -313,11 +312,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 
 	// --- Phase 3 -----------------------------------------------------------
 	ph.Start("phase3-en")
-	en, err := ldd.ElkinNeimanWSCtx(ctx, g, alive, ldd.ENParams{
+	en, err := ldd.ElkinNeimanCtx(ctx, g, alive, ldd.ENParams{
 		Lambda: eps / 10,
 		NTilde: d.nTilde,
 		Seed:   rootRNG.Split(0x3a5e).Uint64(),
-	}, wss[0])
+	}, &wss[0])
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +345,7 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 		if len(regions[i]) == 0 {
 			return
 		}
-		sols[i], _, solExact[i] = solveLocal(inst, regions[i], p.Solve, &scr[w])
+		sols[i], _, solExact[i], _ = solveLocal(ctx, inst, regions[i], p.Solve, &scr[w])
 	}); err != nil {
 		return nil, err
 	}
@@ -384,10 +383,11 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	}, nil
 }
 
-// solveLocal runs solve's PackingLocal on a worker's scratch.
-func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options, s *solve.Scratch) (ilp.Solution, int64, bool) {
-	sol, val, m := s.PackingLocal(inst, members, opt)
-	return sol, val, m.Exact()
+// solveLocal runs a local packing solve on a worker's scratch and reports
+// whether its method was exact. Its only error is ctx's.
+func solveLocal(ctx context.Context, inst *ilp.Instance, members []int32, opt solve.Options, s *solve.Scratch) (ilp.Solution, int64, bool, error) {
+	sol, val, m, err := s.PackingLocal(ctx, inst, members, opt)
+	return sol, val, m.Exact(), err
 }
 
 // growCarvePacking implements Algorithm 4 for a cluster seed set: gather
@@ -397,8 +397,9 @@ func solveLocal(inst *ilp.Instance, members []int32, opt solve.Options, s *solve
 // the returned outcome the cut layer JStar is j*+1, the deleted one.
 // The gather runs on the caller's workspace and the local solve on its
 // scratch; concurrent calls against the same alive snapshot are safe when
-// each uses its own.
-func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int,
+// each uses its own. A cancelled local solve returns no outcome; the
+// caller's fan-out reports ctx's error.
+func growCarvePacking(ctx context.Context, inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int,
 	alive []bool, opt solve.Options, ws *graph.ParWorkspace, s *solve.Scratch) (*ldd.CarveOutcome, bool) {
 
 	layers := graph.ParBallLayersFromSet(ws, g, seed, b-1, alive, 1)
@@ -416,7 +417,10 @@ func growCarvePacking(inst *ilp.Instance, g *graph.Graph, seed []int32, a, b int
 	for _, l := range layers {
 		ball = append(ball, l...)
 	}
-	sol, _, ex := solveLocal(inst, ball, opt, s)
+	sol, _, ex, err := solveLocal(ctx, inst, ball, opt, s)
+	if err != nil {
+		return nil, false
+	}
 	layerWeight := func(j int) int64 {
 		if j >= len(layers) {
 			return 0

@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -51,7 +52,7 @@ func TestMISOnEvenCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(0); seed < 5; seed++ {
-		r := Solve(inst, Params{Epsilon: eps, Seed: seed, PrepRuns: 3})
+		r := must(SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: seed, PrepRuns: 3}))
 		if ok, j := inst.Feasible(r.Solution); !ok {
 			t.Fatalf("seed %d: infeasible at %d", seed, j)
 		}
@@ -72,7 +73,7 @@ func TestMISOnTree(t *testing.T) {
 	inst := misOn(t, g)
 	eps := 0.2
 	opt, _ := problems.ExactOptimum(problems.MIS, g)
-	r := Solve(inst, Params{Epsilon: eps, Seed: 2, PrepRuns: 3})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 2, PrepRuns: 3}))
 	if !problems.Verify(problems.MIS, g, r.Solution) {
 		t.Fatal("not independent")
 	}
@@ -86,7 +87,7 @@ func TestMISOnGrid(t *testing.T) {
 	inst := misOn(t, g)
 	eps := 0.25
 	opt, _ := problems.ExactOptimum(problems.MIS, g) // bipartite exact
-	r := Solve(inst, Params{Epsilon: eps, Seed: 4, PrepRuns: 3})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 4, PrepRuns: 3}))
 	if !problems.Verify(problems.MIS, g, r.Solution) {
 		t.Fatal("not independent")
 	}
@@ -100,7 +101,7 @@ func TestMISSmallScaleStillFeasible(t *testing.T) {
 	// (1-eps) bound may degrade but feasibility and separation must hold.
 	g := gen.Cycle(600)
 	inst := misOn(t, g)
-	r := Solve(inst, Params{Epsilon: 0.3, Seed: 5, Scale: 0.002, PrepRuns: 2})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.3, Seed: 5, Scale: 0.002, PrepRuns: 2}))
 	if ok, j := inst.Feasible(r.Solution); !ok {
 		t.Fatalf("infeasible at %d", j)
 	}
@@ -121,7 +122,7 @@ func TestMaxMatchingAsPacking(t *testing.T) {
 	}
 	eps := 0.25
 	opt, _ := problems.ExactOptimum(problems.MaxMatching, g)
-	r := Solve(inst, Params{Epsilon: eps, Seed: 6, PrepRuns: 3})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: eps, Seed: 6, PrepRuns: 3}))
 	if !problems.Verify(problems.MaxMatching, g, r.Solution) {
 		t.Fatal("not a matching")
 	}
@@ -142,7 +143,7 @@ func TestWeightedMIS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Solve(inst, Params{Epsilon: 0.2, Seed: 7, PrepRuns: 3})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.2, Seed: 7, PrepRuns: 3}))
 	if r.Value < 80 { // (1-eps) * 100
 		t.Fatalf("weighted value = %d", r.Value)
 	}
@@ -155,8 +156,8 @@ func TestDeterministic(t *testing.T) {
 	g := gen.Cycle(100)
 	inst := misOn(t, g)
 	p := Params{Epsilon: 0.3, Seed: 11, PrepRuns: 2}
-	r1 := Solve(inst, p)
-	r2 := Solve(inst, p)
+	r1 := must(SolveCtx(context.Background(), inst, p))
+	r2 := must(SolveCtx(context.Background(), inst, p))
 	if r1.Value != r2.Value || r1.Rounds != r2.Rounds {
 		t.Fatal("nondeterministic")
 	}
@@ -172,7 +173,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 	g := b.Build()
 	inst := misOn(t, g)
-	r := Solve(inst, Params{Epsilon: 0.25, Seed: 8, PrepRuns: 2})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: 8, PrepRuns: 2}))
 	if !problems.Verify(problems.MIS, g, r.Solution) {
 		t.Fatal("not independent")
 	}
@@ -188,7 +189,7 @@ func TestExactFlagHonest(t *testing.T) {
 	inst := misOn(t, g)
 	p := Params{Epsilon: 0.3, Seed: 9, PrepRuns: 2}
 	p.Solve.ForceGreedy = true
-	r := Solve(inst, p)
+	r := must(SolveCtx(context.Background(), inst, p))
 	if r.Exact {
 		t.Fatal("greedy-only run claimed exact")
 	}
@@ -202,7 +203,7 @@ func BenchmarkPackingMISCycle200(b *testing.B) {
 	inst := misOn(b, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Solve(inst, Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2})
+		_ = must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: uint64(i), PrepRuns: 2}))
 	}
 }
 
@@ -216,8 +217,16 @@ func TestRepeatedVariableRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Solve(inst, Params{Epsilon: 0.25, Seed: 1})
+	r := must(SolveCtx(context.Background(), inst, Params{Epsilon: 0.25, Seed: 1}))
 	if ok, j := inst.Feasible(r.Solution); !ok || r.Value != 1 {
 		t.Fatalf("solution %v value %d, feasible=%v (row %d)", r.Solution, r.Value, ok, j)
 	}
+}
+
+// must returns v, panicking on err; the runs it wraps cannot be cancelled.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

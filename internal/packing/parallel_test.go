@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -35,8 +36,8 @@ func TestParallelPreparationBitIdentical(t *testing.T) {
 			seq.Workers = 1
 			parl := base
 			parl.Workers = 6
-			rs := Solve(inst, seq)
-			rp := Solve(inst, parl)
+			rs := must(SolveCtx(context.Background(), inst, seq))
+			rp := must(SolveCtx(context.Background(), inst, parl))
 			if !reflect.DeepEqual(rs, rp) {
 				t.Fatalf("%s seed %d: sequential and parallel results differ:\nseq %+v\npar %+v", c.name, seed, rs, rp)
 			}

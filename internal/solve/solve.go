@@ -24,12 +24,14 @@
 // constraint degree deg. The solvers index their scratch by dense variable
 // and constraint ids; they use no hash maps on the greedy paths.
 //
-// A packing solve works on a Scratch: a variable position index and a
-// greedy residual, each as long as the instance. A caller that runs many
-// local solves on one goroutine (the packing solver's workers) owns one
-// Scratch per worker for the length of its request and drops it when the
-// request returns; PackingLocal makes a fresh one per call. Nothing is
-// pooled, so no scratch outlives the request that made it.
+// Every local solve is a method of a Scratch: a variable position index, a
+// covering membership mask and a greedy row array (packing's residual
+// capacities, covering's deficits), each as long as the instance. A caller
+// that runs many local solves on one goroutine (the packing and covering
+// solvers' workers, the GKM carves) owns one Scratch per worker for the
+// length of its request and drops it when the request returns; a one-off
+// solve uses a zero Scratch. Nothing is pooled, so no scratch outlives the
+// request that made it.
 //
 // Local-problem semantics follow Section 2 of the paper: for packing, the
 // restriction to S sets all outside variables to zero and enforces every
@@ -108,31 +110,77 @@ func (o Options) maxExact() int {
 // infeasible, since the constraint lies fully inside the cluster).
 var ErrInfeasibleLocal = errors.New("solve: local covering instance infeasible")
 
-// PackingLocal solves the packing problem restricted to the cluster: it
-// returns a full-length solution with ones only on cluster variables,
-// feasible for every constraint of inst, maximizing the weight within the
-// cluster (exactly when the reported method is exact). Duplicate cluster
-// entries are tolerated.
-func PackingLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method) {
-	return new(Scratch).PackingLocal(inst, cluster, opt)
-}
-
-// Scratch is the working memory of local packing solves, reusable across
-// calls and instances by one goroutine at a time. Its zero value is ready.
+// Scratch is the working memory of local solves, reusable across calls,
+// instances and problem kinds by one goroutine at a time. Its zero value
+// is ready.
 type Scratch struct {
 	// at is each cluster variable's position in the deduplicated cluster,
 	// plus one, and 0 elsewhere. Every solve clears the entries it set
 	// before it returns, so at is all zero between calls.
 	at []int32
-	// res is greedy packing's residual capacity by constraint id. It needs
-	// no reset: greedy writes each touched row's rhs before reading it.
-	res []float64
+	// in is covering's cluster membership mask by variable id. Like at, it
+	// is all false between calls.
+	in []bool
+	// row is greedy packing's residual capacity, or greedy covering's
+	// residual deficit, by constraint id. It needs no reset: both greedy
+	// solvers write each row they touch before reading it.
+	row []float64
 }
 
-// PackingLocal is the package-level PackingLocal on s's memory.
-func (s *Scratch) PackingLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method) {
-	sol, val, m, _ := packingLocal(inst, cluster, opt, nil, s)
-	return sol, val, m
+// PackingLocal solves the packing problem restricted to the cluster: it
+// returns a full-length solution with ones only on cluster variables,
+// feasible for every constraint of inst, maximizing the weight within the
+// cluster (exactly when the reported method is exact). Duplicate and
+// out-of-range cluster entries are ignored. The branch-and-bound search
+// polls ctx at a coarse node stride (the structured fast paths are
+// polynomial and run to completion); on cancellation it returns the
+// context's error and no solution.
+func (s *Scratch) PackingLocal(ctx context.Context, inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, err
+	}
+	at := s.positions(inst.NumVars())
+	vars := dedup(cluster, at)
+	sol, val, m, ok := packingVars(inst, vars, at, opt, ctx.Done(), s)
+	for _, v := range vars {
+		at[v] = 0
+	}
+	if !ok {
+		return nil, 0, 0, ctxError(ctx)
+	}
+	return sol, val, m, nil
+}
+
+// CoveringLocal solves the covering problem restricted to the cluster: it
+// returns a full-length solution with ones only on cluster variables that
+// satisfies every constraint fully contained in the cluster, minimizing
+// weight (exactly when the method is exact). Cluster entries and
+// cancellation are handled as in PackingLocal. A constraint inside the
+// cluster that all-ones cannot satisfy returns ErrInfeasibleLocal.
+func (s *Scratch) CoveringLocal(ctx context.Context, inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, err
+	}
+	at := s.positions(inst.NumVars())
+	vars := dedup(cluster, at)
+	if cap(s.in) < len(at) {
+		s.in = make([]bool, len(at))
+	}
+	in := s.in[:len(at)]
+	for _, v := range vars {
+		in[v] = true
+	}
+	sol, val, m, err := coveringVars(inst, vars, at, in, opt, ctx.Done(), s)
+	for _, v := range vars {
+		at[v] = 0
+		in[v] = false
+	}
+	if errors.Is(err, context.Canceled) {
+		// Branch-and-bound aborted on the done channel; surface the
+		// context's own error (DeadlineExceeded vs Canceled).
+		return nil, 0, 0, ctxError(ctx)
+	}
+	return sol, val, m, err
 }
 
 // positions returns the all-zero position index for n variables.
@@ -143,27 +191,12 @@ func (s *Scratch) positions(n int) []int32 {
 	return s.at[:n]
 }
 
-// residual returns the residual array for m constraints.
-func (s *Scratch) residual(m int) []float64 {
-	if cap(s.res) < m {
-		s.res = make([]float64, m)
+// rows returns the per-constraint row array for m constraints.
+func (s *Scratch) rows(m int) []float64 {
+	if cap(s.row) < m {
+		s.row = make([]float64, m)
 	}
-	return s.res[:m]
-}
-
-// PackingLocalCtx is PackingLocal with cancellation: the branch-and-bound
-// search polls the context at a coarse node stride (the structured fast
-// paths are polynomial and run to completion). On cancellation it returns
-// the context's error and no solution.
-func PackingLocalCtx(ctx context.Context, inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	sol, val, m, ok := packingLocal(inst, cluster, opt, ctx.Done(), new(Scratch))
-	if !ok {
-		return nil, 0, 0, ctxError(ctx)
-	}
-	return sol, val, m, nil
+	return s.row[:m]
 }
 
 // ctxError reports why a done channel fired, defaulting to Canceled.
@@ -174,18 +207,8 @@ func ctxError(ctx context.Context) error {
 	return context.Canceled
 }
 
-func packingLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, Method, bool) {
-	at := s.positions(inst.NumVars())
-	vars := dedup(cluster, at)
-	sol, val, m, ok := packingVars(inst, vars, at, opt, done, s)
-	for _, v := range vars {
-		at[v] = 0
-	}
-	return sol, val, m, ok
-}
-
-// packingVars is packingLocal on the deduplicated cluster vars, indexed
-// in at.
+// packingVars solves packing on the deduplicated cluster vars, indexed in
+// at.
 func packingVars(inst *ilp.Instance, vars, at []int32, opt Options, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, Method, bool) {
 	if len(vars) == 0 {
 		return inst.NewSolution(), 0, MethodBranchBound, true
@@ -203,43 +226,14 @@ func packingVars(inst *ilp.Instance, vars, at []int32, opt Options, done <-chan 
 	return sol, val, MethodGreedy, true
 }
 
-// CoveringLocal solves the covering problem restricted to the cluster: it
-// returns a full-length solution with ones only on cluster variables that
-// satisfies every constraint fully contained in the cluster, minimizing
-// weight (exactly when the method is exact).
-func CoveringLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
-	return coveringLocal(inst, cluster, opt, nil)
-}
-
-// CoveringLocalCtx is CoveringLocal with cancellation (see
-// PackingLocalCtx).
-func CoveringLocalCtx(ctx context.Context, inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	sol, val, m, err := coveringLocal(inst, cluster, opt, ctx.Done())
-	if errors.Is(err, context.Canceled) {
-		// Branch-and-bound aborted on the done channel; surface the
-		// context's own error (DeadlineExceeded vs Canceled).
-		return nil, 0, 0, ctxError(ctx)
-	}
-	return sol, val, m, err
-}
-
-func coveringLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan struct{}) (ilp.Solution, int64, Method, error) {
-	at := make([]int32, inst.NumVars())
-	vars := dedup(cluster, at)
-	in := make([]bool, len(at))
-	for _, v := range vars {
-		in[v] = true
-	}
+// coveringVars solves covering on the deduplicated cluster vars, indexed
+// in at and marked in in. A branch-and-bound search stopped on done
+// returns context.Canceled.
+func coveringVars(inst *ilp.Instance, vars, at []int32, in []bool, opt Options, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, Method, error) {
 	local := inst.LocalConstraints(in)
-	// Infeasibility check: all-ones on the cluster must satisfy everything.
-	all := inst.NewSolution()
-	for _, v := range vars {
-		all[v] = true
-	}
-	if ok, j := inst.FeasibleOn(all, local); !ok {
+	// Infeasibility check: all-ones on the cluster, which is the mask in,
+	// must satisfy everything.
+	if ok, j := inst.FeasibleOn(in, local); !ok {
 		return nil, 0, 0, fmt.Errorf("%w: constraint %d", ErrInfeasibleLocal, j)
 	}
 	if len(local) == 0 {
@@ -252,13 +246,13 @@ func coveringLocal(inst *ilp.Instance, cluster []int32, opt Options, done <-chan
 		}
 	}
 	if !opt.ForceGreedy && len(vars) <= opt.maxExact() {
-		sol, val, ok := coveringBB(inst, vars, local, done)
+		sol, val, ok := coveringBB(inst, vars, local, done, s)
 		if !ok {
 			return nil, 0, 0, context.Canceled
 		}
 		return sol, val, MethodBranchBound, nil
 	}
-	sol, val := GreedyCovering(inst, vars, local)
+	sol, val := greedyCovering(inst, vars, local, s)
 	return sol, val, MethodGreedy, nil
 }
 
@@ -522,7 +516,7 @@ func stopped(done <-chan struct{}) bool {
 
 // --- Branch and bound: covering ------------------------------------------
 
-func coveringBB(inst *ilp.Instance, vars []int32, local []int32, done <-chan struct{}) (ilp.Solution, int64, bool) {
+func coveringBB(inst *ilp.Instance, vars []int32, local []int32, done <-chan struct{}, s *Scratch) (ilp.Solution, int64, bool) {
 	order := append([]int32(nil), vars...)
 	sort.Slice(order, func(i, j int) bool {
 		return inst.Weight(int(order[i])) < inst.Weight(int(order[j]))
@@ -555,7 +549,7 @@ func coveringBB(inst *ilp.Instance, vars []int32, local []int32, done <-chan str
 		}
 		maxCover[k] = row
 	}
-	bestSol, bestVal := GreedyCovering(inst, vars, local)
+	bestSol, bestVal := greedyCovering(inst, vars, local, s)
 	cur := inst.NewSolution()
 	nodes := 0
 	aborted := false
@@ -641,7 +635,7 @@ func greedyPacking(inst *ilp.Instance, vars []int32, s *Scratch) (ilp.Solution, 
 	})
 	// Residual capacity per constraint id; only the touched entries are
 	// read, and each starts at its rhs.
-	res := s.residual(inst.NumConstraints())
+	res := s.rows(inst.NumConstraints())
 	for _, v := range order {
 		for _, cj := range inst.ConstraintsOf(int(v)) {
 			res[cj] = inst.Constraint(int(cj)).B
@@ -670,18 +664,25 @@ func greedyPacking(inst *ilp.Instance, vars []int32, s *Scratch) (ilp.Solution, 
 	return sol, val
 }
 
-// GreedyCovering is the classic weighted greedy set-multicover heuristic:
+// greedyCovering is the classic weighted greedy set-multicover heuristic:
 // repeatedly take the variable minimizing weight per unit of residual
 // deficit covered (the earliest in vars on ties), until every local
 // constraint is satisfied. Callers must have verified feasibility (all-ones
-// satisfies the local constraints).
+// satisfies the local constraints). It keeps its deficits in s.
 //
 // It runs lazily. A variable's coverage only shrinks as deficits fall, and
 // IEEE addition and division are monotone, so its ratio only grows: a
 // variable whose recomputed ratio equals its heap key is the exact minimum.
-func GreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Solution, int64) {
+func greedyCovering(inst *ilp.Instance, vars []int32, local []int32, s *Scratch) (ilp.Solution, int64) {
 	// deficit[cj] > 0 marks an unmet local constraint; met ones are 0.
-	deficit := make([]float64, inst.NumConstraints())
+	// Only the rows of the cluster variables are read: they start at 0,
+	// and the local constraints, which lie among them, at their rhs.
+	deficit := s.rows(inst.NumConstraints())
+	for _, v := range vars {
+		for _, cj := range inst.ConstraintsOf(int(v)) {
+			deficit[cj] = 0
+		}
+	}
 	unmet := 0
 	for _, cj := range local {
 		if b := inst.Constraint(int(cj)).B; b > 0 {

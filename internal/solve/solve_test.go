@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -132,7 +133,7 @@ func bruteCoveringLocal(inst *ilp.Instance, cluster []int32) int64 {
 func TestPackingTreePath(t *testing.T) {
 	g := gen.Path(9)
 	inst := misILP(t, g, nil)
-	sol, val, m := PackingLocal(inst, allVars(9), Options{})
+	sol, val, m := packLocal(inst, allVars(9), Options{})
 	if m != MethodTreeDP {
 		t.Fatalf("method = %v, want treedp", m)
 	}
@@ -147,7 +148,7 @@ func TestPackingTreePath(t *testing.T) {
 func TestPackingBipartiteCycle(t *testing.T) {
 	g := gen.Cycle(12)
 	inst := misILP(t, g, nil)
-	_, val, m := PackingLocal(inst, allVars(12), Options{})
+	_, val, m := packLocal(inst, allVars(12), Options{})
 	if m != MethodBipartite {
 		t.Fatalf("method = %v, want bipartite", m)
 	}
@@ -159,7 +160,7 @@ func TestPackingBipartiteCycle(t *testing.T) {
 func TestPackingOddCycleBB(t *testing.T) {
 	g := gen.Cycle(11)
 	inst := misILP(t, g, nil)
-	_, val, m := PackingLocal(inst, allVars(11), Options{})
+	_, val, m := packLocal(inst, allVars(11), Options{})
 	if m != MethodBranchBound {
 		t.Fatalf("method = %v, want branch-and-bound", m)
 	}
@@ -171,7 +172,7 @@ func TestPackingOddCycleBB(t *testing.T) {
 func TestPackingGreedyFallback(t *testing.T) {
 	g := gen.Cycle(51)
 	inst := misILP(t, g, nil)
-	_, val, m := PackingLocal(inst, allVars(51), Options{MaxExactVars: 20})
+	_, val, m := packLocal(inst, allVars(51), Options{MaxExactVars: 20})
 	if m != MethodGreedy {
 		t.Fatalf("method = %v, want greedy", m)
 	}
@@ -183,7 +184,7 @@ func TestPackingGreedyFallback(t *testing.T) {
 func TestPackingForceGreedy(t *testing.T) {
 	g := gen.Path(5)
 	inst := misILP(t, g, nil)
-	_, _, m := PackingLocal(inst, allVars(5), Options{ForceGreedy: true})
+	_, _, m := packLocal(inst, allVars(5), Options{ForceGreedy: true})
 	if m != MethodGreedy {
 		t.Fatalf("ForceGreedy ignored: %v", m)
 	}
@@ -195,7 +196,7 @@ func TestPackingPartialCluster(t *testing.T) {
 	g := gen.Path(10)
 	inst := misILP(t, g, nil)
 	cluster := []int32{0, 1, 2, 3, 4}
-	sol, val, _ := PackingLocal(inst, cluster, Options{})
+	sol, val, _ := packLocal(inst, cluster, Options{})
 	if val != 3 { // MIS of P5
 		t.Fatalf("half-path MIS = %d", val)
 	}
@@ -211,7 +212,7 @@ func TestPackingPartialCluster(t *testing.T) {
 
 func TestPackingEmptyCluster(t *testing.T) {
 	inst := misILP(t, gen.Path(4), nil)
-	sol, val, _ := PackingLocal(inst, nil, Options{})
+	sol, val, _ := packLocal(inst, nil, Options{})
 	if val != 0 || sol.CountOnes() != 0 {
 		t.Fatal("empty cluster should give empty solution")
 	}
@@ -221,7 +222,7 @@ func TestPackingWeightedTree(t *testing.T) {
 	g := gen.Star(5)
 	w := []int64{10, 1, 1, 1, 1} // heavy center beats the 4 leaves
 	inst := misILP(t, g, w)
-	sol, val, m := PackingLocal(inst, allVars(5), Options{})
+	sol, val, m := packLocal(inst, allVars(5), Options{})
 	if m != MethodTreeDP {
 		t.Fatalf("method = %v", m)
 	}
@@ -254,7 +255,7 @@ func TestPackingBBRandomAgainstBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, val, m := PackingLocal(inst, allVars(n), Options{DisableStructure: true})
+		sol, val, m := packLocal(inst, allVars(n), Options{DisableStructure: true})
 		if m != MethodBranchBound {
 			t.Fatalf("trial %d: method %v", trial, m)
 		}
@@ -270,7 +271,7 @@ func TestPackingBBRandomAgainstBrute(t *testing.T) {
 func TestCoveringTreeVC(t *testing.T) {
 	g := gen.Path(9)
 	inst := vcILP(t, g, nil)
-	sol, val, m, err := CoveringLocal(inst, allVars(9), Options{})
+	sol, val, m, err := coverLocal(inst, allVars(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestCoveringTreeVC(t *testing.T) {
 func TestCoveringBipartiteVC(t *testing.T) {
 	g := gen.CompleteBipartite(3, 5)
 	inst := vcILP(t, g, nil)
-	_, val, m, err := CoveringLocal(inst, allVars(8), Options{})
+	_, val, m, err := coverLocal(inst, allVars(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestCoveringPartialClusterDropsCrossEdges(t *testing.T) {
 	// Covering restricted to {0,1,2} of P6 only enforces edges inside.
 	g := gen.Path(6)
 	inst := vcILP(t, g, nil)
-	sol, val, _, err := CoveringLocal(inst, []int32{0, 1, 2}, Options{})
+	sol, val, _, err := coverLocal(inst, []int32{0, 1, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestCoveringPartialClusterDropsCrossEdges(t *testing.T) {
 func TestCoveringMDSSmallBB(t *testing.T) {
 	g := gen.Cycle(9)
 	inst := mdsILP(t, g)
-	_, val, m, err := CoveringLocal(inst, allVars(9), Options{})
+	_, val, m, err := coverLocal(inst, allVars(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestCoveringMDSSmallBB(t *testing.T) {
 func TestCoveringGreedyFallback(t *testing.T) {
 	g := gen.Cycle(60)
 	inst := mdsILP(t, g)
-	sol, val, m, err := CoveringLocal(inst, allVars(60), Options{MaxExactVars: 10})
+	sol, val, m, err := coverLocal(inst, allVars(60), Options{MaxExactVars: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestCoveringInfeasibleLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = CoveringLocal(inst, []int32{0}, Options{})
+	_, _, _, err = coverLocal(inst, []int32{0}, Options{})
 	if !errors.Is(err, ErrInfeasibleLocal) {
 		t.Fatalf("err = %v, want ErrInfeasibleLocal", err)
 	}
@@ -376,7 +377,7 @@ func TestCoveringForcedRank1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, _, err := CoveringLocal(inst, allVars(5), Options{})
+	sol, _, _, err := coverLocal(inst, allVars(5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestRepeatedVariableRow(t *testing.T) {
 	if pinst.Rank2Unit() {
 		t.Fatal("x0 + x0 <= 1 taken for an edge")
 	}
-	sol, val, m := PackingLocal(pinst, allVars(2), Options{})
+	sol, val, m := packLocal(pinst, allVars(2), Options{})
 	if ok, j := pinst.Feasible(sol); !ok || val != 1 || !slices.Equal(sol, ilp.Solution{false, true}) {
 		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
 	}
@@ -423,7 +424,7 @@ func TestRepeatedVariableRow(t *testing.T) {
 	if cinst.Rank2Unit() {
 		t.Fatal("x0 + x0 >= 1 taken for an edge")
 	}
-	sol, val, m, err := CoveringLocal(cinst, allVars(2), Options{})
+	sol, val, m, err := coverLocal(cinst, allVars(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestRepeatedVariableCoefficientsSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, val, m := PackingLocal(inst, allVars(1), Options{})
+	sol, val, m := packLocal(inst, allVars(1), Options{})
 	if ok, j := inst.Feasible(sol); !ok || val != 0 {
 		t.Fatalf("packing: %v value %d via %v, feasible=%v (row %d)", sol, val, m, ok, j)
 	}
@@ -482,7 +483,7 @@ func TestCoveringBBRandomAgainstBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, val, m, err := CoveringLocal(inst, allVars(n), Options{DisableStructure: true})
+		sol, val, m, err := coverLocal(inst, allVars(n), Options{DisableStructure: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +510,7 @@ func TestGreedyCoveringAlwaysFeasible(t *testing.T) {
 			in[v] = true
 		}
 		local := inst.LocalConstraints(in)
-		sol, _ := GreedyCovering(inst, vars, local)
+		sol, _ := greedyCovering(inst, vars, local, new(Scratch))
 		if ok, j := inst.FeasibleOn(sol, local); !ok {
 			t.Fatalf("trial %d: greedy cover violates %d", trial, j)
 		}
@@ -539,7 +540,7 @@ func BenchmarkPackingBB20(b *testing.B) {
 	vars := allVars(21)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = PackingLocal(inst, vars, Options{DisableStructure: true})
+		_, _, _ = packLocal(inst, vars, Options{DisableStructure: true})
 	}
 }
 
@@ -599,7 +600,7 @@ func refGreedyPacking(inst *ilp.Instance, vars []int32) (ilp.Solution, int64) {
 }
 
 // refGreedyCovering is the straightforward map-based greedy set multicover
-// (a full rescan of every variable per pick) that the lazy GreedyCovering
+// (a full rescan of every variable per pick) that the lazy greedyCovering
 // must agree with pick for pick.
 func refGreedyCovering(inst *ilp.Instance, vars []int32, local []int32) (ilp.Solution, int64) {
 	deficit := make(map[int32]float64, len(local))
@@ -726,11 +727,13 @@ func vertexRange(lo, hi int) []int32 {
 }
 
 // TestScratchReuseMatchesFresh runs one Scratch through a sequence of local
-// packing solves on two instances of different sizes: clusters that take
-// each solver path, clusters with duplicate and out-of-range entries, an
-// empty cluster, and clusters that shrink and grow. Every result must equal
-// a fresh PackingLocal call, and the position index must be all zero again
-// after each solve, so state left over from an earlier cluster would show.
+// packing solves on two instances of different sizes, then through covering
+// solves on three more: clusters that take each solver path, clusters with
+// duplicate and out-of-range entries, an empty cluster, clusters that
+// shrink and grow, and an infeasible cluster. Every result must equal a
+// solve on a fresh scratch, and the position index and membership mask
+// must be clear again after each solve, so state left over from an earlier
+// cluster, instance or problem kind would show.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	g := scratchTestGraph()
 	w := make([]int64, g.N())
@@ -768,8 +771,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 	var s Scratch
 	for i, st := range steps {
-		gotSol, gotVal, gotM := s.PackingLocal(st.inst, st.cluster, st.opt)
-		wantSol, wantVal, wantM := PackingLocal(st.inst, st.cluster, st.opt)
+		gotSol, gotVal, gotM, err := s.PackingLocal(context.Background(), st.inst, st.cluster, st.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSol, wantVal, wantM := packLocal(st.inst, st.cluster, st.opt)
 		if gotM != st.want || wantM != st.want {
 			t.Fatalf("step %d: method %v on the reused scratch and %v fresh, want %v", i, gotM, wantM, st.want)
 		}
@@ -779,10 +785,69 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if ok, j := st.inst.Feasible(gotSol); !ok {
 			t.Fatalf("step %d: infeasible at row %d", i, j)
 		}
-		for v, p := range s.at {
-			if p != 0 {
-				t.Fatalf("step %d: position index of %d left at %d", i, v, p)
-			}
+		checkScratchClear(t, i, &s)
+	}
+
+	vc := vcILP(t, g, w)
+	mdsSmall := mdsILP(t, gen.Cycle(9))
+	mdsBig := mdsILP(t, gen.GNP(400, 0.02, xrand.New(6)))
+	b := ilp.NewBuilder(ilp.Covering, []int64{1, 1})
+	b.AddConstraint([]ilp.Term{{Var: 0, Coeff: 1}}, 2)
+	infeasible, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coverSteps := []struct {
+		inst    *ilp.Instance
+		cluster []int32
+		opt     Options
+		want    Method
+	}{
+		{vc, greedyPart, Options{}, MethodGreedy},
+		{vc, vertexRange(0, 100), Options{}, MethodTreeDP},
+		{mdsSmall, append(vertexRange(0, 9), 4, 9, -3), Options{}, MethodBranchBound},
+		{vc, vertexRange(100, 108), Options{}, MethodBipartite},
+		{vc, vertexRange(108, 117), Options{}, MethodBranchBound},
+		{vc, nil, Options{}, MethodBranchBound},
+		{mdsBig, allVars(400), Options{}, MethodGreedy},
+		{vc, append(vertexRange(120, 140), 125, 130, -1, 317, 5000, 120), Options{}, MethodBranchBound},
+		{infeasible, []int32{0, 1}, Options{}, 0},
+		{vc, greedyPart[:60], Options{}, MethodGreedy},
+		{mdsBig, vertexRange(0, 25), Options{}, MethodBranchBound},
+		{vc, append(slices.Clone(greedyPart), greedyPart[:40]...), Options{}, MethodGreedy},
+		{mdsSmall, vertexRange(0, 9), Options{ForceGreedy: true}, MethodGreedy},
+		{vc, vertexRange(0, 20), Options{DisableStructure: true}, MethodBranchBound},
+		{vc, vertexRange(0, 60), Options{}, MethodTreeDP},
+	}
+	for i, st := range coverSteps {
+		i += len(steps)
+		gotSol, gotVal, gotM, gotErr := s.CoveringLocal(context.Background(), st.inst, st.cluster, st.opt)
+		wantSol, wantVal, wantM, wantErr := coverLocal(st.inst, st.cluster, st.opt)
+		if gotM != st.want || wantM != st.want {
+			t.Fatalf("step %d: method %v on the reused scratch and %v fresh, want %v", i, gotM, wantM, st.want)
+		}
+		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("step %d (%v): reused scratch gives %v (%d, %v), fresh %v (%d, %v)", i, gotM, gotSol, gotVal, gotErr, wantSol, wantVal, wantErr)
+		}
+		if (st.inst == infeasible) != errors.Is(gotErr, ErrInfeasibleLocal) {
+			t.Fatalf("step %d: error %v", i, gotErr)
+		}
+		checkScratchClear(t, i, &s)
+	}
+}
+
+// checkScratchClear fails unless s's position index and membership mask
+// are clear, as every solve must leave them.
+func checkScratchClear(t *testing.T, step int, s *Scratch) {
+	t.Helper()
+	for v, p := range s.at {
+		if p != 0 {
+			t.Fatalf("step %d: position index of %d left at %d", step, v, p)
+		}
+	}
+	for v, in := range s.in {
+		if in {
+			t.Fatalf("step %d: membership mask of %d left set", step, v)
 		}
 	}
 }
@@ -808,7 +873,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 			in[v] = true
 		}
 		local := cinst.LocalConstraints(in)
-		gotSol, gotVal = GreedyCovering(cinst, vars, local)
+		gotSol, gotVal = greedyCovering(cinst, vars, local, &s)
 		wantSol, wantVal = refGreedyCovering(cinst, vars, local)
 		if gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
 			t.Fatalf("trial %d covering: got %v (%d), want %v (%d)", trial, gotSol, gotVal, wantSol, wantVal)
@@ -830,8 +895,9 @@ func BenchmarkGreedyCovering(b *testing.B) {
 	}
 	local := inst.LocalConstraints(in)
 	b.Run("lazy", func(b *testing.B) {
+		var s Scratch
 		for i := 0; i < b.N; i++ {
-			_, _ = GreedyCovering(inst, vars, local)
+			_, _ = greedyCovering(inst, vars, local, &s)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
@@ -875,7 +941,7 @@ func refDedup(inst *ilp.Instance, cluster []int32) []int32 {
 	return vars
 }
 
-// refPackingLocal is PackingLocal with the structured path that always
+// refPackingLocal is Scratch.PackingLocal with the structured path that always
 // builds the cluster graph and lets tree DP and König reject it.
 func refPackingLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64, Method) {
 	vars := refDedup(inst, cluster)
@@ -894,10 +960,10 @@ func refPackingLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64, 
 			}
 		}
 	}
-	return PackingLocal(inst, cluster, Options{DisableStructure: true})
+	return packLocal(inst, cluster, Options{DisableStructure: true})
 }
 
-// refCoveringLocal is CoveringLocal with the always-build structured path.
+// refCoveringLocal is Scratch.CoveringLocal with the always-build structured path.
 func refCoveringLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64, Method, error) {
 	vars := refDedup(inst, cluster)
 	in := make([]bool, inst.NumVars())
@@ -906,7 +972,7 @@ func refCoveringLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64,
 	}
 	local := inst.LocalConstraints(in)
 	if !inst.Rank2Unit() || len(local) == 0 {
-		return CoveringLocal(inst, cluster, Options{DisableStructure: true})
+		return coverLocal(inst, cluster, Options{DisableStructure: true})
 	}
 	forced := map[int32]bool{}
 	for _, cj := range local {
@@ -928,7 +994,7 @@ func refCoveringLocal(inst *ilp.Instance, cluster []int32) (ilp.Solution, int64,
 	} else if r := matching.BipartiteAuto(g); unitWeights(inst, vars) && len(forced) == 0 && r != nil {
 		sol, method = liftSolution(inst, vars, r.MinVertexCover), MethodBipartite
 	} else {
-		return CoveringLocal(inst, cluster, Options{DisableStructure: true})
+		return coverLocal(inst, cluster, Options{DisableStructure: true})
 	}
 	var val int64
 	for v := range forced {
@@ -973,7 +1039,7 @@ func TestStructuredSkipMatchesCSR(t *testing.T) {
 		}
 		pinst := misILP(t, g, w)
 		cluster := randomCluster(g.N(), rng)
-		gotSol, gotVal, gotM := PackingLocal(pinst, cluster, Options{})
+		gotSol, gotVal, gotM := packLocal(pinst, cluster, Options{})
 		wantSol, wantVal, wantM := refPackingLocal(pinst, cluster)
 		if gotM != wantM || gotVal != wantVal || !slices.Equal(gotSol, wantSol) {
 			t.Fatalf("trial %d packing: %v (%d) via %v, want %v (%d) via %v", trial, gotSol, gotVal, gotM, wantSol, wantVal, wantM)
@@ -989,7 +1055,7 @@ func TestStructuredSkipMatchesCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSol, gotVal, gotM, gotErr := CoveringLocal(cinst, cluster, Options{})
+		gotSol, gotVal, gotM, gotErr := coverLocal(cinst, cluster, Options{})
 		wantSol, wantVal, wantM, wantErr := refCoveringLocal(cinst, cluster)
 		if gotM != wantM || gotVal != wantVal || !slices.Equal(gotSol, wantSol) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("trial %d covering: %v (%d) via %v (%v), want %v (%d) via %v (%v)", trial, gotSol, gotVal, gotM, gotErr, wantSol, wantVal, wantM, wantErr)
@@ -1001,4 +1067,18 @@ func TestStructuredSkipMatchesCSR(t *testing.T) {
 			t.Fatalf("no trial ran %v: %v", m, methods)
 		}
 	}
+}
+
+// packLocal is a packing solve on a fresh scratch.
+func packLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method) {
+	sol, val, m, err := new(Scratch).PackingLocal(context.Background(), inst, cluster, opt)
+	if err != nil {
+		panic(err) // an uncancellable packing solve cannot fail
+	}
+	return sol, val, m
+}
+
+// coverLocal is a covering solve on a fresh scratch.
+func coverLocal(inst *ilp.Instance, cluster []int32, opt Options) (ilp.Solution, int64, Method, error) {
+	return new(Scratch).CoveringLocal(context.Background(), inst, cluster, opt)
 }
