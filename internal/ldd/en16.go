@@ -242,18 +242,17 @@ func topLabels(g *graph.Graph, alive []bool, shifts []float64, keep int, slack f
 			}
 			sw.stamp = blk
 			if len(fifo) == cap(fifo) {
+				// Drop the popped prefix: in place when that frees at
+				// least half the storage, else while moving to twice the
+				// storage (append would copy the prefix too, and grows a
+				// large slice by only a quarter).
 				if head >= len(fifo)/2 {
-					// Reuse the popped prefix instead of growing; the
-					// copy is at most the space it frees.
 					fifo = fifo[:copy(fifo, fifo[head:])]
-					sorted -= head
-					head = 0
 				} else {
-					// At least double: append grows a large slice by a
-					// quarter, so a fresh workspace's FIFO would be
-					// copied several times more on its way to full size.
-					fifo = slices.Grow(fifo, len(fifo))
+					fifo = append(make([]labelItem, 0, max(2*cap(fifo), 1024)), fifo[head:]...)
 				}
+				sorted -= head
+				head = 0
 			}
 			fifo = append(fifo, labelItem{value: nv, source: it.source, vertex: w})
 		}
@@ -295,17 +294,19 @@ func seedKey(x float64) uint64 {
 // with a stable LSD radix sort on seedKey, one byte a pass; a byte on which
 // every key agrees is skipped. Stability keeps equal values in source
 // order, which is compareLabels' tie-break. It returns the sorted seeds,
-// which it leaves in ws.seeds.
+// which it leaves in ws.seeds. The sort's buffer is the FIFO's storage,
+// which is free until the pops start, so the FIFO of a fresh workspace
+// starts with room for every seed.
 func (ws *Workspace) sortSeeds() []labelItem {
 	src := ws.seeds
 	n := len(src)
 	if n < 2 {
 		return src
 	}
-	if cap(ws.seedTmp) < n {
-		ws.seedTmp = make([]labelItem, n)
+	if cap(ws.fifo) < n {
+		ws.fifo = make([]labelItem, n)
 	}
-	dst := ws.seedTmp[:n]
+	dst := ws.fifo[:n]
 	var count [8][256]int32
 	for _, it := range src {
 		k := seedKey(it.value)
@@ -337,7 +338,7 @@ func (ws *Workspace) sortSeeds() []labelItem {
 		}
 		src, dst = dst, src
 	}
-	ws.seeds, ws.seedTmp = src, dst
+	ws.seeds, ws.fifo = src, dst
 	return src
 }
 

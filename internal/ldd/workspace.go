@@ -2,21 +2,20 @@ package ldd
 
 // Workspace bundles the reusable scratch state of this package's
 // decomposition algorithms: the per-vertex exponential shifts, and the
-// sorted initial labels (with their radix sort buffer), the FIFO of pushed
-// labels, the per-vertex label lists and label records of topLabels. Graph
-// searches run on a graph.ParWorkspace instead. A Workspace is owned by one
-// goroutine at a time, and nothing pools it: the caller that makes it holds
-// it for the length of its call (a request, a netdecomp run, a Blackbox
-// run), parallel callers hold one per worker, and it is dropped when the
-// call returns. Its zero value is ready.
+// sorted initial labels, the FIFO of pushed labels (whose storage is also
+// the radix sort's buffer), the per-vertex label lists and label records of
+// topLabels. Graph searches run on a graph.ParWorkspace instead. A
+// Workspace is owned by one goroutine at a time, and nothing pools it: the
+// caller that makes it holds it for the length of its call (a request, a
+// netdecomp run, a Blackbox run), parallel callers hold one per worker, and
+// it is dropped when the call returns. Its zero value is ready.
 type Workspace struct {
-	shifts  []float64
-	seeds   []labelItem
-	seedTmp []labelItem
-	fifo    []labelItem
-	labels  [][]label
-	room    []label // unused rest of labelRoom's block
-	vertex  []vertexLabels
+	shifts []float64
+	seeds  []labelItem
+	fifo   []labelItem // also sortSeeds' buffer
+	labels [][]label
+	room   []label // unused rest of labelRoom's block
+	vertex []vertexLabels
 	// mark is SparseCover's source -> dense cluster id map, sized on its
 	// first use.
 	mark []int32
