@@ -109,13 +109,10 @@ func Decompose(g *graph.Graph, opt DecomposeOptions) (*ldd.Decomposition, error)
 	default:
 		return nil, fmt.Errorf("%w: unknown decomposer %d", ErrBadOptions, int(algo))
 	}
-	if err == nil && opt.RepairDiameter {
-		d, err = ldd.RepairDiameterCtx(ctx, g, d, opt.Epsilon, 0)
+	if err != nil || !opt.RepairDiameter {
+		return d, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+	return ldd.RepairDiameterCtx(ctx, g, d, opt.Epsilon, 0)
 }
 
 // Solver selects the ILP approximation algorithm.

@@ -38,11 +38,7 @@ const enShiftLabel = 0x1dd
 // prescribes — T_v ~ Exp(lambda), reset to 0 when T_v >= 4 ln(ñ)/lambda —
 // into the provided slice (len n).
 func enShiftsInto(dst []float64, n int, p ENParams) float64 {
-	nTilde := p.NTilde
-	if nTilde < n {
-		nTilde = n
-	}
-	maxT := 4 * lnTilde(nTilde) / p.Lambda
+	maxT := enHorizon(n, p)
 	draw := func(v int) {
 		rng := xrand.Stream(p.Seed, v, enShiftLabel)
 		t := rng.Exp(p.Lambda)
@@ -67,11 +63,29 @@ func enShiftsInto(dst []float64, n int, p ENParams) float64 {
 // serial; under it the fan-out costs more than the draws.
 const enParShiftMin = 4096
 
-// enShifts draws the shifts into the workspace's buffer.
-func enShifts(n int, p ENParams, ws *Workspace) ([]float64, float64) {
-	shifts := ws.shifts[:n]
-	maxT := enShiftsInto(shifts, n, p)
-	return shifts, maxT
+// enHorizon is the clip 4 ln(ñ)/lambda of the shifts: no label travels
+// further, so it is also the broadcast horizon a run charges.
+func enHorizon(n int, p ENParams) float64 {
+	return 4 * lnTilde(max(p.NTilde, n)) / p.Lambda
+}
+
+// searchLabels draws the shifts into ws (nil means a fresh workspace) and
+// runs topLabels with keep and slack, returning the labels and the horizon.
+// With no alive vertex (a residual the carves emptied, which ChangLi's and
+// packing's Phase 3 often get) there is nothing to label, and it draws and
+// searches nothing.
+func searchLabels(g *graph.Graph, alive []bool, p ENParams, keep int, slack float64, ws *Workspace, done <-chan struct{}) ([][]label, float64, bool) {
+	n := g.N()
+	if alive != nil && !slices.Contains(alive, true) {
+		return nil, enHorizon(n, p), true
+	}
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	ws.reserve(n)
+	maxT := enShiftsInto(ws.shifts[:n], n, p)
+	labels, ok := topLabels(g, alive, ws.shifts[:n], keep, slack, ws, done)
+	return labels, maxT, ok
 }
 
 // enShiftsOwned draws the shifts into a fresh caller-owned slice, for the
@@ -389,9 +403,6 @@ func ElkinNeimanCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParam
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ws == nil {
-		ws = new(Workspace)
-	}
 	d, ok := elkinNeiman(g, alive, p, ws, ctx.Done())
 	if !ok {
 		return nil, doneErr(ctx)
@@ -409,9 +420,7 @@ func doneErr(ctx context.Context) error {
 
 func elkinNeiman(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Decomposition, bool) {
 	n := g.N()
-	ws.reserve(n)
-	shifts, maxT := enShifts(n, p, ws)
-	labels, ok := topLabels(g, alive, shifts, 2, 1.0, ws, done)
+	labels, maxT, ok := searchLabels(g, alive, p, 2, 1.0, ws, done)
 	if !ok {
 		return nil, false
 	}
@@ -464,11 +473,8 @@ func MPXCtx(ctx context.Context, g *graph.Graph, p ENParams) (*MPXResult, error)
 }
 
 func mpx(g *graph.Graph, p ENParams, done <-chan struct{}) (*MPXResult, bool) {
-	ws := new(Workspace)
 	n := g.N()
-	ws.reserve(n)
-	shifts, maxT := enShifts(n, p, ws)
-	labels, ok := topLabels(g, nil, shifts, 1, 0, ws, done)
+	labels, maxT, ok := searchLabels(g, nil, p, 1, 0, nil, done)
 	if !ok {
 		return nil, false
 	}

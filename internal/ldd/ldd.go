@@ -30,10 +30,9 @@
 //     (ErrRepairFallback) whenever the repaired result could not match a
 //     fresh run's invariants.
 //
-// Each algorithm has one entry point, its ...Ctx function, which takes a
-// context for cancellation. ElkinNeimanCtx and SparseCoverCtx also take the
-// caller's Workspace (nil means a fresh one); see Workspace for who owns
-// it.
+// Each algorithm has one entry point, its ...Ctx function. ElkinNeimanCtx
+// and SparseCoverCtx also take the caller's Workspace (nil means a fresh
+// one).
 package ldd
 
 import (

@@ -79,6 +79,29 @@ func TestENAliveMask(t *testing.T) {
 	}
 }
 
+// TestENEmptyResidual checks the run on a residual with no alive vertex,
+// which skips the label search: every vertex is unclustered, the sparse
+// cover has no cluster, and both charge the horizon of a whole-graph run.
+func TestENEmptyResidual(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Grid(10, 10)
+	dead := make([]bool, g.N())
+	p := ENParams{Lambda: 0.3, Seed: 4}
+	d := must(ElkinNeimanCtx(ctx, g, dead, p, nil))
+	if full := must(ElkinNeimanCtx(ctx, g, nil, p, nil)); d.NumClusters != 0 || d.Rounds != full.Rounds {
+		t.Fatalf("empty residual: %d clusters, %d rounds; whole graph %d rounds", d.NumClusters, d.Rounds, full.Rounds)
+	}
+	for v, c := range d.ClusterOf {
+		if c != Unclustered {
+			t.Fatalf("dead vertex %d clustered", v)
+		}
+	}
+	c := must(SparseCoverCtx(ctx, g, dead, p, nil))
+	if full := must(SparseCoverCtx(ctx, g, nil, p, nil)); len(c.Clusters) != 0 || c.Rounds != full.Rounds || len(c.MemberOf) != g.N() {
+		t.Fatalf("empty residual cover: %d clusters, %d rounds; whole graph %d rounds", len(c.Clusters), c.Rounds, full.Rounds)
+	}
+}
+
 func TestENDistributedMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string

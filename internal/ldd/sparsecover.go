@@ -79,7 +79,7 @@ func SparseCoverCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParam
 		return nil, err
 	}
 	if ws == nil {
-		ws = new(Workspace)
+		ws = new(Workspace) // sparseCover keeps its cluster-id map in it
 	}
 	c, ok := sparseCover(g, alive, p, ws, ctx.Done())
 	if !ok {
@@ -90,11 +90,9 @@ func SparseCoverCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParam
 
 func sparseCover(g *graph.Graph, alive []bool, p ENParams, ws *Workspace, done <-chan struct{}) (*Cover, bool) {
 	n := g.N()
-	ws.reserve(n)
-	shifts, maxT := enShifts(n, p, ws)
 	// keep = n would be exact; the window prune (slack 1) already discards
 	// everything that cannot join, so a generous keep bound costs little.
-	labels, ok := topLabels(g, alive, shifts, n, 1.0, ws, done)
+	labels, maxT, ok := searchLabels(g, alive, p, n, 1.0, ws, done)
 	if !ok {
 		return nil, false
 	}

@@ -44,8 +44,7 @@ func (ws *Workspace) reserve(n int) {
 	}
 }
 
-// labelRoomBlock is how many vertices' first label lists one block of
-// labelRoom holds.
+// labelRoomBlock is how many vertices one block of labelRoom serves.
 const labelRoomBlock = 1024
 
 // labelRoom returns an empty label list with room for two labels, the most

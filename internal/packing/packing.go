@@ -172,11 +172,9 @@ func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error
 	// worker pool and merge in (run, cluster) order so the Phase-1/2
 	// sampling streams stay bit-identical to the sequential path.
 	//
-	// Every decomposition runs on its worker's ldd workspace and every local
-	// packing solve on its worker's solve scratch; both live only as long
-	// as this request. A task of a fan-out fails only when ctx is
-	// cancelled, and ForEachCtx then returns ctx's error, so the tasks
-	// below drop their errors.
+	// Each worker's ldd workspace and solve scratch live as long as this
+	// request. A fan-out task fails only when ctx is cancelled, which
+	// ForEachCtx then reports, so the tasks below drop their errors.
 	workers := par.Workers(p.Workers)
 	wss := make([]ldd.Workspace, workers)
 	pws := graph.AcquireParWorkspaces(workers)
