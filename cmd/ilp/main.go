@@ -69,27 +69,9 @@ func buildGraph(kind string, n int, seed uint64) (*graph.Graph, error) {
 	}
 }
 
-// problemOf maps the CLI problem name to the typed problem.
-func problemOf(name string) (problems.Problem, error) {
-	switch name {
-	case "mis":
-		return problems.MIS, nil
-	case "vc":
-		return problems.MinVertexCover, nil
-	case "mds":
-		return problems.MinDominatingSet, nil
-	case "matching":
-		return problems.MaxMatching, nil
-	case "kdom":
-		return problems.KDominatingSet, nil
-	default:
-		return 0, fmt.Errorf("unknown problem %q (want mis|vc|mds|kdom|matching)", name)
-	}
-}
-
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ilp", flag.ContinueOnError)
-	probName := fs.String("problem", "mis", "mis | vc | mds | kdom | matching")
+	probName := fs.String("problem", "mis", problems.Names)
 	graphKind := fs.String("graph", "cycle", "graph family")
 	n := fs.Int("n", 200, "approximate vertex count")
 	k := fs.Int("k", 2, "distance for kdom")
@@ -102,12 +84,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	prob, err := problemOf(*probName)
+	prob, err := problems.ByName(*probName, *k)
 	if err != nil {
 		return err
-	}
-	if prob == problems.KDominatingSet && *k < 1 {
-		return fmt.Errorf("kdom needs k >= 1, got %d", *k)
 	}
 	g, err := buildGraph(*graphKind, *n, *seed)
 	if err != nil {

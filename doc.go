@@ -7,8 +7,14 @@
 // (Elkin–Neiman, Miller–Peng–Xu, Linial–Saks, GKM17), and the Appendix C
 // adversarial families.
 //
-// The public API lives in internal/core; see README.md for the map and
-// bench_test.go for the experiment regeneration targets (E1–E14).
+// Each algorithm has one context-taking entry point in its package
+// (ldd.ChangLiCtx, packing.SolveCtx, covering.SolveCtx, ...), and
+// internal/algo runs every one of them by name; see README.md for the map
+// and bench_test.go for the experiment regeneration targets (E1–E14).
+// Every entry point checks its parameters before any work: ε must lie in
+// (0, 1], λ must be finite and > 0 (netdecomp reads 0 as 0.5), and a
+// radius scale must be finite (<= 0 means the paper's constants). Anything
+// else returns an error wrapping ldd.ErrBadParams.
 //
 // The hot path runs every graph search on one family of traversal kernels
 // over reusable, allocation-free workspaces (graph.ParWorkspace, one per

@@ -11,10 +11,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/covering"
 	"repro/internal/graph/gen"
 	"repro/internal/hypergraph"
 	"repro/internal/problems"
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := core.SolveILP(inst, core.Options{Epsilon: 0.3, Seed: 7, PrepRuns: 2})
+		rep, err := covering.SolveCtx(context.Background(), inst, covering.Params{Epsilon: 0.3, Seed: 7, PrepRuns: 2})
 		if err != nil {
 			log.Fatal(err)
 		}

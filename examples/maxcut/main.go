@@ -12,18 +12,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/ldd"
 )
 
 func main() {
 	g := gen.Grid(25, 25) // bipartite: OPT = m
 	eps := 0.15
-	dec, err := core.Decompose(g, core.DecomposeOptions{Epsilon: eps, Seed: 3})
+	dec, err := ldd.ChangLiCtx(context.Background(), g, ldd.Params{Epsilon: eps, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,28 +1,37 @@
 package repro
 
-// Cross-module integration tests: the public API end to end on a matrix of
-// graph families, problems, and algorithms; plus property-based tests on
-// the system-level invariants that individual package tests cannot see.
+// Cross-module integration tests: the registry (the path the server
+// serves) end to end on a matrix of graph families, problems, and
+// algorithms; property-based tests on the system-level invariants that
+// individual package tests cannot see; and the parameter check every
+// algorithm's entry point makes.
 
 import (
 	"context"
+	"errors"
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
+	"repro/internal/algo"
+	"repro/internal/covering"
+	"repro/internal/gkm"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/ilp"
 	"repro/internal/ldd"
+	"repro/internal/netdecomp"
+	"repro/internal/packing"
 	"repro/internal/problems"
 	"repro/internal/xrand"
 )
 
 // TestEndToEndMatrix runs every (problem, algorithm) pair on every oracle
-// family and asserts feasibility plus the (1±ε) bound whenever local solves
-// were exact.
+// family through algo.Run and asserts feasibility plus the (1±ε) bound
+// against the exact optimum whenever local solves were exact.
 func TestEndToEndMatrix(t *testing.T) {
-	eps := 0.25
+	const eps = 0.25
 	families := []struct {
 		name string
 		g    *graph.Graph
@@ -31,34 +40,39 @@ func TestEndToEndMatrix(t *testing.T) {
 		{"btree", gen.CompleteDAryTree(2, 6)},
 		{"grid", gen.Grid(10, 12)},
 	}
-	probs := []problems.Problem{problems.MIS, problems.MinVertexCover}
-	algos := []core.Solver{core.SolverChangLi, core.SolverGKM}
 	for _, fam := range families {
-		for _, prob := range probs {
-			for _, algo := range algos {
-				opt := core.Options{Epsilon: eps, Algorithm: algo, Seed: 5, PrepRuns: 2}
-				if algo == core.SolverGKM {
-					opt.Scale = 0.4
-				}
-				rep, err := core.Solve(prob, fam.g, opt)
+		for _, name := range []string{"mis", "vc"} {
+			prob := must(problems.ByName(name, 0))
+			// The Chang–Li solver for the problem's kind, and the GKM
+			// baseline at laptop-scale radii.
+			changLi := "packing"
+			if prob.Kind() == ilp.Covering {
+				changLi = "covering"
+			}
+			for _, run := range []struct {
+				algo string
+				p    algo.Params
+			}{
+				{changLi, algo.Params{"problem": name, "eps": "0.25", "seed": "5", "prep": "2"}},
+				{"gkm", algo.Params{"problem": name, "eps": "0.25", "seed": "5", "scale": "0.4"}},
+			} {
+				res, err := algo.Run(context.Background(), run.algo, fam.g, run.p)
 				if err != nil {
-					t.Fatalf("%s/%v/%v: %v", fam.name, prob, algo, err)
+					t.Fatalf("%s/%s/%s: %v", fam.name, name, run.algo, err)
 				}
-				if !rep.Feasible {
-					t.Fatalf("%s/%v/%v: infeasible", fam.name, prob, algo)
+				if !res.Feasible || !problems.Verify(prob, fam.g, res.Solution) {
+					t.Fatalf("%s/%s/%s: infeasible", fam.name, name, run.algo)
 				}
-				if rep.Optimum <= 0 {
+				opt, err := problems.ExactOptimum(prob, fam.g)
+				if err != nil || opt <= 0 || !res.Exact {
 					continue
 				}
-				switch rep.Kind {
-				case ilp.Packing:
-					if rep.Exact && rep.Ratio < 1-eps-1e-9 {
-						t.Fatalf("%s/%v/%v: ratio %.4f < 1-eps", fam.name, prob, algo, rep.Ratio)
-					}
-				case ilp.Covering:
-					if rep.Exact && rep.Ratio > 1+eps+1e-9 {
-						t.Fatalf("%s/%v/%v: ratio %.4f > 1+eps", fam.name, prob, algo, rep.Ratio)
-					}
+				ratio := float64(res.Value) / float64(opt)
+				if prob.Kind() == ilp.Packing && ratio < 1-eps-1e-9 {
+					t.Fatalf("%s/%s/%s: ratio %.4f < 1-eps", fam.name, name, run.algo, ratio)
+				}
+				if prob.Kind() == ilp.Covering && ratio > 1+eps+1e-9 {
+					t.Fatalf("%s/%s/%s: ratio %.4f > 1+eps", fam.name, name, run.algo, ratio)
 				}
 			}
 		}
@@ -66,23 +80,25 @@ func TestEndToEndMatrix(t *testing.T) {
 }
 
 // TestDecompositionPartitionProperty: for random graphs and parameters,
-// every decomposer yields a valid partition — separation holds, cluster ids
-// are dense, and weak diameters are finite.
+// every decomposer in the registry yields a valid partition — separation
+// holds, cluster ids are dense, and weak diameters are finite.
 func TestDecompositionPartitionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 40 + rng.Intn(120)
 		g := gen.GNP(n, 3.0/float64(n), rng)
-		eps := 0.1 + 0.4*rng.Float64()
-		for _, algo := range []core.Decomposer{
-			core.DecomposerChangLi, core.DecomposerElkinNeiman, core.DecomposerBlackbox,
+		eps := strconv.FormatFloat(0.1+0.4*rng.Float64(), 'g', -1, 64)
+		s := strconv.FormatUint(seed, 10)
+		for name, p := range map[string]algo.Params{
+			"changli":  {"eps": eps, "seed": s, "scale": "0.05"},
+			"en":       {"lambda": eps, "seed": s},
+			"blackbox": {"eps": eps, "seed": s, "scale": "0.05"},
 		} {
-			d, err := core.Decompose(g, core.DecomposeOptions{
-				Epsilon: eps, Algorithm: algo, Seed: seed, Scale: 0.05,
-			})
+			res, err := algo.Run(context.Background(), name, g, p)
 			if err != nil {
 				return false
 			}
+			d := res.Raw.(*ldd.Decomposition)
 			if ok, _, _ := d.ValidateSeparation(g); !ok {
 				return false
 			}
@@ -128,11 +144,12 @@ func TestPackingFeasibilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := core.SolveILP(inst, core.Options{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
+		r, err := packing.SolveCtx(context.Background(), inst, packing.Params{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
 		if err != nil {
 			return false
 		}
-		return rep.Feasible && rep.Value >= 0
+		feasible, _ := inst.Feasible(r.Solution)
+		return feasible && r.Value >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -170,11 +187,12 @@ func TestCoveringFeasibilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep, err := core.SolveILP(inst, core.Options{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
+		r, err := covering.SolveCtx(context.Background(), inst, covering.Params{Epsilon: 0.3, Seed: seed, PrepRuns: 2})
 		if err != nil {
 			return false
 		}
-		return rep.Feasible
+		feasible, _ := inst.Feasible(r.Solution)
+		return feasible
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -195,9 +213,12 @@ func TestSeedIndependenceOfStructure(t *testing.T) {
 		if ok, u, v := d.ValidateSeparation(g); !ok {
 			t.Fatalf("seed %d: separation broken at %d-%d", seed, u, v)
 		}
-		rep, err := core.SolveILP(inst, core.Options{Epsilon: 0.25, Seed: seed, PrepRuns: 2})
-		if err != nil || !rep.Feasible {
-			t.Fatalf("seed %d: %v feasible=%v", seed, err, rep != nil && rep.Feasible)
+		r, err := packing.SolveCtx(context.Background(), inst, packing.Params{Epsilon: 0.25, Seed: seed, PrepRuns: 2})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ok, j := inst.Feasible(r.Solution); !ok {
+			t.Fatalf("seed %d: constraint %d violated", seed, j)
 		}
 	}
 }
@@ -206,12 +227,11 @@ func TestSeedIndependenceOfStructure(t *testing.T) {
 // cluster meets the target diameter — the Theorem 1.1 "ideal bound" path.
 func TestRepairComposesWithSolvers(t *testing.T) {
 	g := gen.Cycle(900)
-	d, err := core.Decompose(g, core.DecomposeOptions{
-		Epsilon: 0.3, Seed: 2, RepairDiameter: true,
-	})
+	res, err := algo.Run(context.Background(), "changli", g, algo.Params{"eps": "0.3", "seed": "2", "repair": "true"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := res.Raw.(*ldd.Decomposition)
 	if ok, _, _ := d.ValidateSeparation(g); !ok {
 		t.Fatal("separation broken after repair")
 	}
@@ -220,5 +240,108 @@ func TestRepairComposesWithSolvers(t *testing.T) {
 	}
 	if d.UnclusteredFraction() > 0.3 {
 		t.Fatalf("repair deleted too much: %.3f", d.UnclusteredFraction())
+	}
+}
+
+// TestEntryPointsCheckParams: every algorithm's entry point rejects, before
+// any work, an ε outside (0, 1], a λ that is not finite and > 0, and a NaN
+// or infinite scale, and accepts the boundary values ε = 1 and scale = 0.
+func TestEntryPointsCheckParams(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Cycle(12)
+	pack := must(problems.Build(problems.MIS, g, nil))
+	cover := must(problems.Build(problems.MinVertexCover, g, nil))
+	nan, inf := math.NaN(), math.Inf(1)
+	epsRuns := map[string]func(eps, scale float64) error{
+		"ldd.ChangLiCtx": func(eps, scale float64) error {
+			_, err := ldd.ChangLiCtx(ctx, g, ldd.Params{Epsilon: eps, Scale: scale})
+			return err
+		},
+		"ldd.ChangLiWeightedCtx": func(eps, scale float64) error {
+			_, err := ldd.ChangLiWeightedCtx(ctx, g, make([]int64, g.N()), ldd.Params{Epsilon: eps, Scale: scale})
+			return err
+		},
+		"ldd.BlackboxCtx": func(eps, scale float64) error {
+			_, err := ldd.BlackboxCtx(ctx, g, ldd.BlackboxParams{Epsilon: eps, Scale: scale})
+			return err
+		},
+		"packing.SolveCtx": func(eps, scale float64) error {
+			_, err := packing.SolveCtx(ctx, pack, packing.Params{Epsilon: eps, Scale: scale, PrepRuns: 2})
+			return err
+		},
+		"packing.SolveAlternative": func(eps, scale float64) error {
+			_, err := packing.SolveAlternative(ctx, pack, packing.Params{Epsilon: eps, Scale: scale}, 2)
+			return err
+		},
+		"covering.SolveCtx": func(eps, scale float64) error {
+			_, err := covering.SolveCtx(ctx, cover, covering.Params{Epsilon: eps, Scale: scale, PrepRuns: 2})
+			return err
+		},
+		"gkm.SolvePackingCtx": func(eps, scale float64) error {
+			_, err := gkm.SolvePackingCtx(ctx, pack, gkm.Params{Epsilon: eps, Scale: scale})
+			return err
+		},
+		"gkm.SolveCoveringCtx": func(eps, scale float64) error {
+			_, err := gkm.SolveCoveringCtx(ctx, cover, gkm.Params{Epsilon: eps, Scale: scale})
+			return err
+		},
+	}
+	for name, run := range epsRuns {
+		for _, eps := range []float64{0, -1, 1.5, nan, inf} {
+			if err := run(eps, 0); !errors.Is(err, ldd.ErrBadParams) {
+				t.Errorf("%s: eps %v: err %v, want ErrBadParams", name, eps, err)
+			}
+		}
+		for _, scale := range []float64{nan, inf, -inf} {
+			if err := run(0.5, scale); !errors.Is(err, ldd.ErrBadParams) {
+				t.Errorf("%s: scale %v: err %v, want ErrBadParams", name, scale, err)
+			}
+		}
+		if err := run(1, 0); err != nil {
+			t.Errorf("%s: eps 1, scale 0: %v", name, err)
+		}
+	}
+
+	lambdaRuns := map[string]func(lambda float64) error{
+		"ldd.ElkinNeimanCtx": func(lambda float64) error {
+			_, err := ldd.ElkinNeimanCtx(ctx, g, nil, ldd.ENParams{Lambda: lambda}, nil)
+			return err
+		},
+		"ldd.MPXCtx": func(lambda float64) error {
+			_, err := ldd.MPXCtx(ctx, g, ldd.ENParams{Lambda: lambda})
+			return err
+		},
+		"ldd.SparseCoverCtx": func(lambda float64) error {
+			_, err := ldd.SparseCoverCtx(ctx, g, nil, ldd.ENParams{Lambda: lambda}, nil)
+			return err
+		},
+		"ldd.ElkinNeimanDistributed": func(lambda float64) error {
+			_, _, err := ldd.ElkinNeimanDistributed(g, ldd.ENParams{Lambda: lambda}, true)
+			return err
+		},
+		"ldd.MPXDistributed": func(lambda float64) error {
+			_, _, err := ldd.MPXDistributed(g, ldd.ENParams{Lambda: lambda}, true)
+			return err
+		},
+		"netdecomp.DecomposeCtx": func(lambda float64) error {
+			_, err := netdecomp.DecomposeCtx(ctx, g, netdecomp.Params{Lambda: lambda})
+			return err
+		},
+	}
+	for name, run := range lambdaRuns {
+		for _, lambda := range []float64{0, -1, nan, inf} {
+			if lambda == 0 && name == "netdecomp.DecomposeCtx" {
+				continue // documented: λ = 0 means 0.5
+			}
+			if err := run(lambda); !errors.Is(err, ldd.ErrBadParams) {
+				t.Errorf("%s: lambda %v: err %v, want ErrBadParams", name, lambda, err)
+			}
+		}
+		if err := run(0.5); err != nil {
+			t.Errorf("%s: lambda 0.5: %v", name, err)
+		}
+	}
+	if _, err := netdecomp.DecomposeCtx(ctx, g, netdecomp.Params{}); err != nil {
+		t.Errorf("netdecomp.DecomposeCtx: lambda 0: %v", err)
 	}
 }

@@ -417,7 +417,7 @@ func SyntheticWeights(n int, wseed uint64, wmax int) []int64 {
 // withDefs appends extras in cache-key order.
 func ilpDefs(defaultProblem string, extra ...ParamDef) []ParamDef {
 	defs := []ParamDef{
-		{Key: "problem", Kind: String, Default: defaultProblem, Doc: "mis | vc | mds | matching | kdom"},
+		{Key: "problem", Kind: String, Default: defaultProblem, Doc: problems.Names},
 		{Key: "k", Kind: Int, Default: "2", Doc: "distance for problem=kdom"},
 		{Key: "eps", Kind: Float, Default: "0.25", Doc: "approximation parameter"},
 		{Key: "ntilde", Kind: Int, Default: "0", Doc: "known upper bound (0 = n)"},
@@ -428,39 +428,19 @@ func ilpDefs(defaultProblem string, extra ...ParamDef) []ParamDef {
 }
 
 // buildInstance constructs the ILP instance named by the problem param.
-func buildInstance(g *graph.Graph, d *decoder, defaultProblem string) (*ilp.Instance, problems.Problem, error) {
-	name := d.raw("problem", defaultProblem)
+func buildInstance(g *graph.Graph, d *decoder, defaultProblem string) (*ilp.Instance, error) {
 	k := d.int("k", 2)
+	prob, err := problems.ByName(d.raw("problem", defaultProblem), k)
 	if d.err != nil {
-		return nil, 0, d.err
+		return nil, d.err
 	}
-	var prob problems.Problem
-	switch name {
-	case "mis":
-		prob = problems.MIS
-	case "vc":
-		prob = problems.MinVertexCover
-	case "mds":
-		prob = problems.MinDominatingSet
-	case "matching":
-		prob = problems.MaxMatching
-	case "kdom":
-		if k < 1 {
-			return nil, 0, fmt.Errorf("problem kdom: k must be >= 1, got %d", k)
-		}
-		inst, err := problems.BuildK(k, g, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return inst, problems.KDominatingSet, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown problem %q (want mis|vc|mds|matching|kdom)", name)
-	}
-	inst, err := problems.Build(prob, g, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return inst, prob, nil
+	if prob == problems.KDominatingSet {
+		return problems.BuildK(k, g, nil)
+	}
+	return problems.Build(prob, g, nil)
 }
 
 func ilpResult(inst *ilp.Instance, sol ilp.Solution, value int64, rounds int, exact bool) *Result {
@@ -485,7 +465,7 @@ func registerILPs() {
 		),
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			inst, _, err := buildInstance(g, &d, "mis")
+			inst, err := buildInstance(g, &d, "mis")
 			if err != nil {
 				return nil, err
 			}
@@ -524,7 +504,7 @@ func registerILPs() {
 		),
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			inst, _, err := buildInstance(g, &d, "vc")
+			inst, err := buildInstance(g, &d, "vc")
 			if err != nil {
 				return nil, err
 			}
@@ -561,7 +541,7 @@ func registerILPs() {
 		Defs:    ilpDefs("mis"),
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			inst, _, err := buildInstance(g, &d, "mis")
+			inst, err := buildInstance(g, &d, "mis")
 			if err != nil {
 				return nil, err
 			}
@@ -597,14 +577,14 @@ func registerILPs() {
 		Summary: "centralized local-solver dispatcher on the whole graph (exact baseline)",
 		Caps:    Capabilities{Kind: KindILP},
 		Defs: []ParamDef{
-			{Key: "problem", Kind: String, Default: "mis", Doc: "mis | vc | mds | matching | kdom"},
+			{Key: "problem", Kind: String, Default: "mis", Doc: problems.Names},
 			{Key: "k", Kind: Int, Default: "2", Doc: "distance for problem=kdom"},
 			{Key: "maxexact", Kind: Int, Default: "0", Doc: "branch-and-bound size cap (0 = default 30)"},
 			{Key: "greedy", Kind: Bool, Default: "false", Doc: "force the greedy fallback"},
 		},
 		Run: func(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 			d := decoder{p: p}
-			inst, _, err := buildInstance(g, &d, "mis")
+			inst, err := buildInstance(g, &d, "mis")
 			if err != nil {
 				return nil, err
 			}

@@ -33,6 +33,7 @@
 package covering
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"strconv"
@@ -53,13 +54,15 @@ const coverLabel = 0xc04e4
 type Params struct {
 	// Epsilon is the approximation parameter: the output is a feasible
 	// solution of weight <= (1+ε)·OPT w.h.p. (given exact local solves).
+	// It must lie in (0, 1].
 	Epsilon float64
 	// NTilde is the known polynomial upper bound on max(|V|, W(Q*, V));
 	// zero means n.
 	NTilde int
 	// Seed drives all randomness.
 	Seed uint64
-	// Scale multiplies the paper's radius constant (see ldd.Params.Scale).
+	// Scale multiplies the paper's radius constant (see ldd.Params.Scale);
+	// <= 0 means 1, and it must be finite.
 	Scale float64
 	// PrepRuns overrides the number of preparation covers (paper: 16 ln ñ).
 	PrepRuns int
@@ -102,16 +105,13 @@ func derive(n int, p Params) derived {
 	if nTilde < n {
 		nTilde = n
 	}
-	eps := clampEps(p.Epsilon)
+	eps := p.Epsilon
 	scale := p.Scale
 	if scale <= 0 {
 		scale = 1
 	}
 	ln := math.Log(float64(nTilde) + 3)
 	t := int(math.Ceil(math.Log2(ln) + math.Log2(1/eps) + 8))
-	if t < 1 {
-		t = 1
-	}
 	r := int(math.Ceil(200 * float64(t) * ln / eps * scale))
 	if r < 2 {
 		r = 2
@@ -130,11 +130,9 @@ func derive(n int, p Params) derived {
 	return d
 }
 
-func clampEps(eps float64) float64 {
-	if eps <= 0 || eps > 1 {
-		return 0.5
-	}
-	return eps
+// check rejects parameters outside the ranges the fields document.
+func (p Params) check() error {
+	return cmp.Or(ldd.CheckEpsilon(p.Epsilon), ldd.CheckScale(p.Scale))
 }
 
 type prepCluster struct {
@@ -209,10 +207,13 @@ func (s *state) fix(v int32) {
 // searches; a cancelled run returns ctx.Err() promptly. The run's workers
 // live only as long as the call.
 func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	g := inst.Primal()
 	n := g.N()
 	d := derive(n, p)
-	eps := clampEps(p.Epsilon)
+	eps := p.Epsilon
 	rootRNG := xrand.New(p.Seed)
 	// Phase timings go only into the trace carried by ctx; the Result is
 	// bit-identical either way.

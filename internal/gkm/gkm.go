@@ -27,6 +27,7 @@
 package gkm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -34,6 +35,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ilp"
+	"repro/internal/ldd"
 	"repro/internal/local"
 	"repro/internal/netdecomp"
 	"repro/internal/solve"
@@ -41,13 +43,14 @@ import (
 
 // Params configures a GKM run.
 type Params struct {
-	// Epsilon is the approximation parameter.
+	// Epsilon is the approximation parameter, in (0, 1].
 	Epsilon float64
 	// NTilde is the known upper bound on max(n, total weight); zero = n.
 	NTilde int
 	// Seed drives the network-decomposition randomness.
 	Seed uint64
-	// Scale multiplies the horizon k = ⌈ln(ñ)/ε⌉, mirroring ldd.Params.
+	// Scale multiplies the horizon k = ⌈ln(ñ)/ε⌉, mirroring ldd.Params:
+	// <= 0 means 1, and it must be finite.
 	Scale float64
 	// Solve tunes the local optimizers.
 	Solve solve.Options
@@ -65,16 +68,17 @@ type Result struct {
 	Horizon int
 }
 
+// check rejects parameters outside the ranges the fields document.
+func (p Params) check() error {
+	return cmp.Or(ldd.CheckEpsilon(p.Epsilon), ldd.CheckScale(p.Scale))
+}
+
 func (p Params) horizon(nTilde int) int {
-	eps := p.Epsilon
-	if eps <= 0 || eps > 1 {
-		eps = 0.5
-	}
 	scale := p.Scale
 	if scale <= 0 {
 		scale = 1
 	}
-	k := int(math.Ceil(math.Log(float64(nTilde)+3) / eps * scale))
+	k := int(math.Ceil(math.Log(float64(nTilde)+3) / p.Epsilon * scale))
 	if k < 2 {
 		k = 2
 	}
@@ -98,6 +102,9 @@ func SolveCoveringCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Resul
 }
 
 func run(ctx context.Context, inst *ilp.Instance, p Params, packing bool) (*Result, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	g := inst.Primal()
 	n := g.N()
 	nTilde := p.NTilde
@@ -189,9 +196,6 @@ func carve(ctx context.Context, inst *ilp.Instance, g *graph.Graph, centre, k in
 	ws *graph.ParWorkspace, scratch *gkmScratch) (bool, error) {
 
 	eps := p.Epsilon
-	if eps <= 0 || eps > 1 {
-		eps = 0.5
-	}
 	// layers alias ws and stay valid through the local solves below, which
 	// never touch the traversal workspace.
 	layers := graph.ParBallLayers(ws, g, centre, k+1, alive, 1)

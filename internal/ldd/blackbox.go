@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"cmp"
 	"context"
 	"math"
 
@@ -14,17 +15,22 @@ import (
 // (ε, O(g(n)/ε)) one in O((f(n)+g(n))·log(1/ε)/ε) rounds — improving the
 // log³(1/ε) factor of Theorem 1.1 to log(1/ε).
 type BlackboxParams struct {
-	// Epsilon is the target unclustered fraction.
+	// Epsilon is the target unclustered fraction, in (0, 1].
 	Epsilon float64
 	// NTilde is the known upper bound on n; zero means n.
 	NTilde int
 	// Seed drives all randomness.
 	Seed uint64
-	// Scale is forwarded to the inner ChangLi(1/2) runs.
+	// Scale is forwarded to the inner ChangLi(1/2) runs; it must be finite.
 	Scale float64
 	// UseElkinNeimanBase swaps the inner whp base (ChangLi at ε = 1/2) for
 	// plain Elkin–Neiman — the in-expectation ablation.
 	UseElkinNeimanBase bool
+}
+
+// check rejects parameters outside the ranges the fields document.
+func (p BlackboxParams) check() error {
+	return cmp.Or(CheckEpsilon(p.Epsilon), CheckScale(p.Scale))
 }
 
 // BlackboxCtx runs the boost:
@@ -44,26 +50,18 @@ type BlackboxParams struct {
 // decomposition runs its Elkin–Neiman pass on one workspace, held for the
 // whole call.
 func BlackboxCtx(ctx context.Context, g *graph.Graph, p BlackboxParams) (*Decomposition, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	eps := p.Epsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
-	if eps > 1 {
-		eps = 1
-	}
 	nTilde := p.NTilde
 	if nTilde < n {
 		nTilde = n
 	}
+	// ε <= 1, so k >= 2 and reps >= 1.
 	k := int(math.Ceil(2 / eps))
-	if k < 2 {
-		k = 2
-	}
 	reps := int(math.Ceil(math.Log2(1/eps))) + 1
-	if reps < 1 {
-		reps = 1
-	}
 
 	alive := make([]bool, n)
 	for i := range alive {

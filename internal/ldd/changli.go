@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"strconv"
@@ -21,7 +22,7 @@ const (
 
 // Params configures the Chang–Li Theorem 1.1 decomposition.
 type Params struct {
-	// Epsilon is the target bound on the unclustered fraction.
+	// Epsilon is the target bound on the unclustered fraction, in (0, 1].
 	Epsilon float64
 	// NTilde is the globally known polynomial upper bound ñ >= n (Section
 	// 3 assumes |V| <= ñ <= |V|^c). Zero means n.
@@ -33,7 +34,8 @@ type Params struct {
 	// graph (every ball becomes the whole graph); Scale < 1 preserves the
 	// structural invariants (equal-length disjoint intervals, the 2^i
 	// sampling schedule) at radii where the phase structure is actually
-	// exercised. Scale <= 0 means 1 (the paper's constants).
+	// exercised. Scale <= 0 means 1 (the paper's constants); it must be
+	// finite.
 	Scale float64
 	// SkipPhase2 replaces Phase 2 by extending Phase 1 to
 	// t = ⌈log(20/ε) + log log ñ⌉ iterations, as the covering algorithm
@@ -45,6 +47,11 @@ type Params struct {
 	// bit-identical for every worker count: tasks are merged in input
 	// order and all randomness is derived from (Seed, vertex, label).
 	Workers int
+}
+
+// check rejects parameters outside the ranges the fields document.
+func (p Params) check() error {
+	return cmp.Or(CheckEpsilon(p.Epsilon), CheckScale(p.Scale))
 }
 
 func (p Params) scale() float64 {
@@ -67,27 +74,19 @@ type Derived struct {
 	EstimateRadius int
 }
 
-// derive computes t, R and the interval structure of Section 3.1.
+// derive computes t, R and the interval structure of Section 3.1 for an ε
+// that check accepted.
 func derive(n int, p Params) Derived {
 	nTilde := p.NTilde
 	if nTilde < n {
 		nTilde = n
 	}
 	eps := p.Epsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
-	if eps > 1 {
-		eps = 1
-	}
 	t := int(math.Ceil(math.Log2(20 / eps)))
 	if p.SkipPhase2 {
 		// Section 5: t = ⌈log ln n + log(1/ε) + 8⌉ kills the need for the
 		// Phase-2 shortcut at the cost of more iterations.
 		t = int(math.Ceil(math.Log2(math.Log(float64(nTilde)+3)) + math.Log2(1/eps) + 8))
-	}
-	if t < 1 {
-		t = 1
 	}
 	r := int(math.Ceil(200 * float64(t) * lnTilde(nTilde) / eps * p.scale()))
 	if r < 2 {
@@ -174,14 +173,15 @@ func ChangLiCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, 
 // (ballSizes), the sampling rate below, and the cut layer (GrowCarve).
 // salt+i labels iteration i's per-vertex sampling streams and p3Label
 // splits the Phase-3 seed, so each entry point keeps its own randomness.
-// Phase 3 runs on ws (nil means a fresh workspace).
+// Phase 3 runs on ws (nil means a fresh workspace). It checks p first, so
+// both entry points, and Blackbox's inner runs, reject bad parameters.
 func changLi(ctx context.Context, g *graph.Graph, w []int64, p Params, salt, p3Label uint64, ws *Workspace) (*Decomposition, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	n := g.N()
 	d := derive(n, p)
 	eps := p.Epsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
 	// The phases mirror the paper's structure: the Θ(log ñ) preparation
 	// (n_v estimation), one phase per carve iteration, the Phase-3
 	// Elkin–Neiman pass, and assembly. Their timings live only in the trace

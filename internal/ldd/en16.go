@@ -15,7 +15,8 @@ import (
 type ENParams struct {
 	// Lambda is the deletion-rate parameter: each vertex is deleted with
 	// probability at most 1 - e^(-Lambda) + ñ^(-3), and each surviving
-	// component has (strong) diameter at most 8 ln(ñ)/Lambda.
+	// component has (strong) diameter at most 8 ln(ñ)/Lambda. It must be
+	// finite and > 0.
 	Lambda float64
 	// NTilde is the globally known upper bound ñ >= n. Zero means n.
 	NTilde int
@@ -28,6 +29,9 @@ type ENParams struct {
 	// itself is inherently sequential and unaffected.
 	Workers int
 }
+
+// check rejects a λ that is not finite and > 0.
+func (p ENParams) check() error { return CheckLambda(p.Lambda) }
 
 // enShiftLabel is the stream label for the exponential shift draw, shared by
 // the oracle and message-passing implementations so they use identical
@@ -400,7 +404,7 @@ func stopped(done <-chan struct{}) bool {
 // call. The label search polls ctx at a coarse stride; a cancelled run
 // returns ctx.Err() and leaves ws reusable.
 func ElkinNeimanCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Decomposition, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cmp.Or(p.check(), ctx.Err()); err != nil {
 		return nil, err
 	}
 	d, ok := elkinNeiman(g, alive, p, ws, ctx.Done())
@@ -462,7 +466,7 @@ type MPXResult struct {
 // fraction with probability Omega(lambda). Cancellation is as in
 // ElkinNeimanCtx.
 func MPXCtx(ctx context.Context, g *graph.Graph, p ENParams) (*MPXResult, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cmp.Or(p.check(), ctx.Err()); err != nil {
 		return nil, err
 	}
 	r, ok := mpx(g, p, ctx.Done())

@@ -127,6 +127,9 @@ func (m *enMachine) decide() {
 // output is identical to ElkinNeimanCtx on the whole graph with the same
 // parameters.
 func ElkinNeimanDistributed(g *graph.Graph, p ENParams, sequential bool) (*Decomposition, local.Stats, error) {
+	if err := p.check(); err != nil {
+		return nil, local.Stats{}, err
+	}
 	n := g.N()
 	shifts, maxT := enShiftsOwned(n, p)
 	horizon := int(math.Ceil(maxT)) + 3

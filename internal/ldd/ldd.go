@@ -32,14 +32,48 @@
 //
 // Each algorithm has one entry point, its ...Ctx function. ElkinNeimanCtx
 // and SparseCoverCtx also take the caller's Workspace (nil means a fresh
-// one).
+// one). Every entry point first checks its parameters and returns an
+// ErrBadParams error, before any work, when ε lies outside (0, 1], λ is not
+// finite and > 0, or the radius scale is NaN or infinite.
 package ldd
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
 )
+
+// ErrBadParams reports a parameter outside the range its algorithm is
+// defined for. Test with errors.Is.
+var ErrBadParams = errors.New("invalid parameters")
+
+// CheckEpsilon accepts a fraction ε in (0, 1], the range Theorems 1.1–1.3
+// are stated for, and rejects anything else, NaN included.
+func CheckEpsilon(eps float64) error {
+	if eps > 0 && eps <= 1 {
+		return nil
+	}
+	return fmt.Errorf("%w: epsilon %v outside (0, 1]", ErrBadParams, eps)
+}
+
+// CheckLambda accepts an exponential-shift rate λ that is finite and > 0.
+func CheckLambda(lambda float64) error {
+	if lambda > 0 && !math.IsInf(lambda, 1) {
+		return nil
+	}
+	return fmt.Errorf("%w: lambda %v must be finite and > 0", ErrBadParams, lambda)
+}
+
+// CheckScale rejects a NaN or infinite radius scale. Every finite scale is
+// accepted: one <= 0 means 1, the paper's constants.
+func CheckScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("%w: scale %v must be finite", ErrBadParams, scale)
+	}
+	return nil
+}
 
 // Unclustered marks a deleted (unclustered) vertex in a Decomposition.
 const Unclustered = int32(-1)
@@ -135,9 +169,8 @@ func (d *Decomposition) ValidateSeparation(g *graph.Graph) (ok bool, badU, badV 
 }
 
 // relabel compacts cluster ids to a dense range and returns the count.
-// Ids produced by this package are always bounded by a small multiple of n
-// (vertex ids or dense counters plus offsets), so a dense remap array beats
-// a hash map; the map path remains as a fallback for out-of-range ids.
+// Every caller passes ids below 2n (vertex ids, dense counters, or a
+// component count plus either), so a dense remap array suffices.
 func relabel(clusterOf []int32) int {
 	maxID := int32(-1)
 	for _, c := range clusterOf {
@@ -147,9 +180,6 @@ func relabel(clusterOf []int32) int {
 	}
 	if maxID < 0 {
 		return 0
-	}
-	if int(maxID) > 4*len(clusterOf)+64 {
-		return relabelSparse(clusterOf)
 	}
 	remap := make([]int32, maxID+1)
 	for i := range remap {
@@ -167,22 +197,6 @@ func relabel(clusterOf []int32) int {
 		clusterOf[i] = remap[c]
 	}
 	return int(count)
-}
-
-func relabelSparse(clusterOf []int32) int {
-	remap := make(map[int32]int32)
-	for i, c := range clusterOf {
-		if c < 0 {
-			continue
-		}
-		nc, ok := remap[c]
-		if !ok {
-			nc = int32(len(remap))
-			remap[c] = nc
-		}
-		clusterOf[i] = nc
-	}
-	return len(remap)
 }
 
 // lnTilde returns ln(ñ) for the given upper bound on n, clamped below by 1

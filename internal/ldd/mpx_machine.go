@@ -62,6 +62,9 @@ func (m *mpxMachine) Round(round int, inbox []local.Message) ([]local.Message, b
 // on the engine and returns the result plus engine statistics. Output is
 // bit-identical to MPXCtx(ctx, g, p) for the same parameters.
 func MPXDistributed(g *graph.Graph, p ENParams, sequential bool) (*MPXResult, local.Stats, error) {
+	if err := p.check(); err != nil {
+		return nil, local.Stats{}, err
+	}
 	n := g.N()
 	shifts, maxT := enShiftsOwned(n, p)
 	horizon := int(math.Ceil(maxT)) + 3

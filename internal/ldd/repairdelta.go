@@ -34,13 +34,13 @@ func (d EdgeDelta) Size() int { return len(d.Added) + len(d.Removed) }
 // Empty reports whether the two graph versions have identical edge sets.
 func (d EdgeDelta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// RepairDeltaParams tunes RepairDelta. The zero value of each field selects
-// the documented default.
+// RepairDeltaParams tunes RepairDelta. Epsilon is required; the zero value
+// of every other field selects the documented default.
 type RepairDeltaParams struct {
-	// Epsilon is the quality parameter of the decomposition being repaired;
-	// re-carved regions use SequentialLDD(Epsilon/2) exactly like
+	// Epsilon is the quality parameter of the decomposition being repaired,
+	// in (0, 1]; re-carved regions use SequentialLDD(Epsilon/2) exactly like
 	// RepairDiameterCtx, so repaired clusters meet the same strong-diameter
-	// construction bound. <= 0 means 0.5 (derive's clamp).
+	// construction bound.
 	Epsilon float64
 	// WeakBound is the weak-diameter budget certified for every cluster the
 	// repair keeps across an edge deletion (Params.WeakDiameterBound for
@@ -80,21 +80,19 @@ type RepairReport struct {
 // and Phase-3 Elkin–Neiman clusters have strong diameter ≤ 8·ln(ñ)/λ at
 // λ = ε/10. Fresh runs satisfy the bound whp — the churn equivalence
 // suite asserts it for both fresh and repaired decompositions, so delta
-// repair certifies surviving clusters against the same invariant.
+// repair certifies surviving clusters against the same invariant. For
+// parameters ChangLiCtx would reject it returns 0, which disables the
+// certificates.
 func (p Params) WeakDiameterBound(n int) int {
+	if p.check() != nil {
+		return 0
+	}
 	d := derive(n, p)
-	eps := p.Epsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
-	if eps > 1 {
-		eps = 1
-	}
 	carve := 0
 	for _, iv := range d.Intervals {
 		carve += 2 * iv[1]
 	}
-	en := int(math.Ceil(80 * d.LnTilde / eps))
+	en := int(math.Ceil(80 * d.LnTilde / p.Epsilon))
 	if en > carve {
 		return en
 	}
@@ -155,13 +153,10 @@ func RepairDelta(ctx context.Context, gv graph.View, old *Decomposition, delta E
 	if len(old.ClusterOf) != n {
 		return nil, nil, fmt.Errorf("%w: decomposition is over %d vertices, graph has %d", ErrRepairFallback, len(old.ClusterOf), n)
 	}
+	if err := CheckEpsilon(p.Epsilon); err != nil {
+		return nil, nil, err
+	}
 	eps := p.Epsilon
-	if eps <= 0 {
-		eps = 0.5
-	}
-	if eps > 1 {
-		eps = 1
-	}
 	maxUnc := p.MaxUnclusteredFrac
 	if maxUnc <= 0 {
 		maxUnc = eps

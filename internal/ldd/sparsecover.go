@@ -1,6 +1,7 @@
 package ldd
 
 import (
+	"cmp"
 	"context"
 	"math"
 
@@ -75,7 +76,7 @@ func (c *Cover) MaxWeakDiameter(g *graph.Graph) int {
 // covering preparation runs Θ(log ñ) of these, one workspace per worker.
 // The returned Cover is freshly allocated (it does not alias ws).
 func SparseCoverCtx(ctx context.Context, g *graph.Graph, alive []bool, p ENParams, ws *Workspace) (*Cover, error) {
-	if err := ctx.Err(); err != nil {
+	if err := cmp.Or(p.check(), ctx.Err()); err != nil {
 		return nil, err
 	}
 	if ws == nil {

@@ -39,7 +39,8 @@ type Decomposition struct {
 type Params struct {
 	// Lambda is the per-phase Elkin–Neiman parameter; it controls the
 	// cluster diameter bound 8 ln(ñ)/Lambda and the per-phase survival
-	// rate e^(-Lambda). Zero means 0.5 (diameter O(log n), half survive).
+	// rate e^(-Lambda). Zero means 0.5 (diameter O(log n), half survive);
+	// any other value must be finite and > 0.
 	Lambda float64
 	// NTilde is the known upper bound on n; zero means n.
 	NTilde int
@@ -56,11 +57,14 @@ type Params struct {
 // residual graph, which itself checks the context at a coarse stride).
 // Every phase runs on one ldd workspace, held for the whole call.
 func DecomposeCtx(ctx context.Context, g *graph.Graph, p Params) (*Decomposition, error) {
-	n := g.N()
 	lambda := p.Lambda
-	if lambda <= 0 {
+	if lambda == 0 {
 		lambda = 0.5
 	}
+	if err := ldd.CheckLambda(lambda); err != nil {
+		return nil, err
+	}
+	n := g.N()
 	nTilde := p.NTilde
 	if nTilde < n {
 		nTilde = n

@@ -32,9 +32,12 @@ import (
 // reported via Result.Exact semantics as usual). The decompositions run on
 // p.Workers workers, and a cancelled ctx stops the run with ctx.Err().
 func SolveAlternative(ctx context.Context, inst *ilp.Instance, p Params, tRuns int) (*Result, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	g := inst.Primal()
 	n := g.N()
-	eps := clampEps(p.Epsilon)
+	eps := p.Epsilon
 	nTilde := p.NTilde
 	if nTilde < n {
 		nTilde = n

@@ -34,6 +34,7 @@
 package packing
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"strconv"
@@ -54,13 +55,15 @@ const packLabel = 0x9ac0
 type Params struct {
 	// Epsilon is the approximation parameter: the output is a feasible
 	// solution of value >= (1-ε)·OPT w.h.p. (given exact local solves).
+	// It must lie in (0, 1].
 	Epsilon float64
 	// NTilde is the known polynomial upper bound on max(|V|, W(P*, V));
 	// zero means n.
 	NTilde int
 	// Seed drives all randomness.
 	Seed uint64
-	// Scale multiplies the paper's radius constant (see ldd.Params.Scale).
+	// Scale multiplies the paper's radius constant (see ldd.Params.Scale);
+	// <= 0 means 1, and it must be finite.
 	Scale float64
 	// PrepRuns overrides the number of preparation decompositions
 	// (paper: 16 ln ñ). Zero means the paper's value. The experiment
@@ -106,15 +109,12 @@ func derive(n int, p Params) derived {
 	if nTilde < n {
 		nTilde = n
 	}
-	eps := clampEps(p.Epsilon)
+	eps := p.Epsilon
 	scale := p.Scale
 	if scale <= 0 {
 		scale = 1
 	}
 	t := int(math.Ceil(math.Log2(20 / eps)))
-	if t < 1 {
-		t = 1
-	}
 	ln := math.Log(float64(nTilde) + 3)
 	r := int(math.Ceil(200*float64(t)*ln/eps*scale)) + 1 // R' = R+1
 	if r < 2 {
@@ -134,11 +134,9 @@ func derive(n int, p Params) derived {
 	return d
 }
 
-func clampEps(eps float64) float64 {
-	if eps <= 0 || eps > 1 {
-		return 0.5
-	}
-	return eps
+// check rejects parameters outside the ranges the fields document.
+func (p Params) check() error {
+	return cmp.Or(ldd.CheckEpsilon(p.Epsilon), ldd.CheckScale(p.Scale))
 }
 
 // prepCluster is one cluster from the preparation decompositions with its
@@ -156,10 +154,13 @@ type prepCluster struct {
 // ctx.Err() promptly. The run's decomposition workspaces and solve scratch
 // live only as long as the call.
 func SolveCtx(ctx context.Context, inst *ilp.Instance, p Params) (*Result, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	g := inst.Primal()
 	n := g.N()
 	d := derive(n, p)
-	eps := clampEps(p.Epsilon)
+	eps := p.Epsilon
 	rootRNG := xrand.New(p.Seed)
 	// Phase timings go only into the trace carried by ctx; the Result is
 	// bit-identical either way.

@@ -58,6 +58,30 @@ func (p Problem) String() string {
 	}
 }
 
+// Names lists the short problem names ByName accepts.
+const Names = "mis|vc|mds|matching|kdom"
+
+// ByName returns the problem a short name denotes. k is the distance of
+// kdom, which must be >= 1; the other problems ignore it.
+func ByName(name string, k int) (Problem, error) {
+	switch name {
+	case "mis":
+		return MIS, nil
+	case "vc":
+		return MinVertexCover, nil
+	case "mds":
+		return MinDominatingSet, nil
+	case "matching":
+		return MaxMatching, nil
+	case "kdom":
+		if k < 1 {
+			return 0, fmt.Errorf("problem kdom: k must be >= 1, got %d", k)
+		}
+		return KDominatingSet, nil
+	}
+	return 0, fmt.Errorf("unknown problem %q (want %s)", name, Names)
+}
+
 // Kind returns whether the problem is packing or covering.
 func (p Problem) Kind() ilp.Kind {
 	switch p {

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/graph/gen"
@@ -30,6 +31,31 @@ func TestStringAndKind(t *testing.T) {
 	}
 	if Problem(99).String() == "" {
 		t.Fatal("unknown problem should print")
+	}
+}
+
+func TestByName(t *testing.T) {
+	want := map[string]Problem{
+		"mis": MIS, "vc": MinVertexCover, "mds": MinDominatingSet,
+		"matching": MaxMatching, "kdom": KDominatingSet,
+	}
+	for _, name := range strings.Split(Names, "|") {
+		if p, err := ByName(name, 1); err != nil || p != want[name] {
+			t.Fatalf("%s: %v %v, want %v", name, p, err, want[name])
+		}
+		delete(want, name)
+	}
+	if len(want) != 0 {
+		t.Fatalf("Names omits %v", want)
+	}
+	if _, err := ByName("kdom", 0); err == nil {
+		t.Fatal("kdom with k = 0 accepted")
+	}
+	if p, err := ByName("mis", 0); err != nil || p != MIS {
+		t.Fatalf("mis ignores k: %v %v", p, err)
+	}
+	if _, err := ByName("nope", 2); err == nil || !strings.Contains(err.Error(), Names) {
+		t.Fatalf("unknown name: %v", err)
 	}
 }
 

@@ -218,6 +218,39 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeParams: parameter values an algorithm is not
+// defined for (ε outside (0, 1], λ not finite and > 0) are 422 and cache
+// nothing, and a valid request right after them computes as usual.
+func TestRunRejectsOutOfRangeParams(t *testing.T) {
+	srv, c := newTestServer(t, Options{})
+	ctx := context.Background()
+	info, err := c.Generate(ctx, "grid", 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rq := range []RunRequest{
+		{Algo: "changli", Q: "eps=NaN"},
+		{Algo: "en", Q: "lambda=0"},
+	} {
+		if _, err := c.Run(ctx, info.ID, rq); !IsStatus(err, http.StatusUnprocessableEntity) {
+			t.Errorf("%s %s: want 422, got %v", rq.Algo, rq.Q, err)
+		}
+	}
+	if n := srv.Engine().Stats().EntriesTotal(); n != 0 {
+		t.Fatalf("rejected requests left %d cache entries", n)
+	}
+	res, err := c.Run(ctx, info.ID, RunRequest{Algo: "en", Q: "lambda=0.3"})
+	if err != nil {
+		t.Fatalf("valid run after rejections: %v", err)
+	}
+	if len(res.ClusterOf) != 400 || res.NumClusters == 0 {
+		t.Fatalf("valid run: %d vertices, %d clusters", len(res.ClusterOf), res.NumClusters)
+	}
+	if n := srv.Engine().Stats().EntriesTotal(); n != 1 {
+		t.Fatalf("valid run: %d cache entries, want 1", n)
+	}
+}
+
 func TestRunRejectsMalformedJSON(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	ctx := context.Background()
